@@ -15,23 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from igabem.experiments import run_adaptive, write_knots_csv, write_run_csv
+from igabem.experiments import MATRIX, run_adaptive, write_knots_csv, write_run_csv
 from igabem.solve import fit_rate
-
-MATRIX = [
-    # problem, method, estimator, uniform, max_dofs
-    ("slit", "galerkin", "mu", True, 512),
-    ("slit", "galerkin", "mu", False, 500),
-    ("slit", "galerkin", "eta", False, 500),
-    ("slit", "collocation", "mu", False, 500),
-    ("slit", "collocation", "eta", False, 500),
-    ("square", "galerkin", "mu", True, 513),
-    ("square", "galerkin", "mu", False, 300),
-    ("square", "galerkin", "eta", False, 300),
-    ("pacman", "galerkin", "mu", True, 650),
-    ("pacman", "galerkin", "mu", False, 200),
-    ("pacman", "collocation", "eta", False, 200),
-]
 
 
 def main(argv=None) -> int:
@@ -46,10 +31,9 @@ def main(argv=None) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for problem, method, estimator, uniform, max_dofs in MATRIX:
+    for tag, (problem, method, estimator, uniform, max_dofs) in MATRIX.items():
         if args.quick:
             max_dofs = min(max_dofs, 120)
-        tag = "_".join([problem, method, estimator, "uniform" if uniform else "adaptive"])
         t0 = time.perf_counter()
         record = run_adaptive(problem, method=method, estimator=estimator,
                               theta=args.theta, max_dofs=max_dofs,

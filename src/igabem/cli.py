@@ -124,7 +124,6 @@ def _verify_checks(quick: bool):
     # small slit solve: estimator totals finite, local bound holds
     from .adaptivity import initial_state, refine, dorfler_marking
     state = initial_state(slit())
-    f = PROBLEMS["slit"].rhs_factory(state.curve, 16)
     for _ in range(6):
         curve = state.curve
         f = PROBLEMS["slit"].rhs_factory(curve, 16)

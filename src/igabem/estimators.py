@@ -120,14 +120,12 @@ def sample_residual(curve: Curve, coeffs: np.ndarray, f_of_params,
     """Sample r = f - V phi_h on every element's interior Gauss grid."""
     if q_int is None:
         q_int = max(curve.degree + 2, 6)
-    elems = curve.knots.elements
-    xg, _ = gauss_unit(q_int)
-    params = elems[:, 0][:, None] + (elems[:, 1] - elems[:, 0])[:, None] * xg
-    flat = params.ravel()
-    res = np.asarray(f_of_params(flat)) - single_layer_values(
-        curve, coeffs, flat, order=order
+    return ResidualData.from_function(
+        curve,
+        lambda ts: np.asarray(f_of_params(ts))
+        - single_layer_values(curve, coeffs, ts, order=order),
+        q_int,
     )
-    return ResidualData.from_samples(curve, res, q_int)
 
 
 # --------------------------------------------------------------------------

@@ -49,11 +49,33 @@ __all__ = [
     "write_run_csv",
     "read_run_csv",
     "write_knots_csv",
+    "MATRIX",
 ]
 
 REF_ENERGY_CACHE = "ref_energies.json"
 RUN_CSV_HEADER = "iter,N,n_elements,eta,mu,err_sq,eff_eta,eff_mu,wall_ms"
 _INT_COLUMNS = ("iter", "N", "n_elements")
+
+# The benchmark matrix, run by scripts/run_benchmarks.py and by the
+# acceptance tests: run tag -> (problem, method, estimator, uniform?,
+# max unknowns).
+MATRIX = {
+    "_".join([problem, method, estimator, "uniform" if uniform else "adaptive"]):
+        (problem, method, estimator, uniform, max_dofs)
+    for problem, method, estimator, uniform, max_dofs in [
+        ("slit", "galerkin", "mu", True, 512),
+        ("slit", "galerkin", "mu", False, 500),
+        ("slit", "galerkin", "eta", False, 500),
+        ("slit", "collocation", "mu", False, 500),
+        ("slit", "collocation", "eta", False, 500),
+        ("square", "galerkin", "mu", True, 513),
+        ("square", "galerkin", "mu", False, 300),
+        ("square", "galerkin", "eta", False, 300),
+        ("pacman", "galerkin", "mu", True, 650),
+        ("pacman", "galerkin", "mu", False, 200),
+        ("pacman", "collocation", "eta", False, 200),
+    ]
+}
 
 
 @dataclass(frozen=True)

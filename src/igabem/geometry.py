@@ -1,4 +1,4 @@
-"""NURBS boundary curves: evaluation, benchmark geometries, config files.
+"""NURBS boundary curves: evaluation and benchmark geometries.
 
 A :class:`Curve` couples a :class:`~igabem.splines.KnotVector` with control
 points and weights in per-period storage (see ``KnotVector.n_store``).  All
@@ -11,10 +11,8 @@ then the clockwise rotation of the unit tangent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +26,6 @@ __all__ = [
     "pacman",
     "circle",
     "bilipschitz_constant",
-    "curve_to_config",
-    "curve_from_config",
 ]
 
 _LENGTH_RULE = 16  # Gauss points per element for arclength integrals
@@ -330,44 +326,3 @@ def bilipschitz_constant(curve: Curve, samples: int = 1200) -> float:
         if m.any():
             best = max(best, float((A[m] / chord[m]).max()))
     return best
-
-
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
-
-
-def curve_to_config(curve: Curve, path=None) -> dict:
-    """Serialize a curve to a plain dict (and optionally a JSON file)."""
-    cfg = {
-        "degree": curve.degree,
-        "breakpoints": list(curve.knots.breakpoints),
-        "multiplicities": list(curve.knots.multiplicities),
-        "periodic": curve.closed,
-        "controls": curve.controls.tolist(),
-        "weights": curve.weights.tolist(),
-    }
-    if path is not None:
-        Path(path).write_text(json.dumps(cfg, indent=2) + "\n", encoding="utf-8")
-    return cfg
-
-
-_BUILTIN_CURVES = {}
-
-
-def curve_from_config(source) -> Curve:
-    """Build a curve from a dict, a JSON file path, or a builtin name."""
-    if isinstance(source, (str, Path)) and str(source) in _BUILTIN_CURVES:
-        return _BUILTIN_CURVES[str(source)]()
-    if isinstance(source, (str, Path)):
-        source = json.loads(Path(source).read_text(encoding="utf-8"))
-    kv = KnotVector(
-        int(source["degree"]),
-        tuple(source["breakpoints"]),
-        tuple(source["multiplicities"]),
-        bool(source.get("periodic", False)),
-    )
-    return Curve(kv, np.asarray(source["controls"], dtype=float), np.asarray(source["weights"], dtype=float))
-
-
-_BUILTIN_CURVES.update({"slit": slit, "square": square, "pacman": pacman, "circle": circle})

@@ -19,9 +19,15 @@ integrated in three regimes:
   distance between non-touching elements is comparable to their size, so
   plain Gauss converges geometrically.
 
-The same regime split drives pointwise evaluation of the single-layer
-potential (collocation rows, residual sampling) and of the double-layer
-potential used for Dirichlet right-hand sides.
+Pointwise potentials (collocation rows, residual samples of V phi_h, and the
+Dirichlet data (K + 1/2) g) go through one vectorised engine.  Per target it
+integrates far elements on a plain Gauss grid in blocks of targets, and the
+other elements near the target on composite rules graded toward it.  The
+element containing the target takes the kernel's own rule: for V a split at
+the target with the log-weight rule on each side, for K plain Gauss with the
+kernel's coincidence limit, since K is smooth along an arc.  The engine
+returns the density contracted with coefficients, the raw basis windows
+(one column per basis function), or the integral of data g.
 """
 
 from __future__ import annotations
@@ -333,62 +339,10 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
 
 
 # --------------------------------------------------------------------------
-# pointwise single layer (collocation rows, residual sampling)
+# pointwise potentials (collocation rows, residual sampling, Dirichlet data)
 # --------------------------------------------------------------------------
 
-
-def _wrap_params(kv, params: np.ndarray) -> np.ndarray:
-    """Map parameters of a closed curve into the fundamental period."""
-    if not kv.periodic:
-        return params
-    return kv.a + np.mod(params - kv.a, kv.period)
-
-
-def _near_elements(curve: Curve, params: np.ndarray) -> np.ndarray:
-    """Boolean (n_params, n_el) mask of elements needing singular treatment."""
-    kv = curve.knots
-    elems = kv.elements
-    hs = elems[:, 1] - elems[:, 0]
-    mids = 0.5 * (elems[:, 0] + elems[:, 1])
-    D = np.abs(curve.param_delta(params[:, None], mids[None, :])) - 0.5 * hs[None, :]
-    mask = np.maximum(D, 0.0) < NEAR_FACTOR * hs[None, :]
-    for i, x in enumerate(params):
-        mask[i, kv.element_of(float(x))] = True
-    return mask
-
-
-def _containing_element_integral(curve: Curve, x: float, lo: float, hi: float,
-                                 order: int) -> np.ndarray:
-    """Integrals of log|gamma(x) - gamma(.)| against the element basis window.
-
-    The element [lo, hi] contains the target x; each side [x, hi] and
-    [lo, x] is mapped to the unit interval where log|x - t| contributes a
-    known log factor plus the analytic remainder.
-    """
-    xg, wg = gauss_unit(order)
-    xl, wl = gauss_log(order)
-    out = np.zeros(curve.degree + 1)
-    for ell, orient in ((hi - x, 1.0), (x - lo, -1.0)):
-        if ell <= 0.0:
-            continue
-        tg = x + orient * ell * xg
-        tl = x + orient * ell * xl
-        sm = _smooth_log_part(curve, np.full(order, x), tg)
-        _, phig = _phi_windows(curve, tg)
-        _, phil = _phi_windows(curve, tl)
-        out += ell * (((np.log(ell) + sm) * wg) @ phig - wl @ phil)
-    return out
-
-
-def _graded_rule_toward(curve: Curve, x: float, lo: float, hi: float, order: int):
-    """Composite rule on [lo, hi] graded toward the endpoint nearest to x."""
-    h = hi - lo
-    d_lo = float(np.abs(curve.param_delta(x, lo)))
-    d_hi = float(np.abs(curve.param_delta(x, hi)))
-    toward = 0.0 if d_lo <= d_hi else 1.0
-    levels = _grade_levels(h, min(d_lo, d_hi))
-    xs, ws = graded_unit(order, levels, toward)
-    return lo + h * xs, h * ws
+_FAR_BLOCK = 2e6  # far-field kernel entries evaluated per block of targets
 
 
 def _graded_pair_rules(curve: Curve, params: np.ndarray, pair_i: np.ndarray,
@@ -418,155 +372,82 @@ def _graded_pair_rules(curve: Curve, params: np.ndarray, pair_i: np.ndarray,
         yield ii, ee, tp, tw
 
 
-def _v_row_windows(curve: Curve, x: float, cache: ElementCache, order: int,
-                   near_row: np.ndarray) -> np.ndarray:
-    """Integrals of log|gamma(x) - gamma(.)| against every basis function."""
-    kv = curve.knots
-    p = kv.degree
-    row = np.zeros(kv.dim)
-    px = curve.point(np.array([x]))[0]
-    inside = kv.element_of(x)
-
-    far = ~near_row
-    if far.any():
-        pf = cache.points[far].reshape(-1, 2)
-        K = np.log(np.hypot(pf[:, 0] - px[0], pf[:, 1] - px[1]))
-        contrib = np.einsum("fr,frb->fb", K.reshape(-1, order), cache.wbasis[far])
-        cols = cache.first[far][:, None] + np.arange(p + 1)[None, :]
-        np.add.at(row, cols, contrib)
-
-    for e in np.flatnonzero(near_row):
-        lo, hi = (float(v) for v in kv.elements[e])
-        cols = cache.first[e] + np.arange(p + 1)
-        if e == inside:
-            row[cols] += _containing_element_integral(curve, x, lo, hi, order)
-            continue
-        tp, tw = _graded_rule_toward(curve, x, lo, hi, order)
-        pt = curve.point(tp)
-        K = np.log(np.hypot(pt[:, 0] - px[0], pt[:, 1] - px[1]) + 1e-300)
-        _, phi = _phi_windows(curve, tp)
-        row[cols] += (tw * K) @ phi
-    return row
+def _node_frames(curve: Curve, ts: np.ndarray, nd: int) -> np.ndarray:
+    """Curve frames at a (k, n) node array, shaped (k, n, nd + 1, 2)."""
+    return curve.frame(ts.ravel(), nd).reshape(ts.shape + (nd + 1, 2))
 
 
-def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Square collocation system: row i evaluates V at collocation point i.
+class _SingleLayer:
+    """Kernel log|gamma(x) - gamma(t)| against sum coeffs[q] R_q |gamma'| in
+    one column or, without ``coeffs``, against each R_q |gamma'| in column q.
 
-    Raises ValueError when a collocation point falls on a geometric corner:
-    the jump factor of the boundary identity depends on the interior angle
-    there, so such a configuration is ambiguous.
+    Far elements use the element cache's Gauss grid.
     """
-    kv = curve.knots
-    cache = element_cache(curve, order)
-    pts = kv.collocation_points()
-    corners = curve.corner_params()
-    if len(corners):
-        gaps = np.abs(curve.param_delta(pts[:, None], corners[None, :]))
-        hit = np.nonzero(gaps.min(axis=1) < 1e-12)[0]
-        if len(hit):
-            raise ValueError(
-                f"collocation point t={float(pts[hit[0]]):g} lies on a corner, "
-                "where "
-                "the jump factor depends on the interior angle; refine or "
-                "reparametrize so collocation points avoid corners"
-            )
-    near = _near_elements(curve, pts)
-    B = np.empty((kv.dim, kv.dim))
-    for i, x in enumerate(pts):
-        B[i] = _v_row_windows(curve, float(x), cache, order, near[i])
-    return B / (-_TWO_PI)
 
+    nd = 1  # frame order at quadrature nodes: points, and speeds for R_q
 
-def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
-                        order: int = DEFAULT_ORDER,
-                        cache: ElementCache | None = None) -> np.ndarray:
-    """Evaluate V phi_h on the curve at the given parameters.
-
-    phi_h = sum coeffs[q] R_q.  Same near/far regime split as the
-    collocation assembly, contracting the density along the way.
-    """
-    kv = curve.knots
-    p = kv.degree
-    coeffs = np.asarray(coeffs, dtype=float)
-    if cache is None or cache.order != order:
-        cache = element_cache(curve, order)
-    dens_flat = cache.density_weights(coeffs).ravel()
-    params = _wrap_params(kv, np.atleast_1d(np.asarray(params, dtype=float)))
-    m = len(params)
-    out = np.empty(m)
-
-    px_all = curve.point(params)
-    pts_flat = cache.flat_points()
-    near = _near_elements(curve, params)
-    n_el = kv.n_elements
-    elems = kv.elements
-
-    chunk = max(1, int(2e6 // max(pts_flat.shape[0], 1)))
-    for s0 in range(0, m, chunk):
-        sl = slice(s0, min(s0 + chunk, m))
-        dx = px_all[sl, None, 0] - pts_flat[None, :, 0]
-        dy = px_all[sl, None, 1] - pts_flat[None, :, 1]
-        K = np.log(np.hypot(dx, dy) + 1e-300).reshape(-1, n_el, order)
-        K[near[sl]] = 0.0
-        out[sl] = K.reshape(K.shape[0], -1) @ dens_flat
-
-    cw_all = coeffs[cache.first[:, None] + np.arange(p + 1)[None, :]]
-
-    # containing element, split at the target with the log factor lifted
-    # (vector form of _containing_element_integral)
-    inside = np.array([kv.element_of(float(x)) for x in params])
-    xg, wg = gauss_unit(order)
-    xl, wl = gauss_log(order)
-    for orient in (1.0, -1.0):
-        if orient > 0:
-            ell = elems[inside, 1] - params
+    def __init__(self, cache: ElementCache, coeffs: np.ndarray | None = None):
+        self.cache = cache
+        self.grid_t = cache.params.ravel()
+        self.grid_frames = cache.points.reshape(-1, 1, 2)
+        cols = cache.first[:, None] + np.arange(cache.curve.degree + 1)[None, :]
+        if coeffs is None:
+            self.grid, self.cols = cache.wbasis, cols
+            self.n_cols = cache.curve.knots.dim
+            self.cw = None
         else:
-            ell = params - elems[inside, 0]
-        idx = np.flatnonzero(ell > 0.0)
-        if not len(idx):
-            continue
-        ei = ell[idx]
-        tg = params[idx, None] + orient * ei[:, None] * xg[None, :]
-        tl = params[idx, None] + orient * ei[:, None] * xl[None, :]
-        sm = _smooth_log_part(curve, np.repeat(params[idx], order),
-                              tg.ravel()).reshape(tg.shape)
-        _, phig = _phi_windows(curve, tg.ravel())
-        _, phil = _phi_windows(curve, tl.ravel())
-        cw = cw_all[inside[idx]]
-        dg = np.einsum("knb,kb->kn", phig.reshape(len(idx), order, p + 1), cw)
-        dl = np.einsum("knb,kb->kn", phil.reshape(len(idx), order, p + 1), cw)
-        out[idx] += ei * (
-            ((np.log(ei)[:, None] + sm) * wg[None, :] * dg).sum(axis=1)
-            - (wl[None, :] * dl).sum(axis=1)
-        )
+            self.grid = cache.density_weights(coeffs)[..., None]
+            self.cols, self.n_cols = np.zeros((len(cols), 1), dtype=int), 1
+            self.cw = coeffs[cols]
 
-    # remaining near elements, rules graded toward the target
-    pair_i, pair_e = np.nonzero(near)
-    keep = pair_e != inside[pair_i]
-    for ii, ee, tp, tw in _graded_pair_rules(curve, params, pair_i[keep],
-                                             pair_e[keep], order):
-        ptg = curve.point(tp.ravel()).reshape(tp.shape + (2,))
-        K = np.log(np.hypot(ptg[..., 0] - px_all[ii, None, 0],
-                            ptg[..., 1] - px_all[ii, None, 1]) + 1e-300)
-        _, phi = _phi_windows(curve, tp.ravel())
-        dens = np.einsum("knb,kb->kn", phi.reshape(tp.shape + (p + 1,)),
-                         cw_all[ee])
-        np.add.at(out, ii, np.einsum("kn,kn->k", tw * K, dens))
-    return out / (-_TWO_PI)
+    @staticmethod
+    def value(x, px, t, frames):
+        pts = frames[..., 0, :]
+        return np.log(np.hypot(px[:, None, 0] - pts[..., 0],
+                               px[:, None, 1] - pts[..., 1]) + 1e-300)
 
+    def density(self, ts, ee, frames):
+        curve = self.cache.curve
+        _, R = rational_basis(curve.knots, curve.basis_weights, ts.ravel())
+        d1 = frames[..., 1, :]
+        phi = (R[:, 0, :].reshape(ts.shape + (-1,))
+               * np.hypot(d1[..., 0], d1[..., 1])[..., None])
+        if self.cw is None:
+            return phi
+        return np.einsum("knb,kb->kn", phi, self.cw[ee])[..., None]
 
-# --------------------------------------------------------------------------
-# double layer potential (Dirichlet data)
-# --------------------------------------------------------------------------
+    def containing(self, x, px, inside):
+        """Split the element at the target: log|x - t| goes into the
+        log-weight rule on each side, the analytic rest
+        log(|gamma(x) - gamma(t)| / |x - t|) into plain Gauss."""
+        curve = self.cache.curve
+        q = self.cache.order
+        elems = curve.knots.elements
+        xg, wg = gauss_unit(q)
+        xl, wl = gauss_log(q)
+        for orient, ell in ((1.0, elems[inside, 1] - x),
+                            (-1.0, x - elems[inside, 0])):
+            idx = np.flatnonzero(ell > 0.0)
+            if not len(idx):
+                continue
+            ei = ell[idx, None]
+            tg = x[idx, None] + orient * ei * xg[None, :]
+            tl = x[idx, None] + orient * ei * xl[None, :]
+            sm = _smooth_log_part(curve, np.repeat(x[idx], q),
+                                  tg.ravel()).reshape(tg.shape)
+            for ts, kw in ((tg, ei * (np.log(ei) + sm) * wg), (tl, -ei * wl)):
+                frames = _node_frames(curve, ts, self.nd)
+                yield idx, kw, self.density(ts, inside[idx], frames)
 
 
 def _dl_frame_parts(frames: np.ndarray):
     """Split frames into point, tangent, rotated tangent and diagonal limit."""
-    pt = frames[:, 0]
-    d1 = frames[:, 1]
-    d2 = frames[:, 2]
-    rot = np.column_stack((d1[:, 1], -d1[:, 0]))
-    diag = np.einsum("ij,ij->i", d2, rot) / (2.0 * np.einsum("ij,ij->i", d1, d1))
+    pt = frames[..., 0, :]
+    d1 = frames[..., 1, :]
+    d2 = frames[..., 2, :]
+    rot = np.stack((d1[..., 1], -d1[..., 0]), axis=-1)
+    diag = (np.einsum("...i,...i->...", d2, rot)
+            / (2.0 * np.einsum("...i,...i->...", d1, d1)))
     return pt, d1, rot, diag
 
 
@@ -596,6 +477,144 @@ def _dl_kernel_core(x_point, pt, d1, rot, delta, diag, diag_eps=0.0):
     return np.where(np.abs(delta) < diag_eps, diag, val)
 
 
+class _DoubleLayer:
+    """Double-layer kernel against data g at boundary points, in one column.
+
+    The kernel carries the speed.  Far elements use a Gauss grid of its own,
+    whose frames reach gamma''.
+    """
+
+    nd = 2
+    n_cols = 1
+
+    def __init__(self, curve: Curve, order: int, g_of_points):
+        elems = curve.knots.elements
+        hs = elems[:, 1] - elems[:, 0]
+        xg, wg = gauss_unit(order)
+        self.curve = curve
+        self.order = order
+        self.g_of_points = g_of_points
+        self.grid_t = (elems[:, 0][:, None] + hs[:, None] * xg[None, :]).ravel()
+        self.grid_frames = curve.frame(self.grid_t, 2)
+        gjac = (np.asarray(g_of_points(self.grid_frames[:, 0]))
+                * (hs[:, None] * wg[None, :]).ravel())
+        self.grid = gjac.reshape(len(elems), order, 1)
+        self.cols = np.zeros((len(elems), 1), dtype=int)
+
+    def value(self, x, px, t, frames, diag_eps=0.0):
+        pt, d1, rot, diag = _dl_frame_parts(frames)
+        delta = np.asarray(self.curve.param_delta(x[:, None], t), dtype=float)
+        return _dl_kernel_core(px[:, None], pt, d1, rot, delta, diag, diag_eps)
+
+    def density(self, ts, ee, frames):
+        vals = self.g_of_points(frames[..., 0, :].reshape(-1, 2))
+        return np.asarray(vals).reshape(ts.shape + (1,))
+
+    def containing(self, x, px, inside):
+        """The kernel is smooth inside the element containing the target, so
+        the rule there is plain Gauss, i.e. the grid itself."""
+        src = inside[:, None] * self.order + np.arange(self.order)[None, :]
+        kern = self.value(x, px, self.grid_t[src], self.grid_frames[src],
+                          diag_eps=1e-9)
+        yield np.arange(len(x)), kern, self.grid[inside]
+
+
+def _potential(curve: Curve, kernel, params) -> np.ndarray:
+    """Integrals of ``kernel`` against its density at the target parameters.
+
+    ``kernel`` supplies the kernel ``value`` on a Gauss grid (``grid_t``,
+    ``grid_frames``) and at other quadrature nodes, its density there
+    (``grid`` (n_el, q, w) times weights, ``density`` at other nodes, both
+    in windows of w values), the output column ``cols[e, j]`` of slot j of
+    element e's window among ``n_cols``, and the rule on the element
+    containing the target.  Far elements take the grid, in blocks of
+    targets; the other near elements take composite rules graded toward
+    the target.  Returns an (n_targets, n_cols) array.
+    """
+    kv = curve.knots
+    params = np.atleast_1d(np.asarray(params, dtype=float))
+    if kv.periodic:
+        params = kv.a + np.mod(params - kv.a, kv.period)
+        params[params >= kv.b] = kv.a  # the reduction can round onto b
+    m = len(params)
+    x_pts = curve.point(params)
+    inside = np.array([kv.element_of(float(x)) for x in params], dtype=int)
+    n_el, q, w = kernel.grid.shape
+    out = np.zeros((m, kernel.n_cols))
+
+    # near: the containing element and those within NEAR_FACTOR sizes
+    elems = kv.elements
+    hs = elems[:, 1] - elems[:, 0]
+    gap = np.abs(curve.param_delta(params[:, None], elems.mean(axis=1)[None, :]))
+    near = np.maximum(gap - 0.5 * hs, 0.0) < NEAR_FACTOR * hs
+    near[np.arange(m), inside] = True
+
+    step = max(1, int(_FAR_BLOCK // (n_el * q)))
+    for s0 in range(0, m, step):
+        sl = slice(s0, min(s0 + step, m))
+        K = kernel.value(params[sl], x_pts[sl], kernel.grid_t, kernel.grid_frames)
+        K = K.reshape(-1, n_el, q)
+        K[near[sl]] = 0.0
+        if w == 1:
+            out[sl, 0] = K.reshape(len(K), -1) @ kernel.grid.ravel()
+        else:
+            win = np.einsum("cer,erw->cew", K, kernel.grid)
+            for j in range(w):  # slot j of distinct elements: distinct columns
+                out[sl, kernel.cols[:, j]] += win[:, :, j]
+
+    def add(ii, ee, kw, vals):
+        np.add.at(out, (ii[:, None], kernel.cols[ee]),
+                  np.einsum("kn,knw->kw", kw, vals))
+
+    for idx, kw, vals in kernel.containing(params, x_pts, inside):
+        add(idx, inside[idx], kw, vals)
+    pair_i, pair_e = np.nonzero(near)
+    keep = pair_e != inside[pair_i]
+    for ii, ee, tp, tw in _graded_pair_rules(curve, params, pair_i[keep],
+                                             pair_e[keep], q):
+        frames = _node_frames(curve, tp, kernel.nd)
+        kern = kernel.value(params[ii], x_pts[ii], tp, frames)
+        add(ii, ee, tw * kern, kernel.density(tp, ee, frames))
+    return out
+
+
+def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Square collocation system: row i evaluates V at collocation point i.
+
+    Raises ValueError when a collocation point falls on a geometric corner:
+    the jump factor of the boundary identity depends on the interior angle
+    there, so such a configuration is ambiguous.
+    """
+    pts = curve.knots.collocation_points()
+    corners = curve.corner_params()
+    if len(corners):
+        gaps = np.abs(curve.param_delta(pts[:, None], corners[None, :]))
+        hit = np.nonzero(gaps.min(axis=1) < 1e-12)[0]
+        if len(hit):
+            raise ValueError(
+                f"collocation point t={float(pts[hit[0]]):g} lies on a corner, "
+                "where "
+                "the jump factor depends on the interior angle; refine or "
+                "reparametrize so collocation points avoid corners"
+            )
+    cache = element_cache(curve, order)
+    return _potential(curve, _SingleLayer(cache), pts) / (-_TWO_PI)
+
+
+def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
+                        order: int = DEFAULT_ORDER,
+                        cache: ElementCache | None = None) -> np.ndarray:
+    """Evaluate V phi_h on the curve at the given parameters.
+
+    phi_h = sum coeffs[q] R_q, contracted on the quadrature grids, so no
+    (targets x dim) array is built.
+    """
+    if cache is None or cache.order != order:
+        cache = element_cache(curve, order)
+    kernel = _SingleLayer(cache, np.asarray(coeffs, dtype=float))
+    return _potential(curve, kernel, params)[:, 0] / (-_TWO_PI)
+
+
 def double_layer_values(curve: Curve, g_of_points, params: np.ndarray,
                         order: int = DEFAULT_ORDER) -> np.ndarray:
     """Evaluate the double-layer potential K g on the curve at parameters.
@@ -606,58 +625,8 @@ def double_layer_values(curve: Curve, g_of_points, params: np.ndarray,
     on a corner only if g decays there fast enough to keep the integrand
     bounded (as it does for data vanishing along straight edges).
     """
-    kv = curve.knots
-    params = _wrap_params(kv, np.atleast_1d(np.asarray(params, dtype=float)))
-    m = len(params)
-    n_el = kv.n_elements
-    elems = kv.elements
-    hs = elems[:, 1] - elems[:, 0]
-    xg, wg = gauss_unit(order)
-
-    grid = (elems[:, 0][:, None] + hs[:, None] * xg[None, :]).ravel()
-    pt, d1, rot, diag = _dl_frame_parts(curve.frame(grid, 2))
-    gjac = np.asarray(g_of_points(pt)) * (hs[:, None] * wg[None, :]).ravel()
-
-    x_pts = curve.point(params)
-    near = _near_elements(curve, params)
-    out = np.empty(m)
-
-    chunk = max(1, int(2e6 // max(len(grid), 1)))
-    for s0 in range(0, m, chunk):
-        sl = slice(s0, min(s0 + chunk, m))
-        delta = np.asarray(curve.param_delta(params[sl, None], grid[None, :]),
-                           dtype=float)
-        kern = _dl_kernel_core(x_pts[sl, None], pt[None], d1[None], rot[None],
-                               delta, diag[None])
-        kern = kern.reshape(-1, n_el, order)
-        kern[near[sl]] = 0.0
-        out[sl] = kern.reshape(kern.shape[0], -1) @ gjac
-
-    # The kernel is smooth inside the element containing the target, so the
-    # correction rule there is plain Gauss, i.e. the cached grid itself.
-    inside = np.array([kv.element_of(float(x)) for x in params])
-    src = inside[:, None] * order + np.arange(order)[None, :]
-    delta = np.asarray(curve.param_delta(params[:, None], grid[src]), dtype=float)
-    kern = _dl_kernel_core(x_pts[:, None], pt[src], d1[src], rot[src], delta,
-                           diag[src], diag_eps=1e-9)
-    out += np.einsum("ij,ij->i", kern, gjac[src])
-
-    # Remaining near elements get rules graded toward the target.  Pairs are
-    # grouped by rule shape so frames and g are evaluated once per group.
-    pair_i, pair_e = np.nonzero(near)
-    keep = pair_e != inside[pair_i]
-    for ii, ee, tp, tw in _graded_pair_rules(curve, params, pair_i[keep],
-                                             pair_e[keep], order):
-        gpt, gd1, grot, gdiag = _dl_frame_parts(curve.frame(tp.ravel(), 2))
-        gv = np.asarray(g_of_points(gpt)).reshape(tp.shape)
-        delta = np.asarray(curve.param_delta(params[ii][:, None], tp),
-                           dtype=float)
-        kern = _dl_kernel_core(
-            x_pts[ii][:, None, :], gpt.reshape(tp.shape + (2,)),
-            gd1.reshape(tp.shape + (2,)), grot.reshape(tp.shape + (2,)),
-            delta, gdiag.reshape(tp.shape))
-        np.add.at(out, ii, np.einsum("ij,ij->i", kern * tw, gv))
-    return out / _TWO_PI
+    kernel = _DoubleLayer(curve, order, g_of_points)
+    return _potential(curve, kernel, params)[:, 0] / _TWO_PI
 
 
 def dirichlet_rhs(curve: Curve, g_of_points, params,

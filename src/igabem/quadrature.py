@@ -28,7 +28,6 @@ __all__ = [
     "gauss_unit",
     "gauss_log",
     "graded_unit",
-    "mapped_rule",
 ]
 
 _NEWTON_TOL = 1e-15
@@ -158,19 +157,6 @@ def gauss_log(n: int) -> tuple[np.ndarray, np.ndarray]:
     the weights.
     """
     return _gauss_log_impl(int(n))
-
-
-def mapped_rule(
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    lo: float,
-    hi: float,
-    source: tuple[float, float] = (0.0, 1.0),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Affinely map a rule from its source interval onto [lo, hi]."""
-    s0, s1 = source
-    scale = (hi - lo) / (s1 - s0)
-    return lo + (nodes - s0) * scale, weights * scale
 
 
 def graded_unit(n: int, levels: int, toward: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,6 @@
 """B-spline and NURBS spline spaces on an interval or a closed parameter loop.
 
-Two layers live here.  The low-level engine (``find_span``, ``bspline_values``,
+Two layers live here.  The low-level engine (``find_span``,
 ``bspline_derivatives``, ``bspline_dense``) works on raw expanded knot arrays
 and is a vectorized transcription of the classical basis-function recurrences
 (Piegl & Tiller, algorithms A2.2/A2.3): all branch bounds depend only on the
@@ -30,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "find_span",
-    "bspline_values",
     "bspline_derivatives",
     "bspline_dense",
     "KnotVector",
@@ -63,27 +62,6 @@ def find_span(knots: np.ndarray, degree: int, ts: np.ndarray, side: str = "right
         raise ValueError("knot array has no nonempty span with a full basis window")
     idx = np.searchsorted(knots[starts], ts, side=side) - 1
     return starts[np.clip(idx, 0, len(starts) - 1)]
-
-
-def _basis_windows(knots, degree, spans, ts):
-    """All nonzero basis values at each point: shape (npts, degree + 1)."""
-    m = len(ts)
-    p = degree
-    vals = np.zeros((m, p + 1))
-    vals[:, 0] = 1.0
-    left = np.zeros((m, p + 1))
-    right = np.zeros((m, p + 1))
-    for j in range(1, p + 1):
-        left[:, j] = ts - knots[spans + 1 - j]
-        right[:, j] = knots[spans + j] - ts
-        saved = np.zeros(m)
-        for r in range(j):
-            # denominator spans the current (nonempty) knot interval, so > 0
-            temp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
-            vals[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        vals[:, j] = saved
-    return vals
 
 
 def _derivative_windows(knots, degree, spans, ts, nd):
@@ -138,37 +116,14 @@ def _derivative_windows(knots, degree, spans, ts, nd):
     return ders
 
 
-def bspline_values(knots, degree, ts, side="right"):
-    """Evaluate the nonzero B-spline basis window at each point.
-
-    Parameters
-    ----------
-    knots : array_like
-        Expanded (repeated) nondecreasing knot array.
-    degree : int
-    ts : array_like
-        Evaluation points.
-    side : {'right', 'left'}
-        Which one-sided limit to take at knots of reduced smoothness.
-
-    Returns
-    -------
-    first : ndarray of int
-        Index of the first nonzero basis function at each point.
-    vals : ndarray, shape (npts, degree + 1)
-        ``vals[i, r]`` is basis ``first[i] + r`` evaluated at ``ts[i]``.
-    """
-    knots = np.asarray(knots, dtype=float)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    spans = find_span(knots, degree, ts, side)
-    return spans - degree, _basis_windows(knots, degree, spans, ts)
-
-
 def bspline_derivatives(knots, degree, ts, nd, side="right"):
-    """Like :func:`bspline_values` but returns derivatives 0..nd.
+    """Evaluate the nonzero B-spline basis window and its derivatives 0..nd.
 
-    ``ders[i, k, r]`` is the k-th derivative of basis ``first[i] + r`` at
-    ``ts[i]`` (one-sided limits per ``side``).
+    ``knots`` is an expanded (repeated) nondecreasing knot array.  Returns
+    ``(first, ders)``: ``first[i]`` is the index of the first nonzero basis
+    function at ``ts[i]``, and ``ders[i, k, r]`` is the k-th derivative of
+    basis ``first[i] + r`` there (one-sided limits per ``side``, 'right' or
+    'left', at knots of reduced smoothness).
     """
     knots = np.asarray(knots, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))

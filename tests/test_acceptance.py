@@ -40,7 +40,7 @@ from igabem.estimators import (
     residual_indicators,
     sample_residual,
 )
-from igabem.experiments import get_problem, reference_energy, run_adaptive
+from igabem.experiments import MATRIX, get_problem, reference_energy, run_adaptive
 from igabem.geometry import slit
 from igabem.operators import (
     collocation_matrix,
@@ -56,22 +56,6 @@ ENERGY_CACHE = Path(__file__).resolve().parents[1] / "ref_energies.json"
 THETA = 0.75
 ORDER = 16
 
-# same rows as scripts/run_benchmarks.py: problem, method, estimator,
-# uniform?, max unknowns
-MATRIX = [
-    ("slit", "galerkin", "mu", True, 512),
-    ("slit", "galerkin", "mu", False, 500),
-    ("slit", "galerkin", "eta", False, 500),
-    ("slit", "collocation", "mu", False, 500),
-    ("slit", "collocation", "eta", False, 500),
-    ("square", "galerkin", "mu", True, 513),
-    ("square", "galerkin", "mu", False, 300),
-    ("square", "galerkin", "eta", False, 300),
-    ("pacman", "galerkin", "mu", True, 650),
-    ("pacman", "galerkin", "mu", False, 200),
-    ("pacman", "collocation", "eta", False, 200),
-]
-
 EFF_LO, EFF_HI = 0.05, 5.0
 
 
@@ -84,10 +68,7 @@ def _criterion(num: int, ok: bool, detail: str) -> None:
 def matrix():
     """All benchmark runs at acceptance size: tag -> (record, fitted slope)."""
     out = {}
-    for problem, method, estimator, uniform, max_dofs in MATRIX:
-        tag = "_".join(
-            [problem, method, estimator, "uniform" if uniform else "adaptive"]
-        )
+    for tag, (problem, method, estimator, uniform, max_dofs) in MATRIX.items():
         record = run_adaptive(
             problem,
             method=method,

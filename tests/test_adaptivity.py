@@ -1,8 +1,10 @@
 """Marking and refinement mechanics on hand-checked examples."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from igabem.adaptivity import (
@@ -46,6 +48,7 @@ def test_dorfler_rejects_bad_theta():
     sq=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12),
     theta=st.floats(0.05, 1.0),
 )
+@example(sq=[5e-324], theta=0.5)
 def test_dorfler_bound_and_minimality(sq, theta):
     sq = np.asarray(sq)
     marked = dorfler_marking(sq, theta)
@@ -56,7 +59,13 @@ def test_dorfler_bound_and_minimality(sq, theta):
     got = sq[marked].sum()
     assert got >= theta * total - 1e-9 * total
     if marked.size:
-        assert got - sq[marked].min() < theta * total + 1e-9 * total
+        # exact arithmetic on the same inputs: with subnormal indicators the
+        # float products theta * total and 1e-9 * total round to zero
+        exact = [Fraction(float(v)) for v in sq]
+        ex_total = sum(exact)
+        ex_marked = [exact[i] for i in marked]
+        assert (sum(ex_marked) - min(ex_marked)
+                < Fraction(theta) * ex_total + Fraction(1e-9) * ex_total)
 
 
 # --------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from igabem.geometry import (
     Curve,
     bilipschitz_constant,
     circle,
-    curve_from_config,
-    curve_to_config,
     pacman,
     slit,
     square,
@@ -147,19 +145,6 @@ def test_refinement_preserves_geometry():
     np.testing.assert_allclose(fine.point(ts), c.point(ts), atol=1e-13)
     np.testing.assert_allclose(fine.speed(ts), c.speed(ts), atol=1e-11)
     assert fine.length == pytest.approx(c.length, rel=1e-12)
-
-
-def test_config_roundtrip(tmp_path):
-    c = pacman()
-    path = tmp_path / "geom.json"
-    curve_to_config(c, path)
-    c2 = curve_from_config(path)
-    assert c2.knots == c.knots
-    ts = np.linspace(0, 1, 83, endpoint=False)
-    np.testing.assert_allclose(c2.point(ts), c.point(ts), atol=1e-15)
-    # builtin names resolve too
-    c3 = curve_from_config("square")
-    assert c3.closed and c3.knots.dim == 5
 
 
 def test_curve_validation():

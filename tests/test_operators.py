@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from igabem.adaptivity import initial_state, refine, uniform_refine
+from igabem.estimators import mesh_nodes
 from igabem.geometry import circle, pacman, slit, square
 from igabem.operators import (
     collocation_matrix,
@@ -137,8 +139,9 @@ def test_circle_pointwise_constant_density():
     R = 0.8
     curve = circle(R).refined([0.1, 0.1, 0.37])
     ones = np.ones(curve.knots.dim)
-    # both seam parameters included: t = 1 must read the same windows as t = 0
-    params = np.array([0.0, 0.02, 0.1, 0.100001, 0.26, 0.5, 0.93, 1.0])
+    # both seam parameters included: t = 1 must read the same windows as t = 0,
+    # and so must -1e-17, whose reduction into the period rounds onto t = 1
+    params = np.array([0.0, 0.02, 0.1, 0.100001, 0.26, 0.5, 0.93, 1.0, -1e-17])
     vals = single_layer_values(curve, ones, params)
     assert np.allclose(vals, -R * np.log(R), atol=1e-11)
 
@@ -191,14 +194,27 @@ def test_collocation_entry_against_quadrature():
     assert B[1, 0] == pytest.approx(-2.0 * val / (2.0 * np.pi), abs=1e-12)
 
 
+def _pacman_corner_graded():
+    state = initial_state(pacman())
+    for _ in range(3):
+        state = uniform_refine(state)
+    curve = state.curve
+    corners = curve.corner_params()
+    at_corner = np.isclose(mesh_nodes(curve.knots)[:, None], corners[None, :],
+                           rtol=0.0, atol=1e-12).any(axis=1)
+    return refine(state, np.flatnonzero(at_corner)).curve
+
+
 def test_collocation_rows_match_pointwise():
-    curve = pacman()
-    kv = curve.knots
+    # far, graded-near and containing-element rules all occur at the targets;
+    # the circle's collocation points straddle its periodic seam
     rng = np.random.default_rng(7)
-    c = rng.standard_normal(kv.dim)
-    B = collocation_matrix(curve)
-    direct = single_layer_values(curve, c, kv.collocation_points())
-    assert np.allclose(B @ c, direct, atol=1e-13)
+    for curve in (pacman(), _pacman_corner_graded(), circle(0.8)):
+        kv = curve.knots
+        c = rng.standard_normal(kv.dim)
+        B = collocation_matrix(curve)
+        direct = single_layer_values(curve, c, kv.collocation_points())
+        assert np.allclose(B @ c, direct, atol=1e-13), curve
 
 
 def test_pointwise_pacman_against_scipy():

@@ -14,7 +14,6 @@ from igabem.quadrature import (
     gauss_log,
     gauss_unit,
     graded_unit,
-    mapped_rule,
 )
 
 
@@ -100,15 +99,7 @@ def test_gauss_log_against_adaptive_quadrature():
     assert w @ np.cos(3 * x) == pytest.approx(-ref, abs=1e-13)
 
 
-# ------------------------------------------------------- mapping and grading
-
-
-def test_mapped_rule_polynomial():
-    x, w = gauss_unit(4)
-    xm, wm = mapped_rule(x, w, 2.0, 5.0)
-    assert wm @ xm**2 == pytest.approx(39.0, rel=1e-14)
-    xs, ws = mapped_rule(*gauss_legendre(4), -1.0, 3.0, source=(-1.0, 1.0))
-    assert ws @ xs**3 == pytest.approx(20.0, rel=1e-13)
+# ---------------------------------------------------------------- grading
 
 
 def test_graded_unit_partitions_unity():

@@ -12,7 +12,6 @@ from igabem.splines import (
     KnotVector,
     bspline_dense,
     bspline_derivatives,
-    bspline_values,
     insert_knot,
     rational_basis,
 )
@@ -53,7 +52,8 @@ def test_cardinal_quadratic_midpoint():
 
 
 def test_clamped_linears():
-    first, vals = bspline_values([0.0, 0.0, 1.0, 1.0], 1, np.array([0.0, 0.25, 1.0]))
+    first, ders = bspline_derivatives([0.0, 0.0, 1.0, 1.0], 1, np.array([0.0, 0.25, 1.0]), 0)
+    vals = ders[:, 0, :]
     np.testing.assert_array_equal(first, [0, 0, 0])
     np.testing.assert_allclose(vals, [[1.0, 0.0], [0.75, 0.25], [0.0, 1.0]], atol=1e-15)
 
@@ -61,7 +61,8 @@ def test_clamped_linears():
 def test_window_indices_cover_dense():
     kv = KnotVector(2, (0.0, 0.25, 0.5, 1.0), (3, 1, 2, 3))
     ts = np.linspace(0.0, 1.0, 17)
-    first, win = bspline_values(kv.eval_knots, 2, ts)
+    first, ders = bspline_derivatives(kv.eval_knots, 2, ts, 0)
+    win = ders[:, 0, :]
     dense = bspline_dense(kv.eval_knots, 2, ts)
     for i, t in enumerate(ts):
         scat = np.zeros(kv.dim)
@@ -77,9 +78,9 @@ def test_derivatives_match_finite_differences():
     h = 1e-6
 
     def f(t):
-        first, vals = bspline_values(kv.eval_knots, 3, t)
+        first, vals = bspline_derivatives(kv.eval_knots, 3, t, 0)
         cols = first[:, None] + np.arange(4)
-        return np.sum(vals * coeffs[cols], axis=1)
+        return np.sum(vals[:, 0, :] * coeffs[cols], axis=1)
 
     first, ders = bspline_derivatives(kv.eval_knots, 3, ts, 2)
     cols = first[:, None] + np.arange(4)

@@ -189,19 +189,16 @@ class Curve:
         (with the seam reported at ``a``) for closed ones.
         """
         kv = self.knots
-        candidates = list(kv.breakpoints[1:-1])
+        z = np.array(kv.breakpoints[1:-1], dtype=float)
         if self.closed:
-            candidates.append(kv.a)
-        corners = []
-        for z in candidates:
-            zl = z if z != kv.a else kv.b
-            tl = self.frame(np.array([zl]), 1, side="left")[0, 1]
-            tr = self.frame(np.array([z]), 1, side="right")[0, 1]
-            tl = tl / np.hypot(*tl)
-            tr = tr / np.hypot(*tr)
-            if 1.0 - tl @ tr > _CORNER_TOL:
-                corners.append(z)
-        return np.array(sorted(corners))
+            z = np.append(z, kv.a)
+        if not len(z):
+            return z
+        tl = self.frame(np.where(z != kv.a, z, kv.b), 1, side="left")[:, 1]
+        tr = self.frame(z, 1, side="right")[:, 1]
+        tl = tl / np.hypot(tl[:, 0], tl[:, 1])[:, None]
+        tr = tr / np.hypot(tr[:, 0], tr[:, 1])[:, None]
+        return np.sort(z[1.0 - np.einsum("ij,ij->i", tl, tr) > _CORNER_TOL])
 
     # -- refinement --------------------------------------------------------------
 

@@ -116,10 +116,11 @@ def element_cache(curve: Curve, order: int = DEFAULT_ORDER) -> ElementCache:
 
 
 def _phi_windows(curve: Curve, ts: np.ndarray):
-    """Rational basis windows times speed at the given parameters."""
+    """Rational basis windows times speed at the given parameters, and the
+    curve points there."""
     first, R = rational_basis(curve.knots, curve.basis_weights, ts)
-    sp = curve.speed(ts)
-    return first, R[:, 0, :] * sp[:, None]
+    fr = curve.frame(ts, 1)
+    return first, R[:, 0, :] * np.hypot(fr[:, 1, 0], fr[:, 1, 1])[:, None], fr[:, 0]
 
 
 def _smooth_log_part(curve: Curve, s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -140,11 +141,14 @@ def _smooth_log_part(curve: Curve, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.log(ratio)
 
 
-def _grade_levels(h: float, d: float) -> int:
+def _grade_levels(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Grading levels toward a target at distance d from elements of size h."""
     # deeper panels than the floating-point grid near the endpoint can
     # resolve would collapse onto it, so cap by ~ h / (256 eps)
-    cap = min(GRADE_MAX_LEVELS, max(2, int(np.log2(max(h, 1e-30)) + 44.0)))
-    return int(np.clip(np.ceil(np.log2(h / max(d, 1e-300))) + 2, 2, cap))
+    cap = np.clip(np.trunc(np.log2(np.maximum(h, 1e-30)) + 44.0),
+                  2, GRADE_MAX_LEVELS)
+    lv = np.ceil(np.log2(h / np.maximum(d, 1e-300))) + 2
+    return np.clip(lv, 2, cap).astype(int)
 
 
 # --------------------------------------------------------------------------
@@ -152,76 +156,94 @@ def _grade_levels(h: float, d: float) -> int:
 # --------------------------------------------------------------------------
 
 
-def _identical_block(curve: Curve, lo: float, hi: float, order: int) -> np.ndarray:
-    """Element matrix of the full log kernel over one element squared."""
-    h = hi - lo
+def _identical_blocks(cache: ElementCache) -> np.ndarray:
+    """Element matrices of the full log kernel over each element squared,
+    shaped (n_el, p + 1, p + 1)."""
+    curve = cache.curve
+    order = cache.order
+    n_el = cache.n_elements
+    elems = curve.knots.elements
+    lo = elems[:, 0][:, None, None]
+    h = (elems[:, 1] - elems[:, 0])[:, None, None]
     xg, wg = gauss_unit(order)
     xl, wl = gauss_log(order)
 
-    # analytic kernel part on the plain tensor grid
-    sgrid = lo + h * xg
-    S, T = np.meshgrid(sgrid, sgrid, indexing="ij")
-    smooth = _smooth_log_part(curve, S.ravel(), T.ravel()).reshape(order, order)
-    _, phi = _phi_windows(curve, sgrid)
-    wphi = phi * (h * wg)[:, None]
-    block = np.einsum("ij,ia,jb->ab", smooth, wphi, wphi)
+    # analytic kernel part on the plain tensor grid: the cache holds the
+    # points, speeds (the diagonal limit) and basis there
+    pts = cache.points
+    dist = np.hypot(pts[:, :, None, 0] - pts[:, None, :, 0],
+                    pts[:, :, None, 1] - pts[:, None, :, 1])
+    d = np.abs(cache.params[:, :, None] - cache.params[:, None, :])
+    tiny = d < 1e-14
+    ratio = np.empty_like(dist)
+    np.divide(dist, d, out=ratio, where=~tiny)
+    ratio[tiny] = np.broadcast_to(cache.speeds[:, None, :], ratio.shape)[tiny]
+    smooth = np.log(ratio)
+    wphi = cache.basis * cache.speeds[..., None] * (h * wg[None, :, None])
+    blocks = np.einsum("eij,eia,ejb->eab", smooth, wphi, wphi)
 
     # log|s - t| part through the difference transform: with w = h x,
     #   int int log|s-t| F = h [ log h Gauss_x(G) - LogRule_x(G) ],
     #   G(hx) = int F(t + hx, t) + F(t, t + hx) dt over the shrunken strip.
     xall = np.concatenate([xg, xl])
-    span = h * (1.0 - xall)
-    tpar = lo + span[:, None] * xg[None, :]
-    spar = tpar + (h * xall)[:, None]
-    _, phis = _phi_windows(curve, spar.ravel())
-    _, phit = _phi_windows(curve, tpar.ravel())
-    nb = phi.shape[1]
-    phis = phis.reshape(2 * order, order, nb)
-    phit = phit.reshape(2 * order, order, nb)
-    G = np.einsum("kq,kqa,kqb->kab", span[:, None] * wg[None, :], phis, phit)
-    G = G + np.transpose(G, (0, 2, 1))
-    block += h * (np.log(h) * np.einsum("k,kab->ab", wg, G[:order])
-                  - np.einsum("k,kab->ab", wl, G[order:]))
-    return block
+    span = h[..., 0] * (1.0 - xall)[None, :]
+    tpar = lo + span[:, :, None] * xg[None, None, :]
+    spar = tpar + (h[..., 0] * xall[None, :])[:, :, None]
+    _, phis, _ = _phi_windows(curve, spar.ravel())
+    _, phit, _ = _phi_windows(curve, tpar.ravel())
+    nb = phis.shape[1]
+    phis = phis.reshape(n_el, 2 * order, order, nb)
+    phit = phit.reshape(n_el, 2 * order, order, nb)
+    G = np.einsum("ekq,ekqa,ekqb->ekab", span[:, :, None] * wg[None, None, :],
+                  phis, phit)
+    G = G + np.transpose(G, (0, 1, 3, 2))
+    blocks += h * (np.log(h) * np.einsum("k,ekab->eab", wg, G[:, :order])
+                   - np.einsum("k,ekab->eab", wl, G[:, order:]))
+    return blocks
 
 
-def _adjacent_pair_matrix(curve: Curve, t_lo: float, t_hi: float, s_len: float,
-                          order: int, basis_shift: float) -> np.ndarray:
-    """Element matrix over {s in [t_hi, t_hi + s_len]} x {t in [t_lo, t_hi]}.
+def _adjacent_pair_matrices(curve: Curve, t_lo: np.ndarray, t_hi: np.ndarray,
+                            s_len: np.ndarray, order: int,
+                            basis_shift: np.ndarray) -> np.ndarray:
+    """Element matrices over {s in [t_hi, t_hi + s_len]} x {t in [t_lo, t_hi]}.
 
-    The two elements share the corner t_hi in contiguous coordinates;
+    Each pair of elements shares the corner t_hi in contiguous coordinates;
     ``basis_shift`` is subtracted from s before basis evaluation (one period
-    for the seam pair of a closed curve, else zero).  Returns M[a, b] pairing
-    the s-element basis window against the t-element window.
+    for the seam pair of a closed curve, else zero).  Returns M[k, a, b]
+    pairing pair k's s-element basis window against its t-element window.
     """
-    h1 = t_hi - t_lo
-    h2 = s_len
-    corner = t_hi
+    h1 = (t_hi - t_lo)[:, None]
+    h2 = s_len[:, None]
+    corner = t_hi[:, None]
+    shift = basis_shift[:, None]
     xg, wg = gauss_unit(order)
     xl, wl = gauss_log(order)
-    M = np.zeros((curve.degree + 1, curve.degree + 1))
+    nb = curve.degree + 1
+    M = np.zeros((len(t_lo), nb, nb))
 
     for swap in (False, True):
         for xs, ws, is_log in ((xg, wg, False), (xl, wl, True)):
             X, Y = np.meshgrid(xs, xg, indexing="ij")
             WX, WY = np.meshgrid(ws, wg, indexing="ij")
+            xf, yf = X.ravel()[None, :], Y.ravel()[None, :]
             if swap:
-                s = corner + h2 * X * Y
-                t = corner - h1 * X
+                s = corner + h2 * xf * yf
+                t = corner - h1 * xf
             else:
-                s = corner + h2 * X
-                t = corner - h1 * X * Y
-            sf, tf, xf = s.ravel(), t.ravel(), X.ravel()
+                s = corner + h2 * xf
+                t = corner - h1 * xf * yf
+            # s - shift is the curve's own wrap of s (exactly so for a = 0)
+            _, phis, ps = _phi_windows(curve, (s - shift).ravel())
+            _, phit, pt = _phi_windows(curve, t.ravel())
             if is_log:
-                wcomb = -(WX * WY).ravel() * xf
+                wcomb = np.broadcast_to(-(WX * WY).ravel() * xf, s.shape)
             else:
-                ps = curve.point(sf)
-                pt = curve.point(tf)
-                dist = np.hypot(ps[:, 0] - pt[:, 0], ps[:, 1] - pt[:, 1])
+                dist = np.hypot(ps[:, 0] - pt[:, 0],
+                                ps[:, 1] - pt[:, 1]).reshape(s.shape)
                 wcomb = (WX * WY).ravel() * xf * np.log(dist / xf)
-            _, phis = _phi_windows(curve, sf - basis_shift)
-            _, phit = _phi_windows(curve, tf)
-            M += h1 * h2 * np.einsum("q,qa,qb->ab", wcomb, phis, phit)
+            M += (h1 * h2)[:, :, None] * np.einsum(
+                "kq,kqa,kqb->kab", wcomb, phis.reshape(s.shape + (nb,)),
+                phit.reshape(t.shape + (nb,)))
     return M
 
 
@@ -260,22 +282,21 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     A = A + A.T
 
     # identical pairs
-    for e, (lo, hi) in enumerate(kv.elements):
+    for e, block in enumerate(_identical_blocks(cache)):
         rows = cache.first[e] + offsets
-        A[np.ix_(rows, rows)] += _identical_block(curve, float(lo), float(hi), order)
+        A[np.ix_(rows, rows)] += block
 
-    # touching pairs (t element, s element, parameter shift for s)
-    pairs = [(e, e + 1, 0.0) for e in range(n_el - 1)]
-    if curve.closed:
-        pairs.append((n_el - 1, 0, kv.period))
-    for et, es, shift in pairs:
-        t_lo, t_hi = kv.elements[et]
-        s_lo, s_hi = kv.elements[es]
-        M = _adjacent_pair_matrix(
-            curve, float(t_lo), float(t_hi), float(s_hi - s_lo), order, shift
-        )
-        rows = cache.first[es] + offsets
-        cols = cache.first[et] + offsets
+    # touching pairs: t element, s element, parameter shift for s
+    et = np.arange(n_el - 1 + curve.closed)
+    es = (et + 1) % n_el
+    shift = np.where(es == 0, kv.period if curve.closed else 0.0, 0.0)
+    elems = kv.elements
+    Ms = (_adjacent_pair_matrices(curve, elems[et, 0], elems[et, 1],
+                                  elems[es, 1] - elems[es, 0], order, shift)
+          if len(et) else [])
+    for t_el, s_el, M in zip(et, es, Ms):
+        rows = cache.first[s_el] + offsets
+        cols = cache.first[t_el] + offsets
         A[np.ix_(rows, cols)] += M
         A[np.ix_(cols, rows)] += M.T
 
@@ -326,7 +347,7 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
             tq, wq = _corner_graded_rule(float(lo), float(hi),
                                          bool(at_lo[e]), bool(at_hi[e]), order)
             vals = np.asarray(f_of_params(tq))
-            first, phi = _phi_windows(curve, tq)  # phi carries the speed
+            first, phi, _ = _phi_windows(curve, tq)  # phi carries the speed
             np.add.at(b, first[:, None] + np.arange(p + 1)[None, :],
                       (vals * wq)[:, None] * phi)
     if plain.any():
@@ -349,9 +370,12 @@ def _graded_pair_rules(curve: Curve, params: np.ndarray, pair_i: np.ndarray,
                        pair_e: np.ndarray, order: int):
     """Group (target, element) pairs sharing a graded-rule shape.
 
-    Yields (targets, elements, t_params, t_weights) per group, the rule of
-    each pair graded toward its target, so callers evaluate geometry and
-    data once per group instead of once per pair.
+    Yields (targets, elements, slot, t_params, t_weights) per group, the rule
+    of each pair graded toward its target.  The nodes depend only on the
+    element, so ``t_params`` and ``t_weights`` hold one row per distinct
+    element of the group, ``elements``, and pair k reads row ``slot[k]``:
+    callers evaluate geometry and data once per element and group instead
+    of once per pair.
     """
     elems = curve.knots.elements
     hs = elems[:, 1] - elems[:, 0]
@@ -359,17 +383,16 @@ def _graded_pair_rules(curve: Curve, params: np.ndarray, pair_i: np.ndarray,
         curve.param_delta(params[pair_i], elems[pair_e, 0]), dtype=float))
     d_hi = np.abs(np.asarray(
         curve.param_delta(params[pair_i], elems[pair_e, 1]), dtype=float))
-    toward = (d_lo > d_hi).astype(float)
-    lv = np.array([_grade_levels(float(h), float(d))
-                   for h, d in zip(hs[pair_e], np.minimum(d_lo, d_hi))])
-    for key_lv, key_tw in sorted({(int(a), float(b))
-                                  for a, b in zip(lv, toward)}):
-        pick = (lv == key_lv) & (toward == key_tw)
-        ii, ee = pair_i[pick], pair_e[pick]
+    toward = (d_lo > d_hi).astype(int)
+    key = 2 * _grade_levels(hs[pair_e], np.minimum(d_lo, d_hi)) + toward
+    for k in np.unique(key):
+        pick = key == k
+        key_lv, key_tw = int(k) // 2, float(k % 2)
+        ue, slot = np.unique(pair_e[pick], return_inverse=True)
         xs, ws = graded_unit(order, key_lv, key_tw)
-        tp = elems[ee, 0][:, None] + hs[ee][:, None] * xs[None, :]
-        tw = hs[ee][:, None] * ws[None, :]
-        yield ii, ee, tp, tw
+        tp = elems[ue, 0][:, None] + hs[ue][:, None] * xs[None, :]
+        tw = hs[ue][:, None] * ws[None, :]
+        yield pair_i[pick], ue, slot, tp, tw
 
 
 def _node_frames(curve: Curve, ts: np.ndarray, nd: int) -> np.ndarray:
@@ -465,9 +488,10 @@ def _dl_kernel_core(x_point, pt, d1, rot, delta, diag, diag_eps=0.0):
     concentrated there.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (x_point - pt) / delta[..., None]
-        gm2 = np.einsum("...i,...i->...", g, g)
-        val = np.einsum("...i,...i->...", g - d1, rot) / (delta * gm2)
+        gx = (x_point[..., 0] - pt[..., 0]) / delta
+        gy = (x_point[..., 1] - pt[..., 1]) / delta
+        val = (((gx - d1[..., 0]) * rot[..., 0] + (gy - d1[..., 1]) * rot[..., 1])
+               / (delta * (gx * gx + gy * gy)))
     if diag_eps == 0.0:
         # a target and a foreign quadrature node can round onto the same
         # parameter once elements approach ulp scale; that pair's true
@@ -538,7 +562,9 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
         params[params >= kv.b] = kv.a  # the reduction can round onto b
     m = len(params)
     x_pts = curve.point(params)
-    inside = np.array([kv.element_of(float(x)) for x in params], dtype=int)
+    # the element containing each target, as in KnotVector.element_of
+    inside = np.clip(np.searchsorted(np.asarray(kv.breakpoints), params,
+                                     side="right") - 1, 0, kv.n_elements - 1)
     n_el, q, w = kernel.grid.shape
     out = np.zeros((m, kernel.n_cols))
 
@@ -570,11 +596,12 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
         add(idx, inside[idx], kw, vals)
     pair_i, pair_e = np.nonzero(near)
     keep = pair_e != inside[pair_i]
-    for ii, ee, tp, tw in _graded_pair_rules(curve, params, pair_i[keep],
-                                             pair_e[keep], q):
+    for ii, ue, slot, tp, tw in _graded_pair_rules(curve, params, pair_i[keep],
+                                                   pair_e[keep], q):
         frames = _node_frames(curve, tp, kernel.nd)
-        kern = kernel.value(params[ii], x_pts[ii], tp, frames)
-        add(ii, ee, tw * kern, kernel.density(tp, ee, frames))
+        dens = kernel.density(tp, ue, frames)
+        kern = kernel.value(params[ii], x_pts[ii], tp[slot], frames[slot])
+        add(ii, ue[slot], tw[slot] * kern, dens[slot])
     return out
 
 

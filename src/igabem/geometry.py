@@ -95,14 +95,8 @@ class Curve:
         kv = self.knots
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if self.closed:
-            # wrap strictly-outside parameters; keep t = b so callers can
-            # take left limits at the seam
-            inside = (ts >= kv.a) & (ts <= kv.b)
-            if not np.all(inside):
-                ts = ts.copy()
-                wrapped = kv.a + (ts[~inside] - kv.a) % kv.period
-                wrapped[wrapped >= kv.b] = kv.a
-                ts[~inside] = wrapped
+            # keep t = b so callers can take left limits at the seam
+            ts = np.where(ts == kv.b, ts, kv.wrap(ts))
         first, ders = bspline_derivatives(kv.eval_knots, kv.degree, ts, nd, side)
         cols = kv.period_slot(first[:, None] + np.arange(kv.degree + 1)[None, :])
         hom = self._hom[cols]  # (npts, p + 1, 3)
@@ -161,12 +155,6 @@ class Curve:
     @property
     def length(self) -> float:
         return float(self.element_lengths.sum())
-
-    def arclength_between(self, t0: float, t1: float, n: int = 64) -> float:
-        """Arclength of γ([t0, t1]) by composite Gauss (t0 <= t1 expected)."""
-        xs, ws = gauss_unit(n)
-        sp = self.speed(t0 + (t1 - t0) * xs)
-        return float((t1 - t0) * (ws @ sp))
 
     def arclength_table(self, per_element: int = 64):
         """Dense (params, cumulative arclength) sampling across the curve."""

@@ -1,19 +1,15 @@
 """Boundary integral operators on NURBS curves.
 
 Single-layer operator with kernel -log|x - y| / (2 pi).  Element pairs are
-integrated in three regimes:
+integrated in two regimes:
 
-* identical pair: the parameter-difference transform turns the double
-  integral of log|s - t| against a smooth factor into a one-dimensional
-  integral with logarithmic weight, handled by a dedicated Gauss rule; the
-  remaining kernel part log(|gamma(s) - gamma(t)| / |s - t|) is analytic on
-  the element square and gets a plain tensor rule.
-* pair of elements sharing one corner: two Duffy substitutions anchored at
-  the corner.  Under u = h x, v = h' x y the kernel splits as
-  log x + log(|gamma(s) - gamma(t)| / x) where the second term is analytic
-  in (x, y) even across a geometric corner, because the Duffy map unfolds
-  the direction dependence.  Each triangle needs one log-weight rule and one
-  plain rule in the x direction.
+* identical or touching pair: one Duffy-type rule.  A radial variable x
+  carries the singularity, and the kernel splits as log x, taken by a
+  log-weight Gauss rule in x, plus log(|gamma(s) - gamma(t)| / x), analytic
+  in (x, y) even across a geometric corner and taken by plain Gauss.  An
+  identical pair maps the triangle s > t by s - t = h x and adds its mirror
+  image; a touching pair takes the two triangles anchored at the shared
+  node.
 * separated pair: plain tensor Gauss, assembled in vectorized blocks.  On
   the shape-regular meshes produced by the refinement driver the parameter
   distance between non-touching elements is comparable to their size, so
@@ -67,23 +63,14 @@ __all__ = [
 
 @dataclass
 class ElementCache:
-    """Gauss data on every element: parameters, points, speeds, basis."""
+    """Gauss data on every element: parameters, points, weighted basis."""
 
     curve: Curve
     order: int
     params: np.ndarray  # (n_el, q)
     points: np.ndarray  # (n_el, q, 2)
-    speeds: np.ndarray  # (n_el, q)
     first: np.ndarray  # (n_el,) first basis index per element
-    basis: np.ndarray  # (n_el, q, p+1) rational basis values
-    wbasis: np.ndarray  # basis * speed * gauss weight * element length
-
-    @property
-    def n_elements(self) -> int:
-        return self.params.shape[0]
-
-    def flat_points(self) -> np.ndarray:
-        return self.points.reshape(-1, 2)
+    wbasis: np.ndarray  # (n_el, q, p+1) basis * speed * gauss weight * length
 
     def density_weights(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_el, q) integration-ready values of the density sum c_q R_q."""
@@ -107,7 +94,7 @@ def element_cache(curve: Curve, order: int = DEFAULT_ORDER) -> ElementCache:
     first = first.reshape(len(elems), order)[:, 0]
     basis = R[:, 0, :].reshape(len(elems), order, kv.degree + 1)
     wbasis = basis * (sp * wg[None, :] * hs)[:, :, None]
-    return ElementCache(curve, order, params, pts, sp, first, basis, wbasis)
+    return ElementCache(curve, order, params, pts, first, wbasis)
 
 
 # --------------------------------------------------------------------------
@@ -156,95 +143,37 @@ def _grade_levels(h: np.ndarray, d: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _identical_blocks(cache: ElementCache) -> np.ndarray:
-    """Element matrices of the full log kernel over each element squared,
-    shaped (n_el, p + 1, p + 1)."""
-    curve = cache.curve
-    order = cache.order
-    n_el = cache.n_elements
-    elems = curve.knots.elements
-    lo = elems[:, 0][:, None, None]
-    h = (elems[:, 1] - elems[:, 0])[:, None, None]
+def _radial_rule(order: int):
+    """Radial nodes and weights of the singular-pair rule, shaped (2q, 1):
+    q plain Gauss nodes, then q nodes of the log-weight rule."""
     xg, wg = gauss_unit(order)
     xl, wl = gauss_log(order)
-
-    # analytic kernel part on the plain tensor grid: the cache holds the
-    # points, speeds (the diagonal limit) and basis there
-    pts = cache.points
-    dist = np.hypot(pts[:, :, None, 0] - pts[:, None, :, 0],
-                    pts[:, :, None, 1] - pts[:, None, :, 1])
-    d = np.abs(cache.params[:, :, None] - cache.params[:, None, :])
-    tiny = d < 1e-14
-    ratio = np.empty_like(dist)
-    np.divide(dist, d, out=ratio, where=~tiny)
-    ratio[tiny] = np.broadcast_to(cache.speeds[:, None, :], ratio.shape)[tiny]
-    smooth = np.log(ratio)
-    wphi = cache.basis * cache.speeds[..., None] * (h * wg[None, :, None])
-    blocks = np.einsum("eij,eia,ejb->eab", smooth, wphi, wphi)
-
-    # log|s - t| part through the difference transform: with w = h x,
-    #   int int log|s-t| F = h [ log h Gauss_x(G) - LogRule_x(G) ],
-    #   G(hx) = int F(t + hx, t) + F(t, t + hx) dt over the shrunken strip.
-    xall = np.concatenate([xg, xl])
-    span = h[..., 0] * (1.0 - xall)[None, :]
-    tpar = lo + span[:, :, None] * xg[None, None, :]
-    spar = tpar + (h[..., 0] * xall[None, :])[:, :, None]
-    _, phis, _ = _phi_windows(curve, spar.ravel())
-    _, phit, _ = _phi_windows(curve, tpar.ravel())
-    nb = phis.shape[1]
-    phis = phis.reshape(n_el, 2 * order, order, nb)
-    phit = phit.reshape(n_el, 2 * order, order, nb)
-    G = np.einsum("ekq,ekqa,ekqb->ekab", span[:, :, None] * wg[None, None, :],
-                  phis, phit)
-    G = G + np.transpose(G, (0, 1, 3, 2))
-    blocks += h * (np.log(h) * np.einsum("k,ekab->eab", wg, G[:, :order])
-                   - np.einsum("k,ekab->eab", wl, G[:, order:]))
-    return blocks
+    return np.concatenate([xg, xl])[:, None], np.concatenate([wg, wl])[:, None]
 
 
-def _adjacent_pair_matrices(curve: Curve, t_lo: np.ndarray, t_hi: np.ndarray,
-                            s_len: np.ndarray, order: int,
-                            basis_shift: np.ndarray) -> np.ndarray:
-    """Element matrices over {s in [t_hi, t_hi + s_len]} x {t in [t_lo, t_hi]}.
+def _singular_blocks(curve: Curve, s: np.ndarray, t: np.ndarray,
+                     jac: np.ndarray, order: int) -> np.ndarray:
+    """Element matrices of log|gamma(s) - gamma(t)| over Duffy-mapped pairs.
 
-    Each pair of elements shares the corner t_hi in contiguous coordinates;
-    ``basis_shift`` is subtracted from s before basis evaluation (one period
-    for the seam pair of a closed curve, else zero).  Returns M[k, a, b]
-    pairing pair k's s-element basis window against its t-element window.
+    ``s``, ``t`` and the Jacobian ``jac`` broadcast over (pair, x, y), with
+    x on the ``_radial_rule`` and y on plain Gauss.  The log-weight rows take
+    log x, the Gauss rows log(|gamma(s) - gamma(t)| / x).  Geometry and
+    basis are evaluated on the entries ``s`` and ``t`` hold, so a side that
+    depends on x alone costs 2q points per pair.  Returns M[k, a, b]
+    pairing pair k's s basis window against its t window.
     """
-    h1 = (t_hi - t_lo)[:, None]
-    h2 = s_len[:, None]
-    corner = t_hi[:, None]
-    shift = basis_shift[:, None]
-    xg, wg = gauss_unit(order)
-    xl, wl = gauss_log(order)
-    nb = curve.degree + 1
-    M = np.zeros((len(t_lo), nb, nb))
-
-    for swap in (False, True):
-        for xs, ws, is_log in ((xg, wg, False), (xl, wl, True)):
-            X, Y = np.meshgrid(xs, xg, indexing="ij")
-            WX, WY = np.meshgrid(ws, wg, indexing="ij")
-            xf, yf = X.ravel()[None, :], Y.ravel()[None, :]
-            if swap:
-                s = corner + h2 * xf * yf
-                t = corner - h1 * xf
-            else:
-                s = corner + h2 * xf
-                t = corner - h1 * xf * yf
-            # s - shift is the curve's own wrap of s (exactly so for a = 0)
-            _, phis, ps = _phi_windows(curve, (s - shift).ravel())
-            _, phit, pt = _phi_windows(curve, t.ravel())
-            if is_log:
-                wcomb = np.broadcast_to(-(WX * WY).ravel() * xf, s.shape)
-            else:
-                dist = np.hypot(ps[:, 0] - pt[:, 0],
-                                ps[:, 1] - pt[:, 1]).reshape(s.shape)
-                wcomb = (WX * WY).ravel() * xf * np.log(dist / xf)
-            M += (h1 * h2)[:, :, None] * np.einsum(
-                "kq,kqa,kqb->kab", wcomb, phis.reshape(s.shape + (nb,)),
-                phit.reshape(t.shape + (nb,)))
-    return M
+    x, wx = _radial_rule(order)
+    _, wy = gauss_unit(order)
+    _, phis, ps = _phi_windows(curve, s.ravel())
+    _, phit, pt = _phi_windows(curve, t.ravel())
+    phis = phis.reshape(s.shape + (-1,))
+    phit = phit.reshape(t.shape + (-1,))
+    d = ps.reshape(s.shape + (2,)) - pt.reshape(t.shape + (2,))
+    # the log weights carry log(1/x), so log x enters there as -1
+    kern = np.where(np.arange(2 * order)[:, None] < order,
+                    np.log(np.hypot(d[..., 0], d[..., 1]) / x), -1.0)
+    w = jac * wx * wy * kern
+    return np.einsum("kxy,kxya,kxyb->kab", w, phis, phit)
 
 
 def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -258,15 +187,11 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     p = kv.degree
     A = np.zeros((dim, dim))
 
-    # separated pairs, vectorized row-element by row-element (upper triangle)
+    # separated pairs, vectorized row-element by row-element (upper triangle);
+    # on a closed curve the last element touches element 0
     offsets = np.arange(p + 1)
     for e in range(n_el):
-        exclude = {e, e + 1}
-        if curve.closed:
-            exclude |= {(e - 1) % n_el, (e + 1) % n_el}
-        cols_keep = np.array(
-            [f for f in range(e + 1, n_el) if f not in exclude], dtype=int
-        )
+        cols_keep = np.arange(e + 2, n_el - (curve.closed and e == 0))
         if len(cols_keep) == 0:
             continue
         pe = cache.points[e]
@@ -281,24 +206,39 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
         np.add.at(A, (rows[:, None, None], cols[None, :, :]), blocks)
     A = A + A.T
 
-    # identical pairs
-    for e, block in enumerate(_identical_blocks(cache)):
+    elems = kv.elements
+    hs = elems[:, 1] - elems[:, 0]
+    x, _ = _radial_rule(order)
+    y, _ = gauss_unit(order)
+
+    # identical pairs: the triangle s > t under s - t = h x, then its mirror
+    lo = elems[:, 0][:, None, None]
+    h = hs[:, None, None]
+    v = (1.0 - x) * y
+    B = _singular_blocks(curve, lo + h * (x + v), lo + h * v,
+                         h * h * (1.0 - x), order)
+    for e, block in enumerate(B + np.transpose(B, (0, 2, 1))):
         rows = cache.first[e] + offsets
         A[np.ix_(rows, rows)] += block
 
-    # touching pairs: t element, s element, parameter shift for s
+    # touching pairs: element et ends where element es starts; the two
+    # triangles are anchored at that shared node, and the seam pair of a
+    # closed curve takes s one period back, in es's own parameters
     et = np.arange(n_el - 1 + curve.closed)
-    es = (et + 1) % n_el
-    shift = np.where(es == 0, kv.period if curve.closed else 0.0, 0.0)
-    elems = kv.elements
-    Ms = (_adjacent_pair_matrices(curve, elems[et, 0], elems[et, 1],
-                                  elems[es, 1] - elems[es, 0], order, shift)
-          if len(et) else [])
-    for t_el, s_el, M in zip(et, es, Ms):
-        rows = cache.first[s_el] + offsets
-        cols = cache.first[t_el] + offsets
-        A[np.ix_(rows, cols)] += M
-        A[np.ix_(cols, rows)] += M.T
+    if len(et):
+        es = (et + 1) % n_el
+        corner = elems[et, 1][:, None, None]
+        s0 = corner - np.where(es == 0, kv.period, 0.0)[:, None, None]
+        h1 = hs[et][:, None, None]
+        h2 = hs[es][:, None, None]
+        jac = h1 * h2 * x
+        M = (_singular_blocks(curve, s0 + h2 * x, corner - h1 * x * y, jac, order)
+             + _singular_blocks(curve, s0 + h2 * x * y, corner - h1 * x, jac, order))
+        for t_el, s_el, block in zip(et, es, M):
+            rows = cache.first[s_el] + offsets
+            cols = cache.first[t_el] + offsets
+            A[np.ix_(rows, cols)] += block
+            A[np.ix_(cols, rows)] += block.T
 
     A /= -_TWO_PI
     return 0.5 * (A + A.T)
@@ -325,37 +265,27 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
     Elements ending at a corner get a rule graded toward it: Dirichlet data
     of corner domains stays bounded there but its derivatives do not, and
     plain Gauss on those elements loses enough digits to spoil computed
-    energies once the mesh is deeply refined.
+    energies once the mesh is deeply refined.  All nodes go to f in one call.
     """
-    cache = element_cache(curve, order)
     kv = curve.knots
-    p = curve.degree
-    b = np.zeros(kv.dim)
-    plain = np.ones(cache.n_elements, dtype=bool)
+    elems = kv.elements
+    hs = elems[:, 1] - elems[:, 0]
+    at = np.zeros(elems.shape, dtype=bool)  # element ends on a corner
     corners = curve.corner_params()
     if corners.size:
-        elems = kv.elements
-        gap_lo = np.abs(curve.param_delta(
-            elems[:, 0][:, None], corners[None, :])).min(axis=1)
-        gap_hi = np.abs(curve.param_delta(
-            elems[:, 1][:, None], corners[None, :])).min(axis=1)
-        at_lo = gap_lo < 1e-12
-        at_hi = gap_hi < 1e-12
-        plain = ~(at_lo | at_hi)
-        for e in np.flatnonzero(~plain):
-            lo, hi = elems[e]
-            tq, wq = _corner_graded_rule(float(lo), float(hi),
-                                         bool(at_lo[e]), bool(at_hi[e]), order)
-            vals = np.asarray(f_of_params(tq))
-            first, phi, _ = _phi_windows(curve, tq)  # phi carries the speed
-            np.add.at(b, first[:, None] + np.arange(p + 1)[None, :],
-                      (vals * wq)[:, None] * phi)
-    if plain.any():
-        vals = np.asarray(f_of_params(cache.params[plain].ravel()))
-        contrib = np.einsum("eq,eqb->eb", vals.reshape(-1, cache.order),
-                            cache.wbasis[plain])
-        cols = cache.first[plain][:, None] + np.arange(p + 1)[None, :]
-        np.add.at(b, cols, contrib)
+        at = np.abs(curve.param_delta(elems[..., None], corners)).min(axis=2) < 1e-12
+    plain = ~at.any(axis=1)
+    xg, wg = gauss_unit(order)
+    rules = [(elems[plain, 0][:, None] + hs[plain][:, None] * xg[None, :],
+              hs[plain][:, None] * wg[None, :])]
+    rules += [_corner_graded_rule(float(lo), float(hi), bool(a_lo), bool(a_hi), order)
+              for (lo, hi), (a_lo, a_hi) in zip(elems[~plain], at[~plain])]
+    tq = np.concatenate([t.ravel() for t, _ in rules])
+    wq = np.concatenate([w.ravel() for _, w in rules])
+    first, phi, _ = _phi_windows(curve, tq)  # phi carries the speed
+    b = np.zeros(kv.dim)
+    np.add.at(b, first[:, None] + np.arange(curve.degree + 1)[None, :],
+              (np.asarray(f_of_params(tq)) * wq)[:, None] * phi)
     return b
 
 
@@ -363,7 +293,10 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
 # pointwise potentials (collocation rows, residual sampling, Dirichlet data)
 # --------------------------------------------------------------------------
 
-_FAR_BLOCK = 2e6  # far-field kernel entries evaluated per block of targets
+# far-field kernel entries evaluated per block of targets: this bounds the
+# memory of a block, whose temporaries are about ten arrays of this many
+# doubles, whatever the number of targets
+_FAR_BLOCK = 1e5
 
 
 def _graded_pair_rules(curve: Curve, params: np.ndarray, pair_i: np.ndarray,
@@ -556,13 +489,10 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
     the target.  Returns an (n_targets, n_cols) array.
     """
     kv = curve.knots
-    params = np.atleast_1d(np.asarray(params, dtype=float))
-    if kv.periodic:
-        params = kv.a + np.mod(params - kv.a, kv.period)
-        params[params >= kv.b] = kv.a  # the reduction can round onto b
+    params = kv.wrap(np.atleast_1d(params))
     m = len(params)
     x_pts = curve.point(params)
-    # the element containing each target, as in KnotVector.element_of
+    # the element containing each target, right-continuous at breakpoints
     inside = np.clip(np.searchsorted(np.asarray(kv.breakpoints), params,
                                      side="right") - 1, 0, kv.n_elements - 1)
     n_el, q, w = kernel.grid.shape
@@ -629,16 +559,13 @@ def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
 
 
 def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
-                        order: int = DEFAULT_ORDER,
-                        cache: ElementCache | None = None) -> np.ndarray:
+                        order: int = DEFAULT_ORDER) -> np.ndarray:
     """Evaluate V phi_h on the curve at the given parameters.
 
     phi_h = sum coeffs[q] R_q, contracted on the quadrature grids, so no
     (targets x dim) array is built.
     """
-    if cache is None or cache.order != order:
-        cache = element_cache(curve, order)
-    kernel = _SingleLayer(cache, np.asarray(coeffs, dtype=float))
+    kernel = _SingleLayer(element_cache(curve, order), np.asarray(coeffs, dtype=float))
     return _potential(curve, kernel, params)[:, 0] / (-_TWO_PI)
 
 

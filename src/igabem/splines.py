@@ -310,39 +310,30 @@ class KnotVector:
     # -- queries ------------------------------------------------------------
 
     def multiplicity_of(self, t: float) -> int:
-        t = self._normalize(t)
+        t = float(self.wrap(t))
         for z, m in zip(self.breakpoints, self.multiplicities):
             if z == t:
                 return m
         return 0
 
-    def _normalize(self, t: float) -> float:
-        """Reduce a parameter into [a, b) for periodic vectors.
+    def wrap(self, ts) -> np.ndarray:
+        """Reduce parameters into [a, b) for periodic vectors.
 
         Parameters already inside come back bitwise unchanged, so exact
-        breakpoint comparisons stay reliable.
+        breakpoint comparisons stay reliable; a reduction that rounds onto b
+        maps to a.  Open vectors return ``ts`` as given.
         """
-        if self.periodic:
-            if self.a <= t < self.b:
-                return t
-            r = self.a + (t - self.a) % self.period
-            # guard against roundoff pushing the reduction to b
-            return self.a if r >= self.b else r
-        return t
-
-    def element_of(self, t: float, side: str = "right") -> int:
-        """Index of the element containing t (one-sided at breakpoints)."""
-        t = self._normalize(t) if self.periodic else t
-        bp = np.asarray(self.breakpoints)
-        k = int(np.searchsorted(bp, t, side=side)) - 1
-        return min(max(k, 0), self.n_elements - 1)
-
-    def element_basis(self, k: int) -> np.ndarray:
-        """Indices of the basis functions supported on element k."""
-        lo, hi = self.breakpoints[k], self.breakpoints[k + 1]
-        mid = 0.5 * (lo + hi)
-        span = int(find_span(self.eval_knots, self.degree, np.array([mid]), "right")[0])
-        return np.arange(span - self.degree, span + 1)
+        ts = np.asarray(ts, dtype=float)
+        if not self.periodic:
+            return ts
+        outside = (ts < self.a) | (ts >= self.b)
+        if not outside.any():
+            return ts
+        ts = ts.copy()
+        r = self.a + (ts[outside] - self.a) % self.period
+        r[r >= self.b] = self.a
+        ts[outside] = r
+        return ts
 
     def collocation_points(self) -> np.ndarray:
         """One point per basis function: the mean of its support knots.
@@ -354,20 +345,14 @@ class KnotVector:
         E = self.eval_knots
         p = self.degree
         window = np.lib.stride_tricks.sliding_window_view(E, p + 2)[: self.dim]
-        pts = window.mean(axis=1)
-        if self.periodic:
-            outside = (pts < self.a) | (pts >= self.b)
-            wrapped = self.a + (pts[outside] - self.a) % self.period
-            wrapped[wrapped >= self.b] = self.a
-            pts[outside] = wrapped
-        return pts
+        return self.wrap(window.mean(axis=1))
 
     # -- refinement ---------------------------------------------------------
 
     def with_knot(self, t: float) -> "KnotVector":
         """Knot structure after inserting t (use :func:`insert_knot` to
         transport coefficients)."""
-        t = self._normalize(t)
+        t = float(self.wrap(t))
         bp = list(self.breakpoints)
         mult = list(self.multiplicities)
         if t in bp:
@@ -465,7 +450,7 @@ def insert_knot(kv: KnotVector, coeffs: np.ndarray, t: float) -> tuple[KnotVecto
     if coeffs.shape[0] != kv.n_store:
         raise ValueError(f"expected {kv.n_store} coefficient rows, got {coeffs.shape[0]}")
     p = kv.degree
-    t = kv._normalize(t)
+    t = float(kv.wrap(t))
     new_kv = kv.with_knot(t)  # validates range and multiplicity
 
     if not kv.periodic:

@@ -121,6 +121,62 @@ def test_total_energy_any_mesh(cuts):
 
 
 # --------------------------------------------------------------------------
+# square: touching pairs across geometric corners
+# --------------------------------------------------------------------------
+
+SQUARE_CORNERS = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5], [0.0, 0.0]])
+
+
+def square_point(t):
+    """Boundary of [0, 1/2]^2 at parameter t, one side per quarter."""
+    k = min(int(4.0 * t), 3)
+    u = 4.0 * t - k
+    return (1.0 - u) * SQUARE_CORNERS[k] + u * SQUARE_CORNERS[k + 1]
+
+
+def square_hat(j, t):
+    """Basis j of the square's initial space: hats at t = j / 4; the seam
+    carries two functions, j = 0 on [0, 1/4] and j = 4 on [3/4, 1]."""
+    return max(1.0 - abs(4.0 * t - j), 0.0)
+
+
+def square_entry_oracle(i, j):
+    """Galerkin entry on the square's initial mesh by nested adaptive
+    quadrature."""
+
+    def support(k):
+        return [(lo / 4, hi / 4) for lo, hi in ((k - 1, k), (k, k + 1))
+                if 0 <= lo and hi <= 4]
+
+    def outer(s):
+        ps = square_point(s)
+        acc = 0.0
+        for ta, tb in support(j):
+            pts = [s] if ta < s < tb else None
+            val, _ = quad(
+                lambda t: square_hat(j, t) * np.log(np.hypot(*(ps - square_point(t)))),
+                ta, tb, points=pts, epsabs=1e-13, limit=300,
+            )
+            acc += val
+        return square_hat(i, s) * acc
+
+    total = 0.0
+    for sa, sb in support(i):
+        val, _ = quad(outer, sa, sb, epsabs=1e-12, limit=300)
+        total += val
+    return -4.0 * total / (2.0 * np.pi)  # both speeds are 2
+
+
+def test_corner_entries_against_quadrature():
+    A = galerkin_matrix(square())
+    # (0,4): the seam pair only, touching at the corner (0, 0); (0,1): an
+    # identical pair and a pair touching at the corner (1/2, 0); (0,2): that
+    # touching pair and a separated one
+    for i, j in ((0, 4), (0, 1), (0, 2)):
+        assert A[i, j] == pytest.approx(square_entry_oracle(i, j), abs=1e-11)
+
+
+# --------------------------------------------------------------------------
 # closed curved geometry: circle identities
 # --------------------------------------------------------------------------
 
@@ -153,10 +209,10 @@ def test_spd_on_benchmark_meshes():
 
 
 def test_quadrature_order_stability():
-    curve = pacman()
-    A12 = galerkin_matrix(curve, order=12)
-    A20 = galerkin_matrix(curve, order=20)
-    assert np.max(np.abs(A12 - A20)) < 1e-12
+    for curve in (pacman(), square(), circle(0.8), _pacman_corner_graded(0)):
+        A12 = galerkin_matrix(curve, order=12)
+        A20 = galerkin_matrix(curve, order=20)
+        assert np.max(np.abs(A12 - A20)) < 1e-12, curve
 
 
 # --------------------------------------------------------------------------
@@ -194,9 +250,9 @@ def test_collocation_entry_against_quadrature():
     assert B[1, 0] == pytest.approx(-2.0 * val / (2.0 * np.pi), abs=1e-12)
 
 
-def _pacman_corner_graded():
+def _pacman_corner_graded(uniform_steps=3):
     state = initial_state(pacman())
-    for _ in range(3):
+    for _ in range(uniform_steps):
         state = uniform_refine(state)
     curve = state.curve
     corners = curve.corner_params()

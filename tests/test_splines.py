@@ -189,11 +189,6 @@ def test_collocation_points_slit_and_monotone():
 
 def test_element_queries():
     kv = KnotVector(1, (0.0, 0.25, 0.5, 0.75, 1.0), (2, 1, 1, 1, 2))
-    assert kv.element_of(0.3) == 1
-    assert kv.element_of(0.25) == 1
-    assert kv.element_of(0.25, side="left") == 0
-    np.testing.assert_array_equal(kv.element_basis(0), [0, 1])
-    np.testing.assert_array_equal(kv.element_basis(3), [3, 4])
     assert kv.multiplicity_of(0.25) == 1
     assert kv.multiplicity_of(0.3) == 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -259,18 +260,28 @@ def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
     Known values short-circuit.  Otherwise the cache file is consulted, and
     on a miss the energy is Aitken-extrapolated from an adaptive Galerkin
     sequence up to ``problem.reference_dofs`` unknowns, cross checked against
-    a uniform sequence, and stored under the problem name.
+    a uniform sequence, and stored under the problem name.  A cached entry
+    whose ``degree`` differs from the problem's curve belongs to another
+    discretisation: it is reported and treated as a miss.
     """
     problem = get_problem(problem)
     if problem.energy_exact is not None:
         return float(problem.energy_exact)
 
+    degree = problem.make_curve().degree
     path = Path(cache) if cache is not None else None
     data: dict = {}
     if path is not None and path.exists():
         data = json.loads(path.read_text(encoding="utf-8"))
-        if problem.name in data:
-            return float(data[problem.name]["energy"])
+        entry = data.get(problem.name)
+        if entry is not None:
+            if entry.get("degree") == degree:
+                return float(entry["energy"])
+            logger.warning(
+                "ignoring cached reference energy for %s: degree %s, "
+                "the curve has degree %d", problem.name, entry.get("degree"),
+                degree,
+            )
 
     logger.info("extrapolating reference energy for %s", problem.name)
     ns, energies = _energy_sequence(problem, order, problem.reference_dofs)
@@ -297,13 +308,25 @@ def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
         "uniform_estimate": float(uni_acc),
         "relative_gap": float(gap),
         "dofs": int(ns[-1]),
-        "degree": problem.make_curve().degree,
+        "degree": degree,
     }
     if path is not None:
         data[problem.name] = entry
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        _write_json_atomic(path, data)
     return float(acc)
+
+
+def _write_json_atomic(path: Path, data: dict) -> None:
+    """Write JSON to a temporary file beside ``path``, then move it over
+    ``path``: readers see the old file or the new one, never a partial one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # --------------------------------------------------------------------------

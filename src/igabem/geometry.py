@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .quadrature import gauss_unit
-from .splines import KnotVector, bspline_derivatives, insert_knot
+from .splines import KnotVector, insert_knot, quotient_derivatives
 
 __all__ = [
     "Curve",
@@ -83,6 +83,15 @@ class Curve:
         """Homogeneous rows (w x, w y, w) in storage order."""
         return np.column_stack((self.weights[:, None] * self.controls, self.weights))
 
+    @cached_property
+    def _frame_table(self) -> np.ndarray:
+        """Derivatives of the homogeneous curve (w x, w y, w) at element
+        ends, laid out like ``KnotVector.element_table``: (p + 1, 2 n_el, 3)."""
+        kv = self.knots
+        first, table = kv.element_table
+        cols = kv.period_slot(first[:, None] + np.arange(kv.degree + 1)[None, :])
+        return np.einsum("kor,orj->koj", table, self._hom[np.repeat(cols, 2, axis=0)])
+
     # -- evaluation ----------------------------------------------------------
 
     def frame(self, ts, nd: int = 0, side: str = "right") -> np.ndarray:
@@ -97,21 +106,8 @@ class Curve:
         if self.closed:
             # keep t = b so callers can take left limits at the seam
             ts = np.where(ts == kv.b, ts, kv.wrap(ts))
-        first, ders = bspline_derivatives(kv.eval_knots, kv.degree, ts, nd, side)
-        cols = kv.period_slot(first[:, None] + np.arange(kv.degree + 1)[None, :])
-        hom = self._hom[cols]  # (npts, p + 1, 3)
-        A = np.einsum("mkr,mrj->mkj", ders, hom)  # (npts, nd + 1, 3)
-        out = np.empty((len(ts), nd + 1, 2))
-        wsum = A[:, :, 2]
-        out[:, 0] = A[:, 0, :2] / wsum[:, 0, None]
-        for k in range(1, nd + 1):
-            acc = A[:, k, :2].copy()
-            binom = 1.0
-            for j in range(1, k + 1):
-                binom = binom * (k - j + 1) / j
-                acc -= binom * out[:, k - j] * wsum[:, j, None]
-            out[:, k] = acc / wsum[:, 0, None]
-        return out
+        _, A = kv.taylor_values(self._frame_table, ts, nd, side)
+        return quotient_derivatives([a[:, :2] for a in A], [a[:, 2] for a in A])
 
     def point(self, ts) -> np.ndarray:
         return self.frame(ts)[:, 0]

@@ -21,7 +21,9 @@ integrates far elements on a plain Gauss grid in blocks of targets, and the
 other elements near the target on composite rules graded toward it.  The
 element containing the target takes the kernel's own rule: for V a split at
 the target with the log-weight rule on each side, for K plain Gauss with the
-kernel's coincidence limit, since K is smooth along an arc.  The engine
+kernel's coincidence limit, since K is smooth along an arc; nodes of other
+elements that come closer than 1e-9 in parameter take that limit too when
+no corner lies between them and the target.  The engine
 returns the density contracted with coefficients, the raw basis windows
 (one column per basis function), or the integral of data g.
 """
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Curve
+from .geometry import _CORNER_TOL, Curve
 from .quadrature import gauss_log, gauss_unit, graded_unit
 from .splines import rational_basis
 
@@ -43,6 +45,9 @@ DEFAULT_ORDER = 16
 NEAR_FACTOR = 0.75  # parameter-distance/size ratio below which grading kicks in
 GRADE_MAX_LEVELS = 48
 _TWO_PI = 2.0 * np.pi
+# parameter distance below which the double-layer kernel takes its
+# coincidence limit instead of a divided difference of two curve points
+_DL_COINCIDENT = 1e-9
 
 __all__ = [
     "ElementCache",
@@ -407,31 +412,30 @@ def _dl_frame_parts(frames: np.ndarray):
     return pt, d1, rot, diag
 
 
-def _dl_kernel_core(x_point, pt, d1, rot, delta, diag, diag_eps=0.0):
+def _dl_kernel_core(x_point, pt, d1, rot, delta, diag, limit):
     """Broadcastable stable double-layer kernel.
 
     Kernel (gamma(x) - gamma(t)) . nu(t) |gamma'(t)| / |gamma(x) - gamma(t)|^2
     through the divided difference g = (gamma(x) - gamma(t)) / (x - t):
     (g - gamma'(t)) . rot(gamma'(t)) / ((x - t) |g|^2), exact also across
     corners since gamma' . rot(gamma') = 0.  ``diag`` carries the coincidence
-    limit gamma'' . rot(gamma') / (2 |gamma'|^2), substituted where |delta| <
-    ``diag_eps``.  Only the element containing the target may pass a nonzero
-    ``diag_eps``: the limit assumes a smooth arc between the two points, and
-    substituting it for pairs that straddle a corner erases the angle mass
-    concentrated there.
+    limit gamma'' . rot(gamma') / (2 |gamma'|^2), substituted where ``limit``
+    holds.  Callers set ``limit`` only for pairs closer than
+    ``_DL_COINCIDENT`` with a smooth arc between them: there the divided
+    difference of two rounded points has lost its digits, while substituting
+    the limit across a corner would erase the angle mass concentrated there.
+    Other pairs that round onto the same parameter contribute 0.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         gx = (x_point[..., 0] - pt[..., 0]) / delta
         gy = (x_point[..., 1] - pt[..., 1]) / delta
         val = (((gx - d1[..., 0]) * rot[..., 0] + (gy - d1[..., 1]) * rot[..., 1])
                / (delta * (gx * gx + gy * gy)))
-    if diag_eps == 0.0:
-        # a target and a foreign quadrature node can round onto the same
-        # parameter once elements approach ulp scale; that pair's true
-        # weighted contribution is below resolution, so drop it rather
-        # than poison the sum with 0/0
-        return np.where(delta == 0.0, 0.0, val)
-    return np.where(np.abs(delta) < diag_eps, diag, val)
+    # a target and a foreign quadrature node across a corner can round onto
+    # the same parameter once elements approach ulp scale; that pair's true
+    # weighted contribution is below resolution, so drop it rather than
+    # poison the sum with 0/0
+    return np.where(limit, diag, np.where(delta == 0.0, 0.0, val))
 
 
 class _DoubleLayer:
@@ -458,10 +462,21 @@ class _DoubleLayer:
         self.grid = gjac.reshape(len(elems), order, 1)
         self.cols = np.zeros((len(elems), 1), dtype=int)
 
-    def value(self, x, px, t, frames, diag_eps=0.0):
+    def value(self, x, px, t, frames, own_element=False):
         pt, d1, rot, diag = _dl_frame_parts(frames)
         delta = np.asarray(self.curve.param_delta(x[:, None], t), dtype=float)
-        return _dl_kernel_core(px[:, None], pt, d1, rot, delta, diag, diag_eps)
+        limit = np.abs(delta) < _DL_COINCIDENT
+        if not own_element and limit.any():
+            # a node of another element is on a smooth arc with the target
+            # only if both have the same unit tangent direction
+            rows = np.flatnonzero(limit.any(axis=1))
+            tx = self.curve.tangent(x[rows])
+            tx /= np.hypot(tx[:, 0], tx[:, 1])[:, None]
+            tn = np.broadcast_to(d1, limit.shape + (2,))[rows]
+            cos = (np.einsum("kni,ki->kn", tn, tx)
+                   / np.hypot(tn[..., 0], tn[..., 1]))
+            limit[rows] &= 1.0 - cos <= _CORNER_TOL
+        return _dl_kernel_core(px[:, None], pt, d1, rot, delta, diag, limit)
 
     def density(self, ts, ee, frames):
         vals = self.g_of_points(frames[..., 0, :].reshape(-1, 2))
@@ -472,7 +487,7 @@ class _DoubleLayer:
         the rule there is plain Gauss, i.e. the grid itself."""
         src = inside[:, None] * self.order + np.arange(self.order)[None, :]
         kern = self.value(x, px, self.grid_t[src], self.grid_frames[src],
-                          diag_eps=1e-9)
+                          own_element=True)
         yield np.arange(len(x)), kern, self.grid[inside]
 
 
@@ -493,8 +508,7 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
     m = len(params)
     x_pts = curve.point(params)
     # the element containing each target, right-continuous at breakpoints
-    inside = np.clip(np.searchsorted(np.asarray(kv.breakpoints), params,
-                                     side="right") - 1, 0, kv.n_elements - 1)
+    inside = kv.locate(params)[0] >> 1
     n_el, q, w = kernel.grid.shape
     out = np.zeros((m, kernel.n_cols))
 

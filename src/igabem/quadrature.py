@@ -2,8 +2,8 @@
 
 Everything in here is plain numerics on the reference intervals [-1, 1] and
 [0, 1].  Rules are returned as ``(nodes, weights)`` pairs of read-only arrays
-and are cached per order, so repeated requests are cheap and bitwise
-reproducible.
+and are cached per order (and grading), so repeated requests are cheap and
+bitwise reproducible.
 
 Three families are provided:
 
@@ -159,18 +159,8 @@ def gauss_log(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_log_impl(int(n))
 
 
-def graded_unit(n: int, levels: int, toward: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Composite n-point Gauss rule on [0, 1], dyadically graded toward one end.
-
-    The interval is split at 2^-levels, ..., 1/4, 1/2 (so ``levels + 1``
-    panels) with the panels accumulating geometrically at the endpoint
-    ``toward`` (0.0 or 1.0).  Suitable for integrands with an integrable
-    singularity at that endpoint, e.g. log or weak algebraic blow-up.
-    """
-    if levels < 0:
-        raise ValueError(f"levels must be >= 0, got {levels}")
-    if toward not in (0.0, 1.0):
-        raise ValueError(f"toward must be 0.0 or 1.0, got {toward}")
+@lru_cache(maxsize=None)
+def _graded_unit_impl(n: int, levels: int, toward: float) -> tuple[np.ndarray, np.ndarray]:
     edges = np.concatenate(([0.0], 0.5 ** np.arange(levels, -1, -1, dtype=float)))
     xs, ws = gauss_unit(n)
     parts_x = []
@@ -183,4 +173,21 @@ def graded_unit(n: int, levels: int, toward: float = 0.0) -> tuple[np.ndarray, n
     if toward == 1.0:
         x = 1.0 - x[::-1]
         w = w[::-1].copy()
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
+
+
+def graded_unit(n: int, levels: int, toward: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Composite n-point Gauss rule on [0, 1], dyadically graded toward one end.
+
+    The interval is split at 2^-levels, ..., 1/4, 1/2 (so ``levels + 1``
+    panels) with the panels accumulating geometrically at the endpoint
+    ``toward`` (0.0 or 1.0).  Suitable for integrands with an integrable
+    singularity at that endpoint, e.g. log or weak algebraic blow-up.
+    """
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
+    if toward not in (0.0, 1.0):
+        raise ValueError(f"toward must be 0.0 or 1.0, got {toward}")
+    return _graded_unit_impl(int(n), int(levels), float(toward))

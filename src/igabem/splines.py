@@ -15,6 +15,15 @@ restrictions to ``[a, b)`` of the line splines on the periodically extended
 knot sequence.  Both cases expose the same ``eval_knots`` array, so every
 consumer evaluates through one code path.
 
+Pointwise evaluation goes through element tables.  On each element the
+nonzero basis window is one polynomial of degree p, so its derivatives
+0..p at the two element ends determine it; ``KnotVector.element_table``
+holds them, built once by the recurrence at 2 n_el points.  A point is
+evaluated by Horner's rule about the nearer end of its element, which
+returns element-end values exactly as the recurrence gives them.  The
+recurrence itself only builds tables, dense evaluations (``bspline_dense``)
+and Boehm insertion.
+
 Knot insertion transports coefficient rows in homogeneous form and never
 changes the represented function; for periodic vectors it inserts the knot
 image in the three central periods of a five-period window of the extended
@@ -34,6 +43,7 @@ __all__ = [
     "bspline_dense",
     "KnotVector",
     "rational_basis",
+    "quotient_derivatives",
     "insert_knot",
 ]
 
@@ -159,6 +169,30 @@ def bspline_dense(knots, degree, ts, nd=0, side="right"):
     return out
 
 
+def _taylor_sum(derivs, tau, nd):
+    """Derivatives 0..nd at offsets ``tau`` of polynomials given by their
+    derivatives 0..p at the expansion point, ``derivs[k]`` of shape
+    (npts, ...).
+
+    Horner's rule on sum_k derivs[k] tau^k / k!, once per derivative: at
+    ``tau = 0`` it returns ``derivs[j]`` unchanged, and derivatives above p
+    are zero.  Returns a list of nd + 1 arrays.
+    """
+    p = len(derivs) - 1
+    tau = tau.reshape(tau.shape + (1,) * (derivs[0].ndim - 1))
+    steps = [tau / (i + 1) for i in range(p)]
+    out = []
+    for j in range(nd + 1):
+        if j > p:
+            out.append(np.zeros_like(derivs[0]))
+            continue
+        acc = derivs[p]
+        for k in range(p - 1, j - 1, -1):
+            acc = derivs[k] + steps[k - j] * acc
+        out.append(acc)
+    return out
+
+
 # --------------------------------------------------------------------------
 # knot vectors
 # --------------------------------------------------------------------------
@@ -240,7 +274,7 @@ class KnotVector:
     @property
     def elements(self) -> np.ndarray:
         """Array of shape (n_elements, 2) with element endpoints."""
-        bp = np.asarray(self.breakpoints)
+        bp = self.breakpoint_array
         return np.column_stack((bp[:-1], bp[1:]))
 
     @property
@@ -306,6 +340,70 @@ class KnotVector:
     def n_store(self) -> int:
         """Rows of coefficient storage: dim for open, knots-per-period for periodic."""
         return self.n_period_knots if self.periodic else self.dim
+
+    # -- element tables -------------------------------------------------------
+
+    @cached_property
+    def breakpoint_array(self) -> np.ndarray:
+        arr = np.asarray(self.breakpoints)
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
+    def _split_points(self) -> np.ndarray:
+        """Breakpoints interleaved with element midpoints: the boundaries
+        between nearer element ends."""
+        bp = self.breakpoint_array
+        z = np.empty(2 * len(bp) - 1)
+        z[0::2] = bp
+        z[1::2] = 0.5 * (bp[:-1] + bp[1:])
+        return z
+
+    @cached_property
+    def element_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each element's nonzero basis window as derivatives at both ends.
+
+        On an element the window is one polynomial of degree p, so these
+        determine it.  Returns ``(first, table)``: ``first[e]`` is the first
+        basis index on element e, and ``table[k, 2 e + end, r]`` is the k-th
+        derivative (k <= degree) of basis ``first[e] + r`` at the element's
+        start (``end`` 0, right limit) or end (``end`` 1, left limit).  The
+        derivative order leads, so Horner's rule reads contiguous slices.
+        Both arrays are read-only.
+        """
+        p = self.degree
+        bp = self.breakpoint_array
+        first, lo = bspline_derivatives(self.eval_knots, p, bp[:-1], p, "right")
+        _, hi = bspline_derivatives(self.eval_knots, p, bp[1:], p, "left")
+        table = np.stack((lo, hi), axis=1).reshape(-1, p + 1, p + 1)
+        table = np.ascontiguousarray(table.transpose(1, 0, 2))
+        first.flags.writeable = False
+        table.flags.writeable = False
+        return first, table
+
+    def locate(self, ts, side: str = "right"):
+        """Nearer element end of each parameter and the offset from it.
+
+        Returns ``(row, tau)``.  Element ``row // 2`` contains t: at a
+        breakpoint the one to its right (``side='right'``) or left
+        (``side='left'``), outside [a, b] the outermost one.  ``row % 2`` is
+        the nearer end (0 start, 1 end) and ``tau`` is t minus that end.
+        One search over breakpoints and element midpoints gives all three.
+        """
+        ts = np.asarray(ts, dtype=float)
+        z = self._split_points
+        row = np.clip(np.searchsorted(z, ts, side=side) - 1, 0, len(z) - 2)
+        return row, ts - self.breakpoint_array[(row + 1) >> 1]
+
+    def taylor_values(self, table, ts, nd: int = 0, side: str = "right"):
+        """Evaluate element-end derivative data at parameters.
+
+        ``table`` is laid out like ``element_table[1]`` (derivative, element
+        end, then any trailing axes).  Returns the element of each point and
+        a list of its derivatives 0..nd there, each shaped (npts, ...).
+        """
+        row, tau = self.locate(ts, side)
+        return row >> 1, _taylor_sum(np.take(table, row, axis=1), tau, nd)
 
     # -- queries ------------------------------------------------------------
 
@@ -382,30 +480,37 @@ class KnotVector:
 # --------------------------------------------------------------------------
 
 
+def quotient_derivatives(num, den) -> np.ndarray:
+    """Derivatives 0..nd of num / den from those of num and den.
+
+    ``num[k]`` (shape (npts, c)) and ``den[k]`` (shape (npts,)) are k-th
+    derivatives, k = 0..nd.  Returns an (npts, nd + 1, c) array from the
+    Leibniz expansion of (num / den) * den = num.
+    """
+    out = [num[0] / den[0][:, None]]
+    for k in range(1, len(num)):
+        acc = num[k]
+        binom = 1.0
+        for j in range(1, k + 1):
+            binom = binom * (k - j + 1) / j
+            acc = acc - binom * out[k - j] * den[j][:, None]
+        out.append(acc / den[0][:, None])
+    return np.stack(out, axis=1)
+
+
 def rational_basis(kv: KnotVector, basis_weights: np.ndarray, ts, nd: int = 0, side: str = "right"):
     """Weighted (rational) basis window values and derivatives.
 
     ``basis_weights`` has one positive entry per basis function (length
     ``kv.dim``).  Returns ``(first, R)`` with ``R`` of shape
-    ``(npts, nd + 1, degree + 1)``; derivatives come from the Leibniz
-    expansion of ``R * W = w * B``.
+    ``(npts, nd + 1, degree + 1)``, evaluated from the element table;
+    derivatives come from the Leibniz expansion of ``R * W = w * B``.
     """
-    p = kv.degree
-    first, ders = bspline_derivatives(kv.eval_knots, p, ts, nd, side)
-    cols = first[:, None] + np.arange(p + 1)[None, :]
-    wwin = np.asarray(basis_weights)[cols]
-    num = wwin[:, None, :] * ders
-    wsum = num.sum(axis=2)
-    R = np.empty_like(num)
-    R[:, 0] = num[:, 0] / wsum[:, 0, None]
-    for k in range(1, nd + 1):
-        acc = num[:, k].copy()
-        binom = 1.0
-        for j in range(1, k + 1):
-            binom = binom * (k - j + 1) / j
-            acc -= binom * R[:, k - j] * wsum[:, j, None]
-        R[:, k] = acc / wsum[:, 0, None]
-    return first, R
+    first, table = kv.element_table
+    w = np.asarray(basis_weights)[first[:, None] + np.arange(kv.degree + 1)[None, :]]
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    e, num = kv.taylor_values(table * np.repeat(w, 2, axis=0), ts, nd, side)
+    return first[e], quotient_derivatives(num, [v.sum(axis=1) for v in num])
 
 
 # --------------------------------------------------------------------------

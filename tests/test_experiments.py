@@ -162,6 +162,46 @@ def test_reference_energy_cache_round_trip(tmp_path):
     assert again == val
 
 
+def _toy_slit(reference_dofs=16):
+    return Problem(name="toy-slit", make_curve=slit,
+                   rhs_factory=PROBLEMS["slit"].rhs_factory,
+                   methods=("galerkin",), reference_dofs=reference_dofs)
+
+
+def test_reference_energy_refuses_entry_of_other_degree(tmp_path, caplog):
+    cache = tmp_path / "ref.json"
+    stale = {"energy": 1.0, "accelerated": True, "uniform_estimate": 1.0,
+             "relative_gap": 0.0, "dofs": 16, "degree": 2}
+    cache.write_text(json.dumps({"toy-slit": stale}), encoding="utf-8")
+    with caplog.at_level("WARNING", logger="igabem"):
+        val = reference_energy(_toy_slit(), cache=cache)
+    assert "ignoring cached reference energy for toy-slit" in caplog.text
+    assert abs(val - np.pi / 4.0) < 1e-2
+    entry = json.loads(cache.read_text(encoding="utf-8"))["toy-slit"]
+    assert entry["degree"] == 1 and entry["energy"] == val
+
+
+def test_reference_energy_writes_cache_atomically(tmp_path, monkeypatch):
+    cache = tmp_path / "ref.json"
+    before = json.dumps({"other": {"energy": 2.0, "degree": 1}})
+    cache.write_text(before, encoding="utf-8")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("igabem.experiments.os.replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        reference_energy(_toy_slit(), cache=cache)
+    # the old file is intact and no temporary file is left behind
+    assert cache.read_text(encoding="utf-8") == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ref.json"]
+    monkeypatch.undo()
+    reference_energy(_toy_slit(), cache=cache)
+    data = json.loads(cache.read_text(encoding="utf-8"))
+    assert set(data) == {"other", "toy-slit"}
+    assert [p.name for p in tmp_path.iterdir()] == ["ref.json"]
+
+
 def test_shipped_reference_sidecar_is_readable():
     data = json.loads((REPO_ROOT / "ref_energies.json").read_text("utf-8"))
     for name in ("square", "pacman"):

@@ -4,6 +4,8 @@ Closed-form values (sector points, the square's bi-Lipschitz constant 3*sqrt(2),
 the circle's 3*pi/(2*sqrt(2))) were derived by hand first.
 """
 
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -16,7 +18,7 @@ from igabem.geometry import (
     slit,
     square,
 )
-from igabem.splines import KnotVector
+from igabem.splines import KnotVector, bspline_derivatives, rational_basis
 
 
 def test_slit_basic():
@@ -153,3 +155,107 @@ def test_curve_validation():
         Curve(kv, np.zeros((3, 2)), np.ones(3))  # wrong row count
     with pytest.raises(ValueError):
         Curve(kv, np.zeros((2, 2)), np.array([1.0, -1.0]))  # negative weight
+
+
+# --------------------------------------------------------------------------
+# element tables against the recurrence
+# --------------------------------------------------------------------------
+
+
+def _quotient(num, den):
+    """Derivatives of num / den, num (m, nd + 1, c) and den (m, nd + 1)."""
+    out = np.empty_like(num)
+    for k in range(num.shape[1]):
+        acc = num[:, k].copy()
+        for j in range(1, k + 1):
+            acc -= comb(k, j) * out[:, k - j] * den[:, j, None]
+        out[:, k] = acc / den[:, 0, None]
+    return out
+
+
+def recurrence_basis(curve, ts, nd, side):
+    """Rational basis windows straight from the Cox-de Boor recurrence."""
+    kv = curve.knots
+    first, ders = bspline_derivatives(kv.eval_knots, kv.degree, ts, nd, side)
+    w = curve.basis_weights[first[:, None] + np.arange(kv.degree + 1)[None, :]]
+    num = w[:, None, :] * ders
+    return first, _quotient(num, num.sum(axis=2))
+
+
+def recurrence_frame(curve, ts, nd, side):
+    """Curve frames straight from the recurrence on homogeneous rows."""
+    kv = curve.knots
+    first, ders = bspline_derivatives(kv.eval_knots, kv.degree, ts, nd, side)
+    cols = kv.period_slot(first[:, None] + np.arange(kv.degree + 1)[None, :])
+    A = np.einsum("mkr,mrj->mkj", ders, curve._hom[cols])
+    return _quotient(A[..., :2], A[..., 2])
+
+
+def _raised(curve):
+    """The curve with its first interior breakpoint at multiplicity p + 1."""
+    z = curve.knots.breakpoints[1]
+    while curve.knots.multiplicity_of(z) < curve.degree + 1:
+        curve = curve.refined([z])
+    return curve
+
+
+def _parity_curves():
+    rng = np.random.default_rng(11)
+    out = {}
+    for name, c in (("slit", slit()), ("circle", circle(0.8)), ("pacman", pacman())):
+        out[name] = c
+        out[name + "-refined"] = c.refined(np.sort(rng.uniform(0.0, 1.0, 9)))
+        out[name + "-raised"] = _raised(c)
+    return out
+
+
+PARITY_CURVES = _parity_curves()
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CURVES))
+def test_element_tables_match_recurrence(name):
+    curve = PARITY_CURVES[name]
+    bp = np.asarray(curve.knots.breakpoints)
+    rng = np.random.default_rng(3)
+    ts = np.concatenate([bp, 0.5 * (bp[:-1] + bp[1:]), rng.uniform(0.0, 1.0, 300),
+                         bp[1:-1] - 1e-12, bp[1:-1] + 1e-12])
+    for side in ("right", "left"):
+        for nd in range(curve.degree + 1):
+            first, R = rational_basis(curve.knots, curve.basis_weights, ts, nd, side)
+            first_ref, R_ref = recurrence_basis(curve, ts, nd, side)
+            np.testing.assert_array_equal(first, first_ref)
+            fr = curve.frame(ts, nd, side)
+            fr_ref = recurrence_frame(curve, ts, nd, side)
+            for k in range(nd + 1):
+                # derivatives scale like h^-k on small elements
+                np.testing.assert_allclose(
+                    R[:, k], R_ref[:, k], rtol=0,
+                    atol=1e-13 * max(1.0, np.abs(R_ref[:, k]).max()))
+                np.testing.assert_allclose(
+                    fr[:, k], fr_ref[:, k], rtol=0,
+                    atol=1e-13 * max(1.0, np.abs(fr_ref[:, k]).max()))
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CURVES))
+def test_element_ends_equal_recurrence(name):
+    # right limits at element starts, left limits at element ends and t = b:
+    # the table holds the recurrence's own values there
+    curve = PARITY_CURVES[name]
+    bp = np.asarray(curve.knots.breakpoints)
+    for ts, side in ((bp[:-1], "right"), (bp[1:], "left"), (bp[-1:], "right")):
+        for nd in range(curve.degree + 1):
+            _, R = rational_basis(curve.knots, curve.basis_weights, ts, nd, side)
+            np.testing.assert_array_equal(R, recurrence_basis(curve, ts, nd, side)[1])
+    # points at corners, the seam and t = b
+    corners = curve.corner_params()
+    ts = np.concatenate([corners, [bp[0], bp[-1]]])
+    for side in ("right", "left"):
+        np.testing.assert_array_equal(curve.frame(ts, 0, side),
+                                      recurrence_frame(curve, ts, 0, side))
+
+
+def test_pacman_seam_corner_is_exact():
+    c = pacman()
+    for t in (0.0, 1.0):
+        for side in ("right", "left"):
+            assert np.array_equal(c.frame([t], 1, side)[0, 0], [0.0, 0.0])

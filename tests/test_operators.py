@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from igabem.adaptivity import initial_state, refine, uniform_refine
 from igabem.estimators import mesh_nodes
+from igabem.experiments import pacman_trace
 from igabem.geometry import circle, pacman, slit, square
 from igabem.operators import (
     collocation_matrix,
@@ -359,6 +360,36 @@ def test_dirichlet_rhs_matches_normal_derivative_on_pacman():
             pieces.append(val)
         v_phi = -sum(pieces) / (2.0 * np.pi)
         assert fx == pytest.approx(v_phi, abs=1e-8)
+
+
+def test_dirichlet_rhs_continuous_across_smooth_junctions():
+    # the pacman arcs meet tangentially at t = 7/18 and 11/18, where its
+    # collocation points sit; the graded rule of the neighbouring element
+    # puts nodes within ~1e-14 of such a target, and a divided difference of
+    # two rounded curve points there once moved (K + 1/2) g by 2e-3.  The
+    # data is symmetric about the x axis, so both junctions share one value.
+    curve = pacman()
+    offsets = np.array([0.0, -1e-14, 1e-14, -1e-12, 1e-12, -1e-10, 1e-10])
+    near = []
+    for j in (7.0 / 18.0, 11.0 / 18.0):
+        vals = dirichlet_rhs(curve, pacman_trace, j + offsets)
+        away = dirichlet_rhs(curve, pacman_trace, j + np.array([-1e-8, 1e-8]))
+        # the value 1e-8 away on either side brackets the limit to 3e-11
+        assert np.all(np.abs(vals - away.mean()) < 1e-9), (j, vals, away)
+        near.append(vals)
+    np.testing.assert_allclose(near[0], near[1], rtol=0, atol=1e-9)
+
+
+def test_double_layer_near_corners_keeps_angle_mass():
+    # targets 1e-12 from the square's corners: nodes of the other edge are
+    # that close too, and the coincidence limit must not stand in for them.
+    # Nodes within 1e-9 there carry most of the corner's angle, about 0.25;
+    # the graded rules themselves miss by up to 8.5e-8 at this distance.
+    curve = square()
+    corners = np.array([0.25, 0.5, 0.75])
+    params = np.concatenate([corners - 1e-12, corners + 1e-12])
+    vals = double_layer_values(curve, ones_of_points, params)
+    np.testing.assert_allclose(vals, -0.5, atol=1e-6)
 
 
 def test_galerkin_rhs_mass_of_one():

@@ -48,11 +48,14 @@ def test_gauss_legendre_known_two_point():
 
 
 def test_rules_are_deterministic():
-    for fn in (gauss_legendre, gauss_unit, gauss_log):
+    for fn in (gauss_legendre, gauss_unit, gauss_log,
+               lambda n: graded_unit(n, 5, 0.0), lambda n: graded_unit(n, 5, 1.0)):
         x1, w1 = fn(12)
         x2, w2 = fn(12)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(w1, w2)
+        # cached rules are shared, so callers must not be able to change them
+        assert not x1.flags.writeable and not w1.flags.writeable
 
 
 def test_gauss_unit_is_affine_image():

@@ -84,8 +84,12 @@ class Problem:
     """One benchmark: geometry, right-hand side, and what is known about it.
 
     ``rhs_factory(curve, order)`` returns the right-hand side as a function
-    of curve parameters; it is rebuilt per mesh because Dirichlet data is
-    mapped through the double-layer operator on that mesh.  ``energy_exact``
+    of curve parameters.  Its ``curve`` argument is unused: the slit data is
+    in closed form, and the Dirichlet data f = (K + 1/2) g depends only on
+    the geometry, so it is computed on the geometry mesh ``make_curve()``
+    at quadrature order ``order``, whatever mesh the caller analyses.  Each
+    returned f memoises its values by parameter, so a run builds f once
+    and every mesh of the run shares it.  ``energy_exact``
     is the squared energy norm of the exact density when known, otherwise
     None and a reference energy is extrapolated (see ``reference_energy``).
     ``density_exact(curve, ts)`` evaluates the exact density; it blows up at
@@ -130,10 +134,31 @@ def pacman_trace(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dirichlet_factory(trace):
+def _dirichlet_factory(make_curve, trace):
+    """Data (K + 1/2) g on the geometry mesh ``make_curve()``, memoised by
+    exact parameter value inside each f: surviving elements keep their
+    Gauss nodes and the corner-graded load rule is self-similar under
+    bisection, so most parameters of a step recur from earlier steps."""
     def factory(curve: Curve, order: int):
+        del curve  # knot insertion leaves the geometry, and so f, unchanged
+        data_curve = make_curve()
+        keys = np.empty(0)  # sorted parameters evaluated so far
+        vals = np.empty(0)
+
         def f(ts):
-            return dirichlet_rhs(curve, trace, ts, order)
+            nonlocal keys, vals
+            ts = np.atleast_1d(np.asarray(ts, dtype=float))
+            pos = np.searchsorted(keys, ts)
+            known = pos < len(keys)
+            known[known] = keys[pos[known]] == ts[known]
+            if not known.all():
+                new = np.unique(ts[~known])
+                at = np.searchsorted(keys, new)
+                keys = np.insert(keys, at, new)
+                vals = np.insert(vals, at,
+                                 dirichlet_rhs(data_curve, trace, new, order))
+                pos = np.searchsorted(keys, ts)
+            return vals[pos]
 
         return f
 
@@ -184,7 +209,7 @@ PROBLEMS = {
     "square": Problem(
         name="square",
         make_curve=square,
-        rhs_factory=_dirichlet_factory(square_trace),
+        rhs_factory=_dirichlet_factory(square, square_trace),
         methods=("galerkin",),
         reference_dofs=900,
         density_exact=_square_density,
@@ -196,7 +221,7 @@ PROBLEMS = {
     "pacman": Problem(
         name="pacman",
         make_curve=pacman,
-        rhs_factory=_dirichlet_factory(pacman_trace),
+        rhs_factory=_dirichlet_factory(pacman, pacman_trace),
         methods=("galerkin", "collocation"),
         reference_dofs=300,
         density_exact=_pacman_density,
@@ -229,11 +254,11 @@ def _energy_sequence(problem: Problem, order: int, max_dofs: int,
     are much cheaper than the Faermann ones and give the same mesh family.
     """
     state = initial_state(problem.make_curve())
+    f = problem.rhs_factory(state.curve, order)
     ns: list[int] = []
     energies: list[float] = []
     for _ in range(max_iterations):
         curve = state.curve
-        f = problem.rhs_factory(curve, order)
         A = galerkin_matrix(curve, order)
         b = galerkin_rhs(curve, f, order)
         c, _ = solve_linear(A, b)
@@ -375,13 +400,13 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
 
     energy_ref = reference_energy(problem, cache=energy_cache, order=order)
     state = initial_state(problem.make_curve())
+    f = problem.rhs_factory(state.curve, order)
     rows: list[dict] = []
 
     for it in range(max_iterations):
         t0 = time.perf_counter()
         curve = state.curve
         kv = curve.knots
-        f = problem.rhs_factory(curve, order)
         A = galerkin_matrix(curve, order)
         b = galerkin_rhs(curve, f, order)
         if method == "galerkin":

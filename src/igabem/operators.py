@@ -20,10 +20,12 @@ Dirichlet data (K + 1/2) g) go through one vectorised engine.  Per target it
 integrates far elements on a plain Gauss grid in blocks of targets, and the
 other elements near the target on composite rules graded toward it.  The
 element containing the target takes the kernel's own rule: for V a split at
-the target with the log-weight rule on each side, for K plain Gauss with the
-kernel's coincidence limit, since K is smooth along an arc; nodes of other
-elements that come closer than 1e-9 in parameter take that limit too when
-no corner lies between them and the target.  The engine
+the target with the log-weight rule on each side, for K plain Gauss, since
+K is smooth along an arc; its nodes near the target take the kernel from
+the curvature integrated along the chord instead of a divided difference
+of two rounded points.  Nodes of other elements that come closer than 1e-9
+in parameter take the kernel's coincidence limit when no corner lies
+between them and the target.  The engine
 returns the density contracted with coefficients, the raw basis windows
 (one column per basis function), or the integral of data g.
 """
@@ -48,6 +50,10 @@ _TWO_PI = 2.0 * np.pi
 # parameter distance below which the double-layer kernel takes its
 # coincidence limit instead of a divided difference of two curve points
 _DL_COINCIDENT = 1e-9
+# own-element nodes closer to the target than this fraction of the element
+# take the kernel from a Gauss rule of this order along the chord
+_DL_CLOSE = 1.0 / 64.0
+_DL_CLOSE_ORDER = 4
 
 __all__ = [
     "ElementCache",
@@ -462,13 +468,13 @@ class _DoubleLayer:
         self.grid = gjac.reshape(len(elems), order, 1)
         self.cols = np.zeros((len(elems), 1), dtype=int)
 
-    def value(self, x, px, t, frames, own_element=False):
+    def value(self, x, px, t, frames):
         pt, d1, rot, diag = _dl_frame_parts(frames)
         delta = np.asarray(self.curve.param_delta(x[:, None], t), dtype=float)
         limit = np.abs(delta) < _DL_COINCIDENT
-        if not own_element and limit.any():
-            # a node of another element is on a smooth arc with the target
-            # only if both have the same unit tangent direction
+        if limit.any():
+            # a node is on a smooth arc with the target only if both have
+            # the same unit tangent direction
             rows = np.flatnonzero(limit.any(axis=1))
             tx = self.curve.tangent(x[rows])
             tx /= np.hypot(tx[:, 0], tx[:, 1])[:, None]
@@ -484,11 +490,38 @@ class _DoubleLayer:
 
     def containing(self, x, px, inside):
         """The kernel is smooth inside the element containing the target, so
-        the rule there is plain Gauss, i.e. the grid itself."""
+        the rule there is plain Gauss, i.e. the grid itself.  Nodes within
+        ``_DL_CLOSE`` of the element width from the target take the kernel
+        from ``_dl_kernel_close``."""
         src = inside[:, None] * self.order + np.arange(self.order)[None, :]
-        kern = self.value(x, px, self.grid_t[src], self.grid_frames[src],
-                          own_element=True)
+        t, frames = self.grid_t[src], self.grid_frames[src]
+        kern = self.value(x, px, t, frames)
+        elems = self.curve.knots.elements
+        delta = np.asarray(self.curve.param_delta(x[:, None], t), dtype=float)
+        close = (np.abs(delta)
+                 < _DL_CLOSE * (elems[inside, 1] - elems[inside, 0])[:, None])
+        kern[close] = _dl_kernel_close(self.curve, t[close], delta[close],
+                                       frames[close][:, 1])
         yield np.arange(len(x)), kern, self.grid[inside]
+
+
+def _dl_kernel_close(curve: Curve, t, delta, d1):
+    """Double-layer kernel at nodes t of the target's own element, x = t + delta.
+
+    gamma(x) = gamma(t) + delta gamma'(t) + delta^2 D with D = int_0^1
+    (1 - u) gamma''(t + delta u) du, so the kernel of ``_dl_kernel_core`` is
+    D . rot(gamma'(t)) / |gamma'(t) + delta D|^2, free of the difference of
+    two rounded points that loses about eps |gamma| / delta^2.  On one
+    element gamma is one rational piece, so Gauss over a small fraction of
+    the element is exact to rounding.
+    """
+    xg, wg = gauss_unit(_DL_CLOSE_ORDER)
+    u = t[:, None] + delta[:, None] * xg[None, :]
+    d2 = curve.frame(u.ravel(), 2)[:, 2].reshape(u.shape + (2,))
+    D = np.einsum("n,kni->ki", wg * (1.0 - xg), d2)
+    rot = np.stack((d1[:, 1], -d1[:, 0]), axis=-1)
+    g = d1 + delta[:, None] * D
+    return np.einsum("ki,ki->k", D, rot) / np.einsum("ki,ki->k", g, g)
 
 
 def _potential(curve: Curve, kernel, params) -> np.ndarray:

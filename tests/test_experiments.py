@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igabem.adaptivity import initial_state, uniform_refine
+from igabem import experiments
+from igabem.adaptivity import initial_state, refine, uniform_refine
+from igabem.estimators import mesh_nodes
 from igabem.experiments import (
     PROBLEMS,
     Problem,
@@ -21,9 +23,13 @@ from igabem.experiments import (
     write_run_csv,
 )
 from igabem.geometry import pacman, slit, square
-from igabem.operators import galerkin_matrix, galerkin_rhs, collocation_matrix
+from igabem.operators import (
+    collocation_matrix,
+    dirichlet_rhs,
+    galerkin_matrix,
+    galerkin_rhs,
+)
 from igabem.quadrature import gauss_unit, graded_unit
-from igabem.operators import dirichlet_rhs
 from igabem.solve import (
     energy_error_collocation,
     energy_error_galerkin,
@@ -303,3 +309,83 @@ def test_slit_tip_elements_shrink_monotonically():
     elems = state.curve.knots.elements
     widths = elems[:, 1] - elems[:, 0]
     assert widths[0] < 0.1 * widths.max()  # tips far smaller than interior
+
+
+TRACES = {"square": square_trace, "pacman": pacman_trace}
+
+
+def _uniform(curve, steps):
+    state = initial_state(curve)
+    for _ in range(steps):
+        state = uniform_refine(state)
+    return state
+
+
+def _corner_graded_pacman(levels=8):
+    # one uniform bisection, then the elements at the three corners bisected
+    # again and again, down to widths of 2^-(levels + 1) / 6
+    state = _uniform(pacman(), 1)
+    for _ in range(levels):
+        curve = state.curve
+        near = np.abs(curve.param_delta(mesh_nodes(curve.knots)[:, None],
+                                        curve.corner_params()[None, :]))
+        state = refine(state, np.flatnonzero((near < 1e-12).any(axis=1)))
+    return state.curve
+
+
+@pytest.mark.parametrize("name", ["square", "pacman"])
+def test_dirichlet_data_lives_on_the_geometry_mesh(name, monkeypatch):
+    prob = PROBLEMS[name]
+    rng = np.random.default_rng(11)
+    coarse = prob.make_curve()
+    fine = _uniform(coarse, 2).curve
+    ts = np.concatenate([rng.uniform(0.0, 1.0, 60), coarse.knots.breakpoints])
+    # the data does not depend on the mesh the caller passes
+    np.testing.assert_array_equal(prob.rhs_factory(coarse, 16)(ts),
+                                  prob.rhs_factory(fine, 16)(ts))
+
+    calls = [ts[:40], ts[20:][::-1], np.concatenate([ts[5:15], ts[5:15]]),
+             rng.permutation(ts)]
+    fresh = [prob.rhs_factory(fine, 16)(call) for call in calls]
+    seen = []
+
+    def counting(curve, trace, params, order):
+        seen.append(np.array(params, copy=True))
+        return dirichlet_rhs(curve, trace, params, order)
+
+    monkeypatch.setattr(experiments, "dirichlet_rhs", counting)
+    f = prob.rhs_factory(fine, 16)
+    first = {}
+    for call, ref in zip(calls, fresh):
+        vals = f(call)
+        assert vals.shape == call.shape
+        # a parameter evaluated once keeps its value bit for bit
+        for t, v in zip(call, vals):
+            assert first.setdefault(t, v) == v
+        # and agrees with a fresh f; not bit for bit, since the far field's
+        # matrix-vector product may round a target differently by its
+        # position in the batch
+        assert np.abs(vals - ref).max() <= 1e-14 * np.abs(ref).max()
+    # every distinct parameter reached dirichlet_rhs exactly once
+    evaluated = np.concatenate(seen)
+    assert len(evaluated) == len(np.unique(ts))
+    np.testing.assert_array_equal(np.sort(evaluated), np.unique(ts))
+
+
+@pytest.mark.parametrize("name, make_mesh", [
+    ("pacman", lambda: _uniform(pacman(), 4).curve),
+    ("pacman", _corner_graded_pacman),
+    ("square", lambda: _uniform(square(), 4).curve),
+], ids=["pacman-uniform", "pacman-corner-graded", "square-uniform"])
+def test_geometry_mesh_data_keeps_galerkin_energies(name, make_mesh):
+    # the energy of the Galerkin solution with f on the geometry mesh
+    # against f evaluated on the analysis mesh itself
+    curve = make_mesh()
+    A = galerkin_matrix(curve, 16)
+    energies = []
+    for f in (PROBLEMS[name].rhs_factory(curve, 16),
+              lambda ts: dirichlet_rhs(curve, TRACES[name], ts, 16)):
+        b = galerkin_rhs(curve, f, 16)
+        c, _ = solve_linear(A, b)
+        energies.append(float(c @ b))
+    assert energies[0] == pytest.approx(energies[1], rel=1e-12, abs=0.0)

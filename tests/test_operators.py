@@ -337,6 +337,19 @@ def test_double_layer_circle_projects_to_mean():
     assert np.allclose(f, 0.5 * curve.point(params)[:, 0], atol=1e-12)
 
 
+def test_double_layer_exact_near_nodes_of_own_element():
+    # targets 1e-7 to 1e-4 from the Gauss nodes of their own element, where
+    # the divided difference of two rounded curve points loses about
+    # eps |gamma| / delta^2 (3.8e-6 here when the kernel was formed that way);
+    # on a circle the kernel is constant, so K x vanishes
+    curve = circle(0.8)
+    nodes = element_cache(curve, 16).params.ravel()
+    offsets = np.array([-1e-4, -1e-6, -1e-7, 1e-7, 1e-6, 1e-4])
+    params = (nodes[::5][:, None] + offsets[None, :]).ravel()
+    vals = double_layer_values(curve, lambda pts: pts[:, 0], params)
+    np.testing.assert_allclose(vals, 0.0, rtol=0.0, atol=1e-13)
+
+
 def test_dirichlet_rhs_matches_normal_derivative_on_pacman():
     # u = x is harmonic with grad u = (1, 0), so V(nu_x) = (K + 1/2)(x) on
     # the boundary; nu_x |gamma'| is the rotated tangent component gamma_2'.

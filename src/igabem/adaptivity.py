@@ -97,14 +97,11 @@ def refine(state: MeshState, marked_nodes) -> MeshState:
     if not marked <= set(range(len(nodes))):
         raise ValueError("marked node index out of range")
 
-    if kv.periodic:
-        ends = [(e, (e + 1) % n) for e in range(n)]
-    else:
-        ends = [(e, e + 1) for e in range(n)]
-    bisect = {e for e, (u, v) in enumerate(ends) if u in marked and v in marked}
-    covered = set()
-    for e in bisect:
-        covered.update(ends[e])
+    # an element is bisected when the nodes at both its ends are marked
+    patch = {z: {int(e) for e in patches[z] if e >= 0} for z in marked}
+    bisect = ({int(patches[z, 1]) for z in marked}
+              & {int(patches[z, 0]) for z in marked}) - {-1}
+    covered = {z for z in marked if patch[z] & bisect}
 
     raises: list[float] = []
     for z in sorted(marked - covered):
@@ -112,7 +109,7 @@ def refine(state: MeshState, marked_nodes) -> MeshState:
         if kv.multiplicity_of(t) < p + 1:
             raises.append(t)
         else:
-            bisect.update(patches[z])
+            bisect.update(patch[z])
 
     # close bisections so adjacent levels keep differing by at most one;
     # elements at the width floor refuse to split, and anything whose

@@ -2,9 +2,14 @@
 
 Both estimators work on the boundary residual r = f - V phi_h, sampled once
 per element at a Gauss grid and carried around as a per-element polynomial
-interpolant.  Indicators live on mesh nodes z and their two-element patches
-omega(z) (one element at the open endpoints of a curve, wrap-around at the
-seam of a closed one).
+interpolant.  Indicators live on mesh nodes z and their patches omega(z).
+``node_patches`` is the one definition of the patches: an (n_nodes, 2) table
+of the elements left and right of each node, -1 where an open end of the
+curve has no element on that side; at the seam of a closed curve node 0
+pairs the last element with the first.  Both indicators are reductions over
+that table: per-element integrals summed over the patch, plus, for the
+Faermann indicator, one cross term per node with an element on both sides,
+from one graded rule per side shared by all those nodes.
 
 * Faermann indicator: squared H^(1/2) seminorm of the residual on the patch,
 
@@ -44,6 +49,9 @@ __all__ = [
 
 _RULE = 16  # quadrature order inside the patch integrals
 _CROSS_LEVELS = 2  # dyadic grading toward the shared node in cross terms
+# nodes per block of cross terms: bounds each (nodes, m, m) temporary of the
+# integrand at a few MB, whatever the number of nodes
+_CROSS_BLOCK = 128
 
 
 # --------------------------------------------------------------------------
@@ -92,39 +100,24 @@ class ResidualData:
     deriv_nodes: np.ndarray  # (n_el, q) interpolant derivative, unit coords
 
     @classmethod
-    def from_samples(cls, curve: Curve, values: np.ndarray, q_int: int):
+    def from_function(cls, curve: Curve, func, q_int: int):
         elems = curve.knots.elements
         xg, _ = gauss_unit(q_int)
         params = elems[:, 0][:, None] + (elems[:, 1] - elems[:, 0])[:, None] * xg
-        values = np.asarray(values, dtype=float).reshape(params.shape)
+        values = np.asarray(func(params.ravel()), dtype=float).reshape(params.shape)
         _, _, D = _bary_data(q_int)
         return cls(curve, q_int, params, values, values @ D.T)
 
-    @classmethod
-    def from_function(cls, curve: Curve, func, q_int: int = 8):
-        elems = curve.knots.elements
-        xg, _ = gauss_unit(q_int)
-        params = elems[:, 0][:, None] + (elems[:, 1] - elems[:, 0])[:, None] * xg
-        return cls.from_samples(curve, func(params.ravel()), q_int)
-
-    def eval(self, matrix: np.ndarray) -> np.ndarray:
-        """Apply an evaluation matrix to all element value rows: (n_el, m)."""
-        return self.values @ matrix.T
-
-    def eval_deriv(self, matrix: np.ndarray) -> np.ndarray:
-        return self.deriv_nodes @ matrix.T
-
 
 def sample_residual(curve: Curve, coeffs: np.ndarray, f_of_params,
-                    order: int = 16, q_int: int | None = None) -> ResidualData:
-    """Sample r = f - V phi_h on every element's interior Gauss grid."""
-    if q_int is None:
-        q_int = max(curve.degree + 2, 6)
+                    order: int = 16) -> ResidualData:
+    """Sample r = f - V phi_h on every element's interior Gauss grid of
+    max(p + 2, 6) points."""
     return ResidualData.from_function(
         curve,
         lambda ts: np.asarray(f_of_params(ts))
         - single_layer_values(curve, coeffs, ts, order=order),
-        q_int,
+        max(curve.degree + 2, 6),
     )
 
 
@@ -139,15 +132,22 @@ def mesh_nodes(kv) -> np.ndarray:
     return bp[:-1] if kv.periodic else bp
 
 
-def node_patches(kv) -> list[tuple[int, ...]]:
-    """Element indices of each node's patch, aligned with mesh_nodes."""
+def node_patches(kv) -> np.ndarray:
+    """(n_nodes, 2) elements left and right of each node, aligned with
+    mesh_nodes; -1 where an open end has no element on that side."""
     n = kv.n_elements
+    right = np.arange(n + (not kv.periodic))
+    left = right - 1
     if kv.periodic:
-        return [((j - 1) % n, j) for j in range(n)]
-    patches: list[tuple[int, ...]] = [(0,)]
-    patches += [(j - 1, j) for j in range(1, n)]
-    patches.append((n - 1,))
-    return patches
+        left %= n
+    else:
+        right[-1] = -1
+    return np.stack([left, right], axis=1)
+
+
+def _patch_sums(per_element: np.ndarray, patches: np.ndarray) -> np.ndarray:
+    """Sum of a per-element quantity over each node's patch."""
+    return np.where(patches >= 0, per_element[patches], 0.0).sum(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -159,8 +159,9 @@ def _element_square_integrals(res: ResidualData) -> np.ndarray:
     """For every element T: the double integral of the seminorm over T x T.
 
     T x T is split into four subsquares at the midpoint so that the two
-    congruent halves share their one-dimensional point sets; the integrand
-    is evaluated with the diagonal limit where points coincide.
+    congruent halves share their one-dimensional point sets; the two
+    same-half subsquares meet the diagonal where the node indices agree, and
+    the integrand takes its diagonal limit there.
     """
     curve = res.curve
     elems = curve.knots.elements
@@ -169,8 +170,8 @@ def _element_square_integrals(res: ResidualData) -> np.ndarray:
     halves = (0.5 * xg, 0.5 + 0.5 * xg)
     mats = [_bary_matrix(res.q_int, hx) for hx in halves]
 
-    vals = [res.eval(m) for m in mats]  # (n_el, RULE) each half
-    ders = [res.eval_deriv(m) for m in mats]
+    vals = [res.values @ m.T for m in mats]  # (n_el, RULE) each half
+    ders = [res.deriv_nodes @ m.T for m in mats]
     params = [elems[:, 0][:, None] + hs[:, None] * hx for hx in halves]
     frames = [curve.frame(p.ravel(), 1) for p in params]
     pts = [fr[:, 0].reshape(len(elems), _RULE, 2) for fr in frames]
@@ -179,6 +180,7 @@ def _element_square_integrals(res: ResidualData) -> np.ndarray:
 
     out = np.zeros(len(elems))
     w2 = wg[:, None] * wg[None, :]
+    diag = np.eye(_RULE, dtype=bool)
     for a in range(2):
         for b in range(2):
             dr = vals[a][:, :, None] - vals[b][:, None, :]
@@ -186,64 +188,56 @@ def _element_square_integrals(res: ResidualData) -> np.ndarray:
             dy = pts[a][:, :, None, 1] - pts[b][:, None, :, 1]
             dist2 = dx * dx + dy * dy
             spsp = sps[a][:, :, None] * sps[b][:, None, :]
-            ds = params[a][:, :, None] - params[b][:, None, :]
-            diag = np.abs(ds) < 1e-13 * hs[:, None, None]
-            dist2[diag] = 1.0
+            if a == b:
+                dist2[:, diag] = 1.0
             integrand = dr * dr * spsp / dist2
-            if diag.any():
-                dmid = 0.5 * (ders[a][:, :, None] + ders[b][:, None, :])
-                limit = (dmid / hs[:, None, None]) ** 2
-                integrand[diag] = limit[diag]
+            if a == b:
+                integrand[:, diag] = (ders[a] / hs[:, None]) ** 2
             out += 0.25 * np.einsum("eij,ij->e", integrand, w2)
     return out * hs**2
 
 
-def _cross_integral(res: ResidualData, e_left: int, e_right: int) -> float:
-    """Patch cross term over T_left x T_right sharing one node.
+def _cross_integrals(res: ResidualData, left: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
+    """Patch cross terms over T_left x T_right for element pairs sharing
+    the node at the end of T_left and the start of T_right.
 
-    The integrand only sees physical distances, so the seam pair of a closed
-    curve needs no special casing beyond picking the right two elements.
+    Each side takes one rule graded toward the shared node, evaluated for
+    all pairs at once; only the pairwise integrand goes block by block.
+    The integrand only sees physical distances, so the seam pair of a
+    closed curve needs no special casing beyond picking the right two
+    elements.
     """
     curve = res.curve
     elems = curve.knots.elements
-    lo1, hi1 = (float(v) for v in elems[e_left])
-    lo2, hi2 = (float(v) for v in elems[e_right])
-    h1, h2 = hi1 - lo1, hi2 - lo2
+    sides = []
+    for e, toward in ((left, 1.0), (right, 0.0)):
+        xs, ws = graded_unit(_RULE, _CROSS_LEVELS, toward=toward)
+        h = elems[e, 1] - elems[e, 0]
+        r = res.values[e] @ _bary_matrix(res.q_int, xs).T
+        ts = elems[e, 0][:, None] + h[:, None] * xs[None, :]
+        fr = curve.frame(ts.ravel(), 1).reshape(ts.shape + (2, 2))
+        sides.append((h, ws, r, fr[..., 0, :], np.hypot(fr[..., 1, 0], fr[..., 1, 1])))
+    (h1, ws1, r1, p1, sp1), (h2, ws2, r2, p2, sp2) = sides
 
-    xs1, ws1 = graded_unit(_RULE, _CROSS_LEVELS, toward=1.0)
-    xs2, ws2 = graded_unit(_RULE, _CROSS_LEVELS, toward=0.0)
-    m1 = _bary_matrix(res.q_int, xs1)
-    m2 = _bary_matrix(res.q_int, xs2)
-    r1 = (res.values[e_left] @ m1.T)
-    r2 = (res.values[e_right] @ m2.T)
-    p1 = lo1 + h1 * xs1
-    p2 = lo2 + h2 * xs2
-    f1 = curve.frame(p1, 1)
-    f2 = curve.frame(p2, 1)
-    sp1 = np.hypot(f1[:, 1, 0], f1[:, 1, 1])
-    sp2 = np.hypot(f2[:, 1, 0], f2[:, 1, 1])
-
-    dr = r1[:, None] - r2[None, :]
-    dx = f1[:, None, 0, 0] - f2[None, :, 0, 0]
-    dy = f1[:, None, 0, 1] - f2[None, :, 0, 1]
-    dist2 = dx * dx + dy * dy
-    integrand = dr * dr * (sp1[:, None] * sp2[None, :]) / dist2
-    return float(h1 * h2 * np.einsum("ij,i,j->", integrand, ws1, ws2))
+    out = np.empty(len(left))
+    for start in range(0, len(left), _CROSS_BLOCK):
+        k = slice(start, start + _CROSS_BLOCK)
+        dr = r1[k, :, None] - r2[k, None, :]
+        dx = p1[k, :, None, 0] - p2[k, None, :, 0]
+        dy = p1[k, :, None, 1] - p2[k, None, :, 1]
+        dist2 = dx * dx + dy * dy
+        integrand = dr * dr * (sp1[k, :, None] * sp2[k, None, :]) / dist2
+        out[k] = h1[k] * h2[k] * np.einsum("kij,i,j->k", integrand, ws1, ws2)
+    return out
 
 
 def faermann_indicators(res: ResidualData) -> np.ndarray:
     """Squared Faermann indicators on the mesh nodes."""
-    kv = res.curve.knots
-    squares = _element_square_integrals(res)
-    patches = node_patches(kv)
-    out = np.empty(len(patches))
-    for j, patch in enumerate(patches):
-        if len(patch) == 1:
-            out[j] = squares[patch[0]]
-            continue
-        eL, eR = patch
-        out[j] = (squares[eL] + squares[eR]
-                  + 2.0 * _cross_integral(res, eL, eR))
+    patches = node_patches(res.curve.knots)
+    out = _patch_sums(_element_square_integrals(res), patches)
+    inner = (patches >= 0).all(axis=1)
+    out[inner] += 2.0 * _cross_integrals(res, patches[inner, 0], patches[inner, 1])
     return out
 
 
@@ -258,8 +252,7 @@ def _element_derivative_integrals(res: ResidualData) -> np.ndarray:
     elems = curve.knots.elements
     hs = elems[:, 1] - elems[:, 0]
     xg, wg = gauss_unit(_RULE)
-    M = _bary_matrix(res.q_int, xg)
-    dv = res.eval_deriv(M)  # d/dx on unit coords, (n_el, RULE)
+    dv = res.deriv_nodes @ _bary_matrix(res.q_int, xg).T  # d/dx on unit coords
     params = elems[:, 0][:, None] + hs[:, None] * xg
     sp = curve.speed(params.ravel()).reshape(params.shape)
     # int (R'(t)/|gamma'|)^2 |gamma'| dt = (1/h) int (dR/dx)^2 / |gamma'| dx
@@ -274,20 +267,15 @@ def residual_indicators(res: ResidualData, weight: str = "parameter") -> np.ndar
     comparing against the Faermann indicator).
     """
     kv = res.curve.knots
-    curve = res.curve
-    integrals = _element_derivative_integrals(res)
     if weight == "parameter":
         lens = kv.elements[:, 1] - kv.elements[:, 0]
     elif weight == "arclength":
-        lens = curve.element_lengths
+        lens = res.curve.element_lengths
     else:
         raise ValueError(f"unknown weight {weight!r}")
     patches = node_patches(kv)
-    out = np.empty(len(patches))
-    for j, patch in enumerate(patches):
-        idx = list(patch)
-        out[j] = float(np.sum(lens[idx])) * float(np.sum(integrals[idx]))
-    return out
+    return (_patch_sums(lens, patches)
+            * _patch_sums(_element_derivative_integrals(res), patches))
 
 
 # --------------------------------------------------------------------------

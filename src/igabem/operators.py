@@ -121,21 +121,23 @@ def _phi_windows(curve: Curve, ts: np.ndarray):
     return first, R[:, 0, :] * np.hypot(fr[:, 1, 0], fr[:, 1, 1])[:, None], fr[:, 0]
 
 
-def _smooth_log_part(curve: Curve, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """log(|gamma(s) - gamma(t)| / |s - t|) with diagonal limit log|gamma'|.
+def _smooth_log_part(px: np.ndarray, s: np.ndarray, t: np.ndarray,
+                     frames: np.ndarray) -> np.ndarray:
+    """log(|gamma(s) - gamma(t)| / |s - t|) with diagonal limit log|gamma'(t)|,
+    from the points px = gamma(s) and the frames of order 1 at t.
 
     Callers pass parameter values whose plain difference is already the
     minimal periodic image.
     """
     d = np.abs(s - t)
-    ps = curve.point(s)
-    pt = curve.point(t)
-    dist = np.hypot(ps[:, 0] - pt[:, 0], ps[:, 1] - pt[:, 1])
+    pt = frames[..., 0, :]
+    dist = np.hypot(px[..., 0] - pt[..., 0], px[..., 1] - pt[..., 1])
     ratio = np.empty_like(dist)
     tiny = d < 1e-14
     np.divide(dist, d, out=ratio, where=~tiny)
     if tiny.any():
-        ratio[tiny] = curve.speed(np.asarray(t)[tiny])
+        d1 = frames[..., 1, :][tiny]
+        ratio[tiny] = np.hypot(d1[:, 0], d1[:, 1])
     return np.log(ratio)
 
 
@@ -400,11 +402,11 @@ class _SingleLayer:
             ei = ell[idx, None]
             tg = x[idx, None] + orient * ei * xg[None, :]
             tl = x[idx, None] + orient * ei * xl[None, :]
-            sm = _smooth_log_part(curve, np.repeat(x[idx], q),
-                                  tg.ravel()).reshape(tg.shape)
-            for ts, kw in ((tg, ei * (np.log(ei) + sm) * wg), (tl, -ei * wl)):
-                frames = _node_frames(curve, ts, self.nd)
-                yield idx, kw, self.density(ts, inside[idx], frames)
+            fg = _node_frames(curve, tg, self.nd)
+            sm = _smooth_log_part(px[idx, None], x[idx, None], tg, fg)
+            yield idx, ei * (np.log(ei) + sm) * wg, self.density(tg, inside[idx], fg)
+            yield idx, -ei * wl, self.density(tl, inside[idx],
+                                              _node_frames(curve, tl, self.nd))
 
 
 def _dl_frame_parts(frames: np.ndarray):
@@ -559,7 +561,9 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
         K = K.reshape(-1, n_el, q)
         K[near[sl]] = 0.0
         if w == 1:
-            out[sl, 0] = K.reshape(len(K), -1) @ kernel.grid.ravel()
+            # multiply and sum per row: a matrix-vector product would
+            # round a target's row by its position in the block
+            out[sl, 0] = (K.reshape(len(K), -1) * kernel.grid.ravel()).sum(axis=1)
         else:
             win = np.einsum("cer,erw->cew", K, kernel.grid)
             for j in range(w):  # slot j of distinct elements: distinct columns

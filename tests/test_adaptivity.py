@@ -74,10 +74,14 @@ def test_dorfler_bound_and_minimality(sq, theta):
 
 
 def test_saturated_tip_bisects_single_element():
-    state = initial_state(slit())
-    state = refine(state, [0])  # open end, multiplicity already degree + 1
-    assert state.curve.knots.breakpoints == (0.0, 0.5, 1.0)
-    assert state.levels == (1, 1)
+    # open ends, multiplicity already degree + 1; the right tip has no
+    # element on its right, which must not leak into the bisected set
+    for tip in (0, 1):
+        state = refine(initial_state(slit()), [tip])
+        kv = state.curve.knots
+        assert kv.breakpoints == (0.0, 0.5, 1.0)
+        assert kv.multiplicity_of(0.5) == 1
+        assert state.levels == (1, 1)
 
 
 def test_interior_node_raises_then_bisects():

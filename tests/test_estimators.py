@@ -83,13 +83,15 @@ def _patch_seminorm_dblquad(curve, R, Rp, elements):
 def test_node_bookkeeping_open():
     kv = slit().refined([0.25, 0.5]).knots
     assert np.allclose(mesh_nodes(kv), [0.0, 0.25, 0.5, 1.0])
-    assert node_patches(kv) == [(0,), (0, 1), (1, 2), (2,)]
+    np.testing.assert_array_equal(node_patches(kv),
+                                  [[-1, 0], [0, 1], [1, 2], [2, -1]])
 
 
 def test_node_bookkeeping_closed():
     kv = square().knots
     assert np.allclose(mesh_nodes(kv), [0.0, 0.25, 0.5, 0.75])
-    assert node_patches(kv) == [(3, 0), (0, 1), (1, 2), (2, 3)]
+    np.testing.assert_array_equal(node_patches(kv),
+                                  [[3, 0], [0, 1], [1, 2], [2, 3]])
 
 
 def test_residual_grid_layout():

@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from igabem.experiments import MATRIX, run_adaptive, write_knots_csv, write_run_csv
+from igabem.experiments import (
+    MATRIX,
+    REF_ENERGY_CACHE,
+    run_adaptive,
+    write_knots_csv,
+    write_run_csv,
+)
 from igabem.solve import fit_rate
 
 
@@ -25,7 +31,7 @@ def main(argv=None) -> int:
     parser.add_argument("--theta", type=float, default=0.75)
     parser.add_argument("--quick", action="store_true",
                         help="cap every run at 120 unknowns for a fast pass")
-    parser.add_argument("--energy-cache", default="ref_energies.json")
+    parser.add_argument("--energy-cache", default=REF_ENERGY_CACHE)
     args = parser.parse_args(argv)
 
     outdir = Path(args.outdir)

@@ -9,8 +9,8 @@ import numpy as np
 
 from .experiments import (
     PROBLEMS,
+    REF_ENERGY_CACHE,
     read_run_csv,
-    reference_energy,
     run_adaptive,
     write_knots_csv,
     write_run_csv,
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--quad-order", type=int, default=16)
     run.add_argument("--out", help="write per-iteration CSV here")
     run.add_argument("--knots-out", help="write final knot histogram CSV here")
-    run.add_argument("--energy-cache", default="ref_energies.json",
+    run.add_argument("--energy-cache", default=REF_ENERGY_CACHE,
                      help="JSON sidecar holding extrapolated reference energies")
     run.set_defaults(func=_cmd_run)
 

@@ -1,12 +1,14 @@
 """NURBS boundary curves: evaluation and benchmark geometries.
 
-A :class:`Curve` couples a :class:`~igabem.splines.KnotVector` with control
-points and weights in per-period storage (see ``KnotVector.n_store``).  All
-kinematic quantities (points, tangents, normals, speeds) are evaluated
-through homogeneous coordinates, so circles and circular arcs are exact.
+A :class:`Curve` couples a :class:`~igabem.splines.KnotVector` with one
+control point and weight per basis function.  All kinematic quantities
+(points, tangents, normals, speeds) are evaluated through homogeneous
+coordinates, so circles and circular arcs are exact.
 
-Closed curves are parametrized counterclockwise; the outward unit normal is
-then the clockwise rotation of the unit tangent.
+A closed curve is a clamped curve over a periodic knot vector whose first and
+last control points and weights are equal.  Closed curves are parametrized
+counterclockwise; the outward unit normal is then the clockwise rotation of
+the unit tangent.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "square",
     "pacman",
     "circle",
-    "bilipschitz_constant",
 ]
 
 _LENGTH_RULE = 16  # Gauss points per element for arclength integrals
@@ -34,14 +35,16 @@ _CORNER_TOL = 1e-8  # angular tolerance for tangent jumps
 
 @dataclass(frozen=True)
 class Curve:
-    """NURBS curve over a knot vector, with per-period control storage.
+    """NURBS curve over a knot vector.
 
     Parameters
     ----------
     knots : KnotVector
-    controls : ndarray, shape (n_store, 2)
-    weights : ndarray, shape (n_store,)
-        Strictly positive NURBS weights.
+        A periodic vector makes the curve closed.
+    controls : ndarray, shape (dim, 2)
+    weights : ndarray, shape (dim,)
+        Strictly positive NURBS weights.  A closed curve needs its first and
+        last control points and weights exactly equal.
     """
 
     knots: KnotVector
@@ -53,7 +56,7 @@ class Curve:
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "controls", c)
         object.__setattr__(self, "weights", w)
-        n = self.knots.n_store
+        n = self.knots.dim
         if c.shape != (n, 2):
             raise ValueError(f"controls must have shape ({n}, 2), got {c.shape}")
         if w.shape != (n,):
@@ -62,6 +65,8 @@ class Curve:
             raise ValueError("controls and weights must be finite")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
+        if self.closed and not (np.array_equal(c[0], c[-1]) and w[0] == w[-1]):
+            raise ValueError("a closed curve needs equal first and last control rows")
 
     # -- basic facts ---------------------------------------------------------
 
@@ -73,14 +78,14 @@ class Curve:
     def degree(self) -> int:
         return self.knots.degree
 
-    @cached_property
+    @property
     def basis_weights(self) -> np.ndarray:
         """Weights in basis order (length ``knots.dim``)."""
-        return self.weights[self.knots.period_slot(np.arange(self.knots.dim))]
+        return self.weights
 
     @cached_property
     def _hom(self) -> np.ndarray:
-        """Homogeneous rows (w x, w y, w) in storage order."""
+        """Homogeneous rows (w x, w y, w), one per basis function."""
         return np.column_stack((self.weights[:, None] * self.controls, self.weights))
 
     @cached_property
@@ -89,7 +94,7 @@ class Curve:
         ends, laid out like ``KnotVector.element_table``: (p + 1, 2 n_el, 3)."""
         kv = self.knots
         first, table = kv.element_table
-        cols = kv.period_slot(first[:, None] + np.arange(kv.degree + 1)[None, :])
+        cols = first[:, None] + np.arange(kv.degree + 1)[None, :]
         return np.einsum("kor,orj->koj", table, self._hom[np.repeat(cols, 2, axis=0)])
 
     # -- evaluation ----------------------------------------------------------
@@ -112,16 +117,16 @@ class Curve:
     def point(self, ts) -> np.ndarray:
         return self.frame(ts)[:, 0]
 
-    def tangent(self, ts, side: str = "right") -> np.ndarray:
-        return self.frame(ts, 1, side)[:, 1]
+    def tangent(self, ts) -> np.ndarray:
+        return self.frame(ts, 1)[:, 1]
 
-    def speed(self, ts, side: str = "right") -> np.ndarray:
-        d = self.tangent(ts, side)
+    def speed(self, ts) -> np.ndarray:
+        d = self.tangent(ts)
         return np.hypot(d[:, 0], d[:, 1])
 
-    def normal(self, ts, side: str = "right") -> np.ndarray:
+    def normal(self, ts) -> np.ndarray:
         """Unit normal (outward for counterclockwise closed curves)."""
-        d = self.tangent(ts, side)
+        d = self.tangent(ts)
         sp = np.hypot(d[:, 0], d[:, 1])
         return np.column_stack((d[:, 1], -d[:, 0])) / sp[:, None]
 
@@ -151,18 +156,6 @@ class Curve:
     @property
     def length(self) -> float:
         return float(self.element_lengths.sum())
-
-    def arclength_table(self, per_element: int = 64):
-        """Dense (params, cumulative arclength) sampling across the curve."""
-        elems = self.knots.elements
-        ts = np.concatenate(
-            [np.linspace(lo, hi, per_element, endpoint=False) for lo, hi in elems]
-            + [[self.knots.b]]
-        )
-        sp = self.speed(ts)
-        dt = np.diff(ts)
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (sp[:-1] + sp[1:]) * dt)))
-        return ts, cum
 
     # -- corners ---------------------------------------------------------------
 
@@ -279,31 +272,3 @@ def circle(radius: float = 1.0) -> Curve:
     w = np.array([1, s, 1, s, 1, s, 1, s, 1], dtype=float)
     kv = KnotVector(2, (0.0, 0.25, 0.5, 0.75, 1.0), (3, 2, 2, 2, 3), periodic=True)
     return Curve(kv, c, w)
-
-
-# ---------------------------------------------------------------------------
-# geometric constants
-# ---------------------------------------------------------------------------
-
-
-def bilipschitz_constant(curve: Curve, samples: int = 1200) -> float:
-    """Bi-Lipschitz constant of the arclength parametrization.
-
-    Computed as the maximal ratio of arclength distance to chord distance
-    over a dense sampling; for closed curves only pairs with forward
-    arclength distance up to three quarters of the total length enter
-    (chords can vanish for larger separations).  Always >= 1.
-    """
-    ts, cum = curve.arclength_table(per_element=max(2, samples // curve.knots.n_elements))
-    pts = curve.point(ts)
-    L = cum[-1]
-    arc = np.abs(cum[:, None] - cum[None, :])
-    chord = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
-    cap = 0.75 * L + 1e-12
-    best = 1.0
-    candidates = (arc, L - arc) if curve.closed else (arc,)
-    for A in candidates:
-        m = (A > 0) & (A <= cap) & (chord > 0)
-        if m.any():
-            best = max(best, float((A[m] / chord[m]).max()))
-    return best

@@ -8,12 +8,11 @@ degree and derivative order, never on the evaluation point, so whole batches
 of points are processed with numpy at once.
 
 The high-level :class:`KnotVector` describes a spline space by breakpoints and
-multiplicities.  Open (clamped) vectors carry multiplicity ``p + 1`` at both
-ends.  Periodic vectors describe spline spaces on a parameter loop of period
-``b - a``; the two stored endpoints are identified, and basis functions are
-restrictions to ``[a, b)`` of the line splines on the periodically extended
-knot sequence.  Both cases expose the same ``eval_knots`` array, so every
-consumer evaluates through one code path.
+multiplicities.  Every vector is clamped, with multiplicity ``p + 1`` at both
+ends.  A periodic vector is a clamped one whose two ends are identified: a
+closed curve is a clamped curve whose first and last control points coincide
+(Piegl & Tiller), and its discrete space may jump at the seam like at any
+interior knot of multiplicity ``p + 1``.
 
 Pointwise evaluation goes through element tables.  On each element the
 nonzero basis window is one polynomial of degree p, so its derivatives
@@ -24,10 +23,8 @@ returns element-end values exactly as the recurrence gives them.  The
 recurrence itself only builds tables, dense evaluations (``bspline_dense``)
 and Boehm insertion.
 
-Knot insertion transports coefficient rows in homogeneous form and never
-changes the represented function; for periodic vectors it inserts the knot
-image in the three central periods of a five-period window of the extended
-sequence and reads the new per-period coefficients back out.
+Knot insertion transports coefficient rows in homogeneous form by one
+Boehm step and never changes the represented function.
 """
 
 from __future__ import annotations
@@ -208,19 +205,12 @@ class KnotVector:
     breakpoints : tuple of float
         Strictly increasing, including both interval ends.
     multiplicities : tuple of int
-        One entry per breakpoint, each in ``[1, degree + 1]``.  Open vectors
-        must be clamped (end multiplicities exactly ``degree + 1``).  Periodic
-        vectors must carry equal multiplicities at the two (identified) ends.
+        One entry per breakpoint, each in ``[1, degree + 1]``, and exactly
+        ``degree + 1`` at both ends (clamped).
     periodic : bool
-        Whether the parameter domain is a loop of period ``b - a``.
-
-    Notes
-    -----
-    For periodic vectors the spline space consists of the restrictions to
-    ``[a, b)`` of degree-p splines on the periodically extended knot
-    sequence.  With seam multiplicity ``degree + 1`` the extended evaluation
-    array coincides with the clamped one, so closed curves with a corner at
-    the seam look exactly like open ones to every evaluation routine.
+        Whether the two ends are identified, making the parameter domain a
+        loop of period ``b - a``.  This only changes the topology (``wrap``
+        and its callers), not the spline space.
     """
 
     degree: int
@@ -244,14 +234,8 @@ class KnotVector:
             raise ValueError("breakpoints must be strictly increasing")
         if any(m < 1 or m > p + 1 for m in mult):
             raise ValueError(f"multiplicities must lie in [1, {p + 1}]")
-        if self.periodic:
-            if mult[0] != mult[-1]:
-                raise ValueError("periodic vector needs equal end multiplicities")
-            if self.n_period_knots < p + 1:
-                raise ValueError("periodic vector needs at least degree + 1 knots per period")
-        else:
-            if mult[0] != p + 1 or mult[-1] != p + 1:
-                raise ValueError("open vector must be clamped with end multiplicity degree + 1")
+        if mult[0] != p + 1 or mult[-1] != p + 1:
+            raise ValueError("knot vector must be clamped with end multiplicity degree + 1")
 
     # -- basic geometry of the parameter domain ----------------------------
 
@@ -278,33 +262,10 @@ class KnotVector:
         return np.column_stack((bp[:-1], bp[1:]))
 
     @property
-    def n_period_knots(self) -> int:
-        """Knots per period counting multiplicity (periodic vectors)."""
-        return int(sum(self.multiplicities[1:]))
-
-    @property
-    def seam_multiplicity(self) -> int:
-        return self.multiplicities[0]
-
-    @property
     def dim(self) -> int:
-        if self.periodic:
-            return self.n_period_knots + self.degree + 1 - self.seam_multiplicity
         return int(sum(self.multiplicities)) - self.degree - 1
 
     # -- expanded arrays ----------------------------------------------------
-
-    @cached_property
-    def period_knots(self) -> np.ndarray:
-        """One period of the extended sequence, as values in [a, b).
-
-        The seam knot sits at ``a`` with its full multiplicity.  Only
-        meaningful for periodic vectors.
-        """
-        reps = (self.seam_multiplicity,) + self.multiplicities[1:-1]
-        arr = np.repeat(np.asarray(self.breakpoints[:-1]), reps)
-        arr.flags.writeable = False
-        return arr
 
     @cached_property
     def eval_knots(self) -> np.ndarray:
@@ -313,33 +274,9 @@ class KnotVector:
         Basis function ``q`` (0-based, ``q < dim``) has support knots
         ``eval_knots[q : q + degree + 2]``.
         """
-        if not self.periodic:
-            arr = np.repeat(np.asarray(self.breakpoints), np.asarray(self.multiplicities))
-        else:
-            pk = self.period_knots
-            n = len(pk)
-            full = np.concatenate((pk - self.period, pk, pk + self.period))
-            lo = n + self.seam_multiplicity - self.degree - 1
-            arr = full[lo : 2 * n + self.degree + 1].copy()
+        arr = np.repeat(np.asarray(self.breakpoints), np.asarray(self.multiplicities))
         arr.flags.writeable = False
         return arr
-
-    def period_slot(self, q) -> np.ndarray:
-        """Map basis indices to per-period storage slots.
-
-        Periodic spaces store one control point / weight per period knot;
-        basis ``q`` reads slot ``(q + seam_mult - degree - 1) mod N``.  For
-        open vectors this is the identity.
-        """
-        q = np.asarray(q, dtype=int)
-        if not self.periodic:
-            return q
-        return (q + self.seam_multiplicity - self.degree - 1) % self.n_period_knots
-
-    @property
-    def n_store(self) -> int:
-        """Rows of coefficient storage: dim for open, knots-per-period for periodic."""
-        return self.n_period_knots if self.periodic else self.dim
 
     # -- element tables -------------------------------------------------------
 
@@ -437,13 +374,13 @@ class KnotVector:
         """One point per basis function: the mean of its support knots.
 
         Support-knot averages are strictly increasing (consecutive windows
-        differ by a positive knot difference), so the points are distinct.
-        Periodic vectors reduce them into [a, b).
+        differ by a positive knot difference), so the points are distinct
+        and lie in [a, b).
         """
         E = self.eval_knots
         p = self.degree
         window = np.lib.stride_tricks.sliding_window_view(E, p + 2)[: self.dim]
-        return self.wrap(window.mean(axis=1))
+        return window.mean(axis=1)
 
     # -- refinement ---------------------------------------------------------
 
@@ -455,17 +392,9 @@ class KnotVector:
         mult = list(self.multiplicities)
         if t in bp:
             i = bp.index(t)
-            if self.periodic and i in (0, len(bp) - 1):
-                if mult[0] >= self.degree + 1:
-                    raise ValueError("seam multiplicity already maximal")
-                mult[0] += 1
-                mult[-1] += 1
-            else:
-                if i in (0, len(bp) - 1):
-                    raise ValueError("cannot raise end multiplicity of an open vector")
-                if mult[i] >= self.degree + 1:
-                    raise ValueError(f"multiplicity at {t} already maximal")
-                mult[i] += 1
+            if mult[i] >= self.degree + 1:  # always true at the ends
+                raise ValueError(f"multiplicity at {t} already maximal")
+            mult[i] += 1
         else:
             if not self.a < t < self.b:
                 raise ValueError(f"knot {t} outside parameter interval")
@@ -539,40 +468,22 @@ def _boehm(knots, degree, coeffs, t):
 
 
 def insert_knot(kv: KnotVector, coeffs: np.ndarray, t: float) -> tuple[KnotVector, np.ndarray]:
-    """Insert a knot, transporting coefficient storage rows.
+    """Insert a knot, transporting coefficient rows.
 
-    ``coeffs`` is the storage array (shape ``(kv.n_store, d)``): one row per
-    basis function for open vectors, one per period knot for periodic ones.
-    Rows are transported linearly, so callers representing rational data must
-    pass homogeneous coordinates.  Raising a multiplicity past ``degree + 1``
+    ``coeffs`` has one row per basis function (shape ``(kv.dim, d)``).  Rows
+    are transported linearly, so callers representing rational data must
+    pass homogeneous coordinates.  Periodic vectors take ``t`` modulo the
+    period.  Raising a multiplicity past ``degree + 1``, the ends included,
     raises ``ValueError``.
 
-    Returns the refined vector and the new storage array (one extra row).
+    Returns the refined vector and the new coefficient rows (one extra row).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 1:
         coeffs = coeffs[:, None]
-    if coeffs.shape[0] != kv.n_store:
-        raise ValueError(f"expected {kv.n_store} coefficient rows, got {coeffs.shape[0]}")
-    p = kv.degree
+    if coeffs.shape[0] != kv.dim:
+        raise ValueError(f"expected {kv.dim} coefficient rows, got {coeffs.shape[0]}")
     t = float(kv.wrap(t))
     new_kv = kv.with_knot(t)  # validates range and multiplicity
-
-    if not kv.periodic:
-        _, out = _boehm(kv.eval_knots, p, coeffs, t)
-        return new_kv, out
-
-    # Periodic: materialize five periods of the extended sequence, insert the
-    # knot image into the three central ones, then read the central period's
-    # coefficient rows back out.  Row r of the window is line basis r - 2N,
-    # whose storage slot is r mod N.
-    P = kv.period
-    pk = kv.period_knots
-    n = len(pk)
-    wknots = np.concatenate([pk + s * P for s in (-2, -1, 0, 1, 2)])
-    wcoeffs = np.tile(coeffs, (5, 1))[: 5 * n - p - 1]
-    for shift in (-1.0, 0.0, 1.0):
-        wknots, wcoeffs = _boehm(wknots, p, wcoeffs, t + shift * P)
-    n_new = n + 1
-    lo = n + n_new
-    return new_kv, wcoeffs[lo : lo + n_new].copy()
+    _, out = _boehm(kv.eval_knots, kv.degree, coeffs, t)
+    return new_kv, out

@@ -27,7 +27,7 @@ from igabem.estimators import (
     residual_indicators,
     sample_residual,
 )
-from igabem.geometry import bilipschitz_constant, circle, pacman, slit, square
+from igabem.geometry import circle, pacman, slit, square
 from igabem.operators import galerkin_matrix, galerkin_rhs
 from igabem.solve import solve_linear
 
@@ -270,7 +270,6 @@ def test_slit_solve_residual_and_local_bound():
         assert np.all(np.isfinite(arr)) and np.all(arr >= 0.0)
     assert np.sqrt(eta2.sum()) > 1e-4  # tip singularity keeps this visible
 
-    # straight screens have bi-Lipschitz constant one and satisfy the local
-    # equivalence eta(z) <= sqrt(2) * mu_arc(z) on every patch
-    assert bilipschitz_constant(curve) == pytest.approx(1.0, abs=1e-12)
+    # straight screens satisfy the local equivalence
+    # eta(z) <= sqrt(2) * mu_arc(z) on every patch
     assert np.all(np.sqrt(eta2) <= np.sqrt(2.0 * mu2_arc) + 1e-6)

@@ -1,7 +1,7 @@
-"""Geometry oracles: exact points, normals, lengths, corners, constants.
+"""Geometry oracles: exact points, normals, lengths and corners.
 
-Closed-form values (sector points, the square's bi-Lipschitz constant 3*sqrt(2),
-the circle's 3*pi/(2*sqrt(2))) were derived by hand first.
+Closed-form values (sector points, normals, lengths) were derived by hand
+first.
 """
 
 from math import comb
@@ -10,14 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from igabem.geometry import (
-    Curve,
-    bilipschitz_constant,
-    circle,
-    pacman,
-    slit,
-    square,
-)
+from igabem.geometry import Curve, circle, pacman, slit, square
 from igabem.splines import KnotVector, bspline_derivatives, rational_basis
 
 
@@ -132,12 +125,6 @@ def test_param_delta():
     assert sl.param_delta(0.9, 0.1) == pytest.approx(0.8, abs=1e-15)
 
 
-def test_bilipschitz_constants():
-    assert bilipschitz_constant(slit()) == pytest.approx(1.0, abs=1e-12)
-    assert bilipschitz_constant(circle()) == pytest.approx(3 * np.pi / (2 * np.sqrt(2)), rel=1e-3)
-    assert bilipschitz_constant(square()) == pytest.approx(3 * np.sqrt(2), rel=1e-3)
-
-
 def test_refinement_preserves_geometry():
     c = pacman()
     fine = c.refined([0.05, 0.5, 0.5, 0.91])
@@ -155,6 +142,15 @@ def test_curve_validation():
         Curve(kv, np.zeros((3, 2)), np.ones(3))  # wrong row count
     with pytest.raises(ValueError):
         Curve(kv, np.zeros((2, 2)), np.array([1.0, -1.0]))  # negative weight
+    sq = square()
+    moved = sq.controls.copy()
+    moved[-1] += [1e-15, 0.0]
+    with pytest.raises(ValueError):
+        Curve(sq.knots, moved, sq.weights)  # last control point off the first
+    weights = sq.weights.copy()
+    weights[-1] = 2.0
+    with pytest.raises(ValueError):
+        Curve(sq.knots, sq.controls, weights)  # unequal end weights
 
 
 # --------------------------------------------------------------------------
@@ -186,7 +182,7 @@ def recurrence_frame(curve, ts, nd, side):
     """Curve frames straight from the recurrence on homogeneous rows."""
     kv = curve.knots
     first, ders = bspline_derivatives(kv.eval_knots, kv.degree, ts, nd, side)
-    cols = kv.period_slot(first[:, None] + np.arange(kv.degree + 1)[None, :])
+    cols = first[:, None] + np.arange(kv.degree + 1)[None, :]
     A = np.einsum("mkr,mrj->mkj", ders, curve._hom[cols])
     return _quotient(A[..., :2], A[..., 2])
 

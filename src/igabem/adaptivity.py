@@ -13,8 +13,13 @@ refinement step translates a set of marked nodes into element operations:
   neighboring element widths never exceeds twice that of the initial mesh.
 
 Multiplicity raises change neither the element list nor the levels.
-Elements already at the width floor ``MIN_WIDTH`` are never bisected; a
-step whose every operation is floored returns the state unchanged.
+Elements already at the width floor ``MIN_WIDTH`` are never bisected, nor
+is any element whose closure would need one of them; a step whose every
+operation is refused returns the state unchanged.
+
+Nodes, their patches and element neighbours are read from the knot
+vector's ``nodes`` and ``patches`` tables, so open and closed curves take
+the same code path.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import mesh_nodes, node_patches
 from .geometry import Curve
 
 __all__ = [
@@ -77,24 +81,17 @@ def dorfler_marking(indicators_sq, theta: float) -> np.ndarray:
     return np.sort(order[: min(k, len(sq))])
 
 
-def _neighbors(e: int, n: int, periodic: bool) -> list[int]:
-    if periodic:
-        return [(e - 1) % n, (e + 1) % n]
-    return [f for f in (e - 1, e + 1) if 0 <= f < n]
-
-
 def refine(state: MeshState, marked_nodes) -> MeshState:
     """Apply one adaptive step for the given marked node indices."""
     curve = state.curve
     kv = curve.knots
-    n = kv.n_elements
     p = kv.degree
     marked = {int(z) for z in np.atleast_1d(np.asarray(marked_nodes, dtype=int))}
     if not marked:
         return state
-    nodes = mesh_nodes(kv)
-    patches = node_patches(kv)
-    if not marked <= set(range(len(nodes))):
+    patches = kv.patches
+    n_nodes = len(patches)
+    if not marked <= set(range(n_nodes)):
         raise ValueError("marked node index out of range")
 
     # an element is bisected when the nodes at both its ends are marked
@@ -105,36 +102,40 @@ def refine(state: MeshState, marked_nodes) -> MeshState:
 
     raises: list[float] = []
     for z in sorted(marked - covered):
-        t = float(nodes[z])
-        if kv.multiplicity_of(t) < p + 1:
-            raises.append(t)
+        if kv.multiplicities[z] < p + 1:
+            raises.append(float(kv.nodes[z]))
         else:
             bisect.update(patch[z])
 
     # close bisections so adjacent levels keep differing by at most one;
-    # elements at the width floor refuse to split, and anything whose
-    # closure would need them gives up its own split to keep the invariant
+    # elements at the width floor refuse to split, and so does any element
+    # whose closure would need a refused one.  The refused set only grows
+    # and no refused element is split, so the loop ends.
     elems = kv.elements
     levels = state.levels
-    blocked = {e for e in range(n) if elems[e, 1] - elems[e, 0] < 2.0 * MIN_WIDTH}
+    blocked = {e for e in range(kv.n_elements)
+               if elems[e, 1] - elems[e, 0] < 2.0 * MIN_WIDTH}
     bisect -= blocked
     changed = True
     while changed:
         changed = False
-        for e in list(bisect):
-            for f in _neighbors(e, n, kv.periodic):
-                if f not in bisect and levels[f] < levels[e]:
-                    if f in blocked:
-                        bisect.discard(e)
-                    else:
-                        bisect.add(f)
-                    changed = True
+        for e in sorted(bisect):
+            # element e's neighbours: left of its start node, right of its end
+            lower = {int(f) for f in (patches[e, 0], patches[(e + 1) % n_nodes, 1])
+                     if f >= 0 and f not in bisect and levels[f] < levels[e]}
+            if lower & blocked:
+                bisect.discard(e)
+                blocked.add(e)
+                changed = True
+            elif lower:
+                bisect |= lower
+                changed = True
 
     mids = [float(0.5 * (elems[e, 0] + elems[e, 1])) for e in sorted(bisect)]
     if not mids and not raises:
         return state
     new_levels: list[int] = []
-    for e in range(n):
+    for e in range(kv.n_elements):
         if e in bisect:
             new_levels += [levels[e] + 1, levels[e] + 1]
         else:
@@ -149,24 +150,23 @@ def uniform_refine(state: MeshState) -> MeshState:
     return MeshState(state.curve.refined(mids), levels)
 
 
+def _touching_pairs(state: MeshState) -> np.ndarray:
+    """(left, right) elements of every node with an element on both sides."""
+    patches = state.curve.knots.patches
+    return patches[(patches >= 0).all(axis=1)].T
+
+
 def level_gaps_ok(state: MeshState) -> bool:
     """Whether neighboring bisection levels differ by at most one."""
+    left, right = _touching_pairs(state)
     lv = np.asarray(state.levels)
-    if len(lv) < 2:
-        return True
-    gaps = np.abs(np.diff(lv))
-    if state.curve.knots.periodic:
-        gaps = np.append(gaps, abs(int(lv[0]) - int(lv[-1])))
-    return bool(np.all(gaps <= 1))
+    return bool(np.all(np.abs(lv[right] - lv[left]) <= 1))
 
 
 def kappa(state: MeshState) -> float:
     """Largest ratio of neighboring element parameter widths."""
+    left, right = _touching_pairs(state)
     elems = state.curve.knots.elements
     hs = elems[:, 1] - elems[:, 0]
-    if len(hs) < 2:
-        return 1.0
-    ratios = hs[1:] / hs[:-1]
-    if state.curve.knots.periodic:
-        ratios = np.append(ratios, hs[0] / hs[-1])
-    return float(np.max(np.maximum(ratios, 1.0 / ratios)))
+    ratios = hs[right] / hs[left]
+    return float(np.max(np.maximum(ratios, 1.0 / ratios), initial=1.0))

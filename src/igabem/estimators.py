@@ -2,14 +2,13 @@
 
 Both estimators work on the boundary residual r = f - V phi_h, sampled once
 per element at a Gauss grid and carried around as a per-element polynomial
-interpolant.  Indicators live on mesh nodes z and their patches omega(z).
-``node_patches`` is the one definition of the patches: an (n_nodes, 2) table
-of the elements left and right of each node, -1 where an open end of the
-curve has no element on that side; at the seam of a closed curve node 0
-pairs the last element with the first.  Both indicators are reductions over
-that table: per-element integrals summed over the patch, plus, for the
-Faermann indicator, one cross term per node with an element on both sides,
-from one graded rule per side shared by all those nodes.
+interpolant.  Indicators live on mesh nodes z and their patches omega(z),
+read from the knot vector's ``patches`` table (see ``splines``): the
+elements left and right of each node, -1 where an open end of the curve has
+no element on that side.  Both indicators are reductions over that table:
+per-element integrals summed over the patch, plus, for the Faermann
+indicator, one cross term per node with an element on both sides, from one
+graded rule per side shared by all those nodes.
 
 * Faermann indicator: squared H^(1/2) seminorm of the residual on the patch,
 
@@ -39,8 +38,6 @@ from .splines import rational_basis
 __all__ = [
     "ResidualData",
     "sample_residual",
-    "mesh_nodes",
-    "node_patches",
     "faermann_indicators",
     "residual_indicators",
     "partition_quality",
@@ -119,30 +116,6 @@ def sample_residual(curve: Curve, coeffs: np.ndarray, f_of_params,
         - single_layer_values(curve, coeffs, ts, order=order),
         max(curve.degree + 2, 6),
     )
-
-
-# --------------------------------------------------------------------------
-# node and patch bookkeeping
-# --------------------------------------------------------------------------
-
-
-def mesh_nodes(kv) -> np.ndarray:
-    """Node parameters carrying indicators: breakpoints, seam counted once."""
-    bp = np.asarray(kv.breakpoints, dtype=float)
-    return bp[:-1] if kv.periodic else bp
-
-
-def node_patches(kv) -> np.ndarray:
-    """(n_nodes, 2) elements left and right of each node, aligned with
-    mesh_nodes; -1 where an open end has no element on that side."""
-    n = kv.n_elements
-    right = np.arange(n + (not kv.periodic))
-    left = right - 1
-    if kv.periodic:
-        left %= n
-    else:
-        right[-1] = -1
-    return np.stack([left, right], axis=1)
 
 
 def _patch_sums(per_element: np.ndarray, patches: np.ndarray) -> np.ndarray:
@@ -234,7 +207,7 @@ def _cross_integrals(res: ResidualData, left: np.ndarray,
 
 def faermann_indicators(res: ResidualData) -> np.ndarray:
     """Squared Faermann indicators on the mesh nodes."""
-    patches = node_patches(res.curve.knots)
+    patches = res.curve.knots.patches
     out = _patch_sums(_element_square_integrals(res), patches)
     inner = (patches >= 0).all(axis=1)
     out[inner] += 2.0 * _cross_integrals(res, patches[inner, 0], patches[inner, 1])
@@ -273,7 +246,7 @@ def residual_indicators(res: ResidualData, weight: str = "parameter") -> np.ndar
         lens = res.curve.element_lengths
     else:
         raise ValueError(f"unknown weight {weight!r}")
-    patches = node_patches(kv)
+    patches = kv.patches
     return (_patch_sums(lens, patches)
             * _patch_sums(_element_derivative_integrals(res), patches))
 
@@ -314,39 +287,34 @@ def partition_quality(curve: Curve, order: int = 16) -> PartitionCheck:
     flat = params.ravel()
     first, R = rational_basis(kv, curve.basis_weights, flat)
     first = first.reshape(n_el, order)[:, 0]
-    basis = R[:, 0, :].reshape(n_el, order, p + 1)
-    sp = curve.speed(flat).reshape(n_el, order)
-    arc = curve.element_lengths
+    # (element, window slot, node), so the node sums below run contiguously
+    basis = R[:, 0, :].reshape(n_el, order, p + 1).transpose(0, 2, 1).copy()
+    sp = curve.speed(flat).reshape(n_el, 1, order)
 
-    # elements covered by each basis function, via the element windows
-    cover: dict[int, list[int]] = {}
-    for e in range(n_el):
-        for q in range(first[e], first[e] + p + 1):
-            cover.setdefault(int(q), []).append(e)
+    # element e's window holds basis first[e] + r; clamped vectors give
+    # each basis q the contiguous support lo[q]..hi[q]
+    cols = first[:, None] + np.arange(p + 1)
+    q_all = np.arange(kv.dim)
+    lo = np.searchsorted(first, q_all - p)
+    hi = np.searchsorted(first, q_all, side="right") - 1
 
+    def support_sums(per_slot):
+        """Sum over each basis support, element by element in order."""
+        return np.bincount(cols.ravel(), np.broadcast_to(per_slot, cols.shape).ravel(),
+                           kv.dim)
+
+    width = support_sums(hs[:, None])
+    supp_arc = support_sums(curve.element_lengths[:, None])
+    err = support_sums(hs[:, None] * (wg * (1.0 - basis) ** 2 * sp).sum(axis=-1))
+
+    # candidates inside the m-layer patch first, then by smallest parameter
+    # support and arclength; the sort is stable, so ties go to the lower index
     m_layers = (p + 1) // 2
-    q_per_element = np.empty(n_el)
-    contained = True
-    for e in range(n_el):
-        if kv.periodic:
-            patch = {(e + k) % n_el for k in range(-m_layers, m_layers + 1)}
-        else:
-            patch = {e2 for e2 in range(e - m_layers, e + m_layers + 1)
-                     if 0 <= e2 < n_el}
-        cands = []
-        for q in range(first[e], first[e] + p + 1):
-            els = cover[int(q)]
-            fits = set(els) <= patch
-            cands.append((not fits, float(np.sum(hs[els])),
-                          float(np.sum(arc[els])), q))
-        cands.sort()
-        bad, _, supp_arc, q_best = cands[0]
-        if bad:
-            contained = False
-        els = cover[int(q_best)]
-        err = 0.0
-        for e2 in els:
-            psi = basis[e2][:, q_best - first[e2]]
-            err += float(hs[e2] * np.sum(wg * (1.0 - psi) ** 2 * sp[e2]))
-        q_per_element[e] = 1.0 - err / supp_arc
-    return PartitionCheck(float(q_per_element.min()), contained, q_per_element)
+    e = np.arange(n_el)
+    fits = ((lo[cols] >= e[:, None] - m_layers)
+            & (hi[cols] <= e[:, None] + m_layers))
+    pick = e, np.lexsort((supp_arc[cols], width[cols], ~fits), axis=-1)[:, 0]
+    q_best = cols[pick]
+    q_per_element = 1.0 - err[q_best] / supp_arc[q_best]
+    return PartitionCheck(float(q_per_element.min()), bool(fits[pick].all()),
+                          q_per_element)

@@ -508,18 +508,16 @@ def read_run_csv(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def write_knots_csv(path: str | Path, curve: Curve) -> None:
-    """Dump the mesh as breakpoint/multiplicity rows.
+    """Dump the mesh nodes (``KnotVector.nodes``, so a closed curve's seam
+    once) as node/multiplicity rows.
 
     ``is_max`` flags knots at full multiplicity degree + 1, where the
-    discrete space allows a jump.  Closed curves list each breakpoint once.
+    discrete space allows a jump.
     """
     kv = curve.knots
-    bps = np.asarray(kv.breakpoints)
-    mults = np.asarray(kv.multiplicities)
-    if kv.periodic:
-        bps, mults = bps[:-1], mults[:-1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "multiplicity", "is_max"])
-        for t, m in zip(bps, mults):
+        # node z is breakpoint z; zip stops after the last node
+        for t, m in zip(kv.nodes, kv.multiplicities):
             writer.writerow(["%.17g" % t, int(m), int(m == kv.degree + 1)])

@@ -162,13 +162,12 @@ class Curve:
     def corner_params(self) -> np.ndarray:
         """Parameters of geometric corners (tangent direction jumps).
 
-        Interior breakpoints are inspected for open curves, all breakpoints
-        (with the seam reported at ``a``) for closed ones.
+        The candidates are the nodes with an element on both sides: the
+        interior breakpoints, and on a closed curve the seam, reported at
+        ``a``.
         """
         kv = self.knots
-        z = np.array(kv.breakpoints[1:-1], dtype=float)
-        if self.closed:
-            z = np.append(z, kv.a)
+        z = kv.nodes[(kv.patches >= 0).all(axis=1)]
         if not len(z):
             return z
         tl = self.frame(np.where(z != kv.a, z, kv.b), 1, side="left")[:, 1]

@@ -234,12 +234,13 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
         rows = cache.first[e] + offsets
         A[np.ix_(rows, rows)] += block
 
-    # touching pairs: element et ends where element es starts; the two
-    # triangles are anchored at that shared node, and the seam pair of a
-    # closed curve takes s one period back, in es's own parameters
-    et = np.arange(n_el - 1 + curve.closed)
+    # touching pairs: element et ends where element es starts, one pair per
+    # node with an element on both sides, rolled so a seam pair comes last;
+    # the two triangles are anchored at the shared node, and the seam pair
+    # takes s one period back, in es's own parameters
+    pairs = np.roll(kv.patches, -1, axis=0)
+    et, es = pairs[(pairs >= 0).all(axis=1)].T
     if len(et):
-        es = (et + 1) % n_el
         corner = elems[et, 1][:, None, None]
         s0 = corner - np.where(es == 0, kv.period, 0.0)[:, None, None]
         h1 = hs[et][:, None, None]

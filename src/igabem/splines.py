@@ -14,6 +14,11 @@ closed curve is a clamped curve whose first and last control points coincide
 (Piegl & Tiller), and its discrete space may jump at the seam like at any
 interior knot of multiplicity ``p + 1``.
 
+The identification is the only topology a vector adds to its breakpoints,
+and it lives in two tables every other module reads: ``KnotVector.nodes``,
+the mesh nodes (the seam counted once), and ``KnotVector.patches``, the
+elements left and right of each node.
+
 Pointwise evaluation goes through element tables.  On each element the
 nonzero basis window is one polynomial of degree p, so its derivatives
 0..p at the two element ends determine it; ``KnotVector.element_table``
@@ -317,6 +322,32 @@ class KnotVector:
         first.flags.writeable = False
         table.flags.writeable = False
         return first, table
+
+    # -- mesh topology ---------------------------------------------------------
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """Node parameters: the breakpoints, with the seam of a periodic
+        vector counted once (at a).  Node z is breakpoint z.  Read-only."""
+        return self.breakpoint_array[: len(self.breakpoints) - self.periodic]
+
+    @cached_property
+    def patches(self) -> np.ndarray:
+        """(n_nodes, 2) elements left and right of each node, aligned with
+        ``nodes``; -1 where an open end has no element on that side.  At the
+        seam of a periodic vector node 0 pairs the last element with the
+        first.  Rows with both entries set are the touching element pairs.
+        Read-only."""
+        n = self.n_elements
+        right = np.arange(len(self.nodes))
+        left = right - 1
+        if self.periodic:
+            left %= n
+        else:
+            right[-1] = -1
+        arr = np.stack([left, right], axis=1)
+        arr.flags.writeable = False
+        return arr
 
     def locate(self, ts, side: str = "right"):
         """Nearer element end of each parameter and the offset from it.

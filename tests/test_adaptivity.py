@@ -1,12 +1,18 @@
 """Marking and refinement mechanics on hand-checked examples."""
 
+import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import igabem
 from igabem.adaptivity import (
     MeshState,
     dorfler_marking,
@@ -16,7 +22,8 @@ from igabem.adaptivity import (
     refine,
     uniform_refine,
 )
-from igabem.geometry import pacman, slit, square
+from igabem.geometry import Curve, pacman, slit, square
+from igabem.splines import KnotVector
 
 
 # --------------------------------------------------------------------------
@@ -155,6 +162,28 @@ def test_tip_grading_then_cascade():
     assert level_gaps_ok(state)
 
 
+def test_closure_ends_next_to_a_floored_element():
+    # element 0 is below twice the width floor, so it never splits;
+    # splitting element 2 needs element 1 one level down, and splitting 1
+    # needs the floored element 0, so neither may split.  The alarm turns a
+    # closure that never ends into a failure.
+    kv = KnotVector(1, (0.0, 1.5e-12, 8e-12, 1.0), (2, 1, 1, 2))
+    controls = np.column_stack([kv.breakpoints, np.zeros(4)])
+    state = MeshState(Curve(kv, controls, np.ones(4)), (0, 1, 2))
+
+    def give_up(signum, frame):
+        raise TimeoutError("level closure did not end")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        new_state = refine(state, [2, 3])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert new_state is state
+
+
 def test_uniform_refine():
     state = initial_state(slit().refined([0.3]))
     state = uniform_refine(state)
@@ -192,3 +221,14 @@ def test_random_marking_invariants(data):
 def test_mesh_state_validates_levels():
     with pytest.raises(ValueError):
         MeshState(slit(), (0, 0))
+
+
+def test_adaptivity_loads_neither_estimators_nor_operators():
+    # refinement reads mesh topology from the knot vector alone
+    src = str(Path(igabem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, igabem.adaptivity; print(sorted(m for m in sys.modules "
+            "if m in ('igabem.estimators', 'igabem.operators')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"

@@ -21,15 +21,15 @@ from scipy.integrate import dblquad, quad
 from igabem.estimators import (
     ResidualData,
     faermann_indicators,
-    mesh_nodes,
-    node_patches,
     partition_quality,
     residual_indicators,
     sample_residual,
 )
-from igabem.geometry import circle, pacman, slit, square
+from igabem.geometry import Curve, circle, pacman, slit, square
 from igabem.operators import galerkin_matrix, galerkin_rhs
+from igabem.quadrature import gauss_unit
 from igabem.solve import solve_linear
+from igabem.splines import KnotVector, rational_basis
 
 
 def _scalar_geometry(curve):
@@ -76,22 +76,8 @@ def _patch_seminorm_dblquad(curve, R, Rp, elements):
 
 
 # --------------------------------------------------------------------------
-# bookkeeping
+# residual grid
 # --------------------------------------------------------------------------
-
-
-def test_node_bookkeeping_open():
-    kv = slit().refined([0.25, 0.5]).knots
-    assert np.allclose(mesh_nodes(kv), [0.0, 0.25, 0.5, 1.0])
-    np.testing.assert_array_equal(node_patches(kv),
-                                  [[-1, 0], [0, 1], [1, 2], [2, -1]])
-
-
-def test_node_bookkeeping_closed():
-    kv = square().knots
-    assert np.allclose(mesh_nodes(kv), [0.0, 0.25, 0.5, 0.75])
-    np.testing.assert_array_equal(node_patches(kv),
-                                  [[3, 0], [0, 1], [1, 2], [2, 3]])
 
 
 def test_residual_grid_layout():
@@ -231,6 +217,71 @@ def test_partition_quality_hats():
         rep = partition_quality(curve)
         assert rep.contained
         assert np.allclose(rep.q_per_element, 2.0 / 3.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_partition_quality_quadratic_closed_form(n):
+    # gamma(t) = (t, 0) on n uniform degree-2 elements (control points at
+    # the Greville abscissae), so the speed is 1 and, in element units:
+    # * end elements take the one-element basis (1 - x)^2,
+    #   q = 1 - int_0^1 (1 - (1 - x)^2)^2 = 7/15;
+    # * their neighbours take the two-element basis next to it, with
+    #   int B = 2/3 and int B^2 = 1/3, so q = 1 - (2 - 4/3 + 1/3) / 2 = 1/2;
+    # * inside, the centred cardinal B-spline M has int M = 1 and
+    #   int M^2 = 11/20, so q = 1 - (3 - 2 + 11/20) / 3 = 29/60.
+    bp = np.linspace(0.0, 1.0, n + 1)
+    kv = KnotVector(2, tuple(bp), (3,) + (1,) * (n - 1) + (3,))
+    greville = 0.5 * (kv.eval_knots[1:-2] + kv.eval_knots[2:-1])
+    curve = Curve(kv, np.column_stack([greville, np.zeros(kv.dim)]), np.ones(kv.dim))
+    expected = np.full(n, 29.0 / 60.0)
+    expected[[1, -2]] = 0.5
+    expected[[0, -1]] = 7.0 / 15.0
+    rep = partition_quality(curve)
+    assert rep.contained
+    np.testing.assert_allclose(rep.q_per_element, expected, rtol=1e-13, atol=0.0)
+
+
+def _partition_quality_loops(curve, order=16):
+    """q_per_element and containment from the definition, element by
+    element, summing in the same order as ``partition_quality``."""
+    kv = curve.knots
+    p, n_el = kv.degree, kv.n_elements
+    xg, wg = gauss_unit(order)
+    hs = kv.elements[:, 1] - kv.elements[:, 0]
+    flat = (kv.elements[:, 0][:, None] + hs[:, None] * xg).ravel()
+    first, R = rational_basis(kv, curve.basis_weights, flat)
+    first = first.reshape(n_el, order)[:, 0]
+    basis = R[:, 0, :].reshape(n_el, order, p + 1)
+    sp = curve.speed(flat).reshape(n_el, order)
+    arc = curve.element_lengths
+    m = (p + 1) // 2
+    q_out, contained = np.empty(n_el), True
+    for e in range(n_el):
+        cands = []
+        for q in range(first[e], first[e] + p + 1):
+            els = [f for f in range(n_el) if first[f] <= q <= first[f] + p]
+            fits = all(abs(f - e) <= m for f in els)
+            cands.append((not fits, float(np.sum(hs[els])),
+                          float(np.sum(arc[els])), q, els))
+        bad, _, supp_arc, q, els = min(cands, key=lambda c: c[:4])
+        contained = contained and not bad
+        err = 0.0
+        for f in els:
+            psi = basis[f][:, q - first[f]]
+            err += float(hs[f] * np.sum(wg * (1.0 - psi) ** 2 * sp[f]))
+        q_out[e] = 1.0 - err / supp_arc
+    return q_out, contained
+
+
+def test_partition_quality_matches_loops():
+    for curve in (slit().refined([0.3, 0.5]), square().refined([0.99, 0.6]),
+                  circle().refined([0.01, 0.99, 0.995]),
+                  pacman().refined([0.02, 0.98, 0.01]),
+                  pacman().refined(list(np.linspace(0.41, 0.6, 6)))):
+        rep = partition_quality(curve)
+        q_ref, contained_ref = _partition_quality_loops(curve)
+        assert rep.contained == contained_ref
+        np.testing.assert_array_equal(rep.q_per_element, q_ref)
 
 
 def test_partition_quality_quadratic():

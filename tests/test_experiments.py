@@ -8,7 +8,6 @@ import pytest
 
 from igabem import experiments
 from igabem.adaptivity import initial_state, refine, uniform_refine
-from igabem.estimators import mesh_nodes
 from igabem.experiments import (
     PROBLEMS,
     Problem,
@@ -327,7 +326,7 @@ def _corner_graded_pacman(levels=8):
     state = _uniform(pacman(), 1)
     for _ in range(levels):
         curve = state.curve
-        near = np.abs(curve.param_delta(mesh_nodes(curve.knots)[:, None],
+        near = np.abs(curve.param_delta(curve.knots.nodes[:, None],
                                         curve.corner_params()[None, :]))
         state = refine(state, np.flatnonzero((near < 1e-12).any(axis=1)))
     return state.curve

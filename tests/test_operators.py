@@ -16,7 +16,6 @@ import pytest
 from scipy.integrate import quad
 
 from igabem.adaptivity import initial_state, refine, uniform_refine
-from igabem.estimators import mesh_nodes
 from igabem.experiments import pacman_trace
 from igabem.geometry import circle, pacman, slit, square
 from igabem.operators import (
@@ -257,7 +256,7 @@ def _pacman_corner_graded(uniform_steps=3):
         state = uniform_refine(state)
     curve = state.curve
     corners = curve.corner_params()
-    at_corner = np.isclose(mesh_nodes(curve.knots)[:, None], corners[None, :],
+    at_corner = np.isclose(curve.knots.nodes[:, None], corners[None, :],
                            rtol=0.0, atol=1e-12).any(axis=1)
     return refine(state, np.flatnonzero(at_corner)).curve
 

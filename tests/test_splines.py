@@ -161,6 +161,29 @@ def test_element_queries():
     assert kv.multiplicity_of(0.3) == 0
 
 
+def _assert_read_only(*arrays):
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_node_bookkeeping_open():
+    kv = KnotVector(1, (0.0, 0.25, 0.5, 1.0), (2, 1, 1, 2))  # a refined slit
+    assert np.allclose(kv.nodes, [0.0, 0.25, 0.5, 1.0])
+    np.testing.assert_array_equal(kv.patches,
+                                  [[-1, 0], [0, 1], [1, 2], [2, -1]])
+    _assert_read_only(kv.nodes, kv.patches)
+
+
+def test_node_bookkeeping_closed():
+    kv = KnotVector(1, (0.0, 0.25, 0.5, 0.75, 1.0), (2, 1, 1, 1, 2),
+                    periodic=True)  # the square
+    assert np.allclose(kv.nodes, [0.0, 0.25, 0.5, 0.75])
+    np.testing.assert_array_equal(kv.patches,
+                                  [[3, 0], [0, 1], [1, 2], [2, 3]])
+    _assert_read_only(kv.nodes, kv.patches)
+
+
 # ------------------------------------------------------------------- NURBS
 
 

@@ -10,10 +10,11 @@ integrated in two regimes:
   identical pair maps the triangle s > t by s - t = h x and adds its mirror
   image; a touching pair takes the two triangles anchored at the shared
   node.
-* separated pair: plain tensor Gauss, assembled in vectorized blocks.  On
-  the shape-regular meshes produced by the refinement driver the parameter
-  distance between non-touching elements is comparable to their size, so
-  plain Gauss converges geometrically.
+* separated pair: tensor Gauss at an order chosen per pair.  Each element
+  gets a ball (centre the midpoint of its end points, radius reaching its
+  Gauss points), and the gap between two balls relative to the larger
+  radius fixes the order by ``quadrature.separated_order``, capped by the
+  caller's order.  Pairs of one order are assembled together in blocks.
 
 Pointwise potentials (collocation rows, residual samples of V phi_h, and the
 Dirichlet data (K + 1/2) g) go through one vectorised engine.  Per target it
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _CORNER_TOL, Curve
-from .quadrature import gauss_log, gauss_unit, graded_unit
+from .quadrature import gauss_log, gauss_unit, graded_unit, separated_order
 from .splines import rational_basis
 
 logger = logging.getLogger(__name__)
@@ -54,6 +55,10 @@ _DL_COINCIDENT = 1e-9
 # take the kernel from a Gauss rule of this order along the chord
 _DL_CLOSE = 1.0 / 64.0
 _DL_CLOSE_ORDER = 4
+# far-field kernel entries evaluated per block of element pairs or of
+# targets: this bounds the memory of a block, whose temporaries are about
+# ten arrays of this many doubles, whatever the mesh size
+_FAR_BLOCK = 1e5
 
 __all__ = [
     "ElementCache",
@@ -194,29 +199,46 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     kv = curve.knots
     dim = kv.dim
     n_el = kv.n_elements
+    # below three elements some pair of a closed curve touches at both ends,
+    # and the touching-pair rule, anchored at one shared node, would leave
+    # the singularity at the other
     if curve.closed and n_el < 3:
         raise ValueError("closed curves need at least three elements for assembly")
     cache = element_cache(curve, order)
     p = kv.degree
     A = np.zeros((dim, dim))
 
-    # separated pairs, vectorized row-element by row-element (upper triangle);
-    # on a closed curve the last element touches element 0
+    # separated pairs: the upper triangle less the identical pairs and the
+    # touching rows of the patch table
+    touching = kv.patches[(kv.patches >= 0).all(axis=1)]
+    separated = np.triu(np.ones((n_el, n_el), dtype=bool), 1)
+    separated[touching.min(axis=1), touching.max(axis=1)] = False
+    e, f = np.nonzero(separated)
+    # each pair's Gauss order from the balls around its two elements: the
+    # centre is the midpoint of the end points, the radius reaches every
+    # Gauss point
+    ends = curve.point(kv.elements.ravel()).reshape(n_el, 2, 2)
+    centre = 0.5 * (ends[:, 0] + ends[:, 1])
+    reach = np.concatenate([ends, cache.points], axis=1) - centre[:, None, :]
+    radius = np.hypot(reach[..., 0], reach[..., 1]).max(axis=1)
+    gap = np.hypot(*(centre[e] - centre[f]).T) - radius[e] - radius[f]
+    pair_order = separated_order(
+        1.0 + np.maximum(gap, 0.0) / np.maximum(radius[e], radius[f]), order)
     offsets = np.arange(p + 1)
-    for e in range(n_el):
-        cols_keep = np.arange(e + 2, n_el - (curve.closed and e == 0))
-        if len(cols_keep) == 0:
-            continue
-        pe = cache.points[e]
-        pk = cache.points[cols_keep].reshape(-1, 2)
-        dx = pe[:, None, 0] - pk[None, :, 0]
-        dy = pe[:, None, 1] - pk[None, :, 1]
-        K = np.log(np.hypot(dx, dy)).reshape(order, len(cols_keep), order)
-        tmp = np.einsum("qfr,frb->qfb", K, cache.wbasis[cols_keep])
-        blocks = np.einsum("qa,qfb->afb", cache.wbasis[e], tmp)
-        rows = cache.first[e] + offsets
-        cols = cache.first[cols_keep][:, None] + offsets[None, :]
-        np.add.at(A, (rows[:, None, None], cols[None, :, :]), blocks)
+    for m in np.unique(pair_order):
+        cm = cache if m == order else element_cache(curve, int(m))
+        pick = pair_order == m
+        ge, gf = e[pick], f[pick]
+        step = max(1, int(_FAR_BLOCK // (m * m)))
+        for k0 in range(0, len(ge), step):
+            ce, cf = ge[k0:k0 + step], gf[k0:k0 + step]
+            d = cm.points[ce][:, :, None, :] - cm.points[cf][:, None, :, :]
+            K = np.log(np.hypot(d[..., 0], d[..., 1]))
+            blocks = np.matmul(cm.wbasis[ce].transpose(0, 2, 1),
+                               np.matmul(K, cm.wbasis[cf]))
+            rows = cm.first[ce][:, None] + offsets
+            cols = cm.first[cf][:, None] + offsets
+            np.add.at(A, (rows[:, :, None], cols[:, None, :]), blocks)
     A = A + A.T
 
     elems = kv.elements
@@ -306,12 +328,6 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
 # --------------------------------------------------------------------------
 # pointwise potentials (collocation rows, residual sampling, Dirichlet data)
 # --------------------------------------------------------------------------
-
-# far-field kernel entries evaluated per block of targets: this bounds the
-# memory of a block, whose temporaries are about ten arrays of this many
-# doubles, whatever the number of targets
-_FAR_BLOCK = 1e5
-
 
 def _graded_pair_rules(curve: Curve, params: np.ndarray, pair_i: np.ndarray,
                        pair_e: np.ndarray, order: int):

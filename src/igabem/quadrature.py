@@ -5,7 +5,7 @@ Everything in here is plain numerics on the reference intervals [-1, 1] and
 and are cached per order (and grading), so repeated requests are cheap and
 bitwise reproducible.
 
-Three families are provided:
+Three families are provided, and one order rule:
 
 * ``gauss_legendre`` / ``gauss_unit``: classical Gauss-Legendre rules,
   computed by Newton iteration on the Legendre recurrence.
@@ -14,6 +14,9 @@ Three families are provided:
   the Golub-Welsch eigenvalue step.
 * ``graded_unit``: composite Gauss rules on dyadically graded partitions of
   [0, 1], used near integrable endpoint singularities.
+* ``separated_order``: the least Gauss order in ``SEPARATED_ORDERS`` whose
+  error bound meets ``SEPARATED_TOL`` for an integrand singular at a real
+  point beyond the ends of [-1, 1].
 """
 
 from __future__ import annotations
@@ -28,10 +31,17 @@ __all__ = [
     "gauss_unit",
     "gauss_log",
     "graded_unit",
+    "separated_order",
 ]
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAXIT = 100
+
+# Gauss orders ``separated_order`` chooses from, and the error bound they
+# must meet; far below double precision, since the bound is taken with the
+# integrand's maximum on the ellipse as 1
+SEPARATED_ORDERS = (4, 6, 8, 10, 12)
+SEPARATED_TOL = 1e-20
 
 
 def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,3 +201,27 @@ def graded_unit(n: int, levels: int, toward: float = 0.0) -> tuple[np.ndarray, n
     if toward not in (0.0, 1.0):
         raise ValueError(f"toward must be 0.0 or 1.0, got {toward}")
     return _graded_unit_impl(int(n), int(levels), float(toward))
+
+
+def separated_order(a, cap: int) -> np.ndarray:
+    """Least Gauss order for integrands on [-1, 1] singular at the point a.
+
+    Gauss-Legendre with n points integrates a function analytic inside the
+    Bernstein ellipse of parameter rho (foci -1 and 1), and bounded by M
+    there, to within (64/15) M rho^(-2n) / (rho^2 - 1) (Trefethen,
+    *Approximation Theory and Approximation Practice*, Thm 19.3).  For a
+    singularity at the real point a >= 1, as log(a - y) has, the largest
+    such ellipse passes through a: rho = a + sqrt(a^2 - 1).  Returns per
+    entry of ``a`` the least order in ``SEPARATED_ORDERS`` whose bound with
+    M = 1 is at most ``SEPARATED_TOL``, or ``cap`` when none is; ``cap``
+    also bounds the order.  The order does not increase with a.
+    """
+    a = np.asarray(a, dtype=float)
+    rho = a + np.sqrt(a * a - 1.0)
+    order = np.full(a.shape, int(cap))
+    for n in reversed(SEPARATED_ORDERS):
+        # the bound times (rho^2 - 1): no division at rho = 1, and rho^(-2n)
+        # underflows to 0 rather than overflowing for far pairs
+        ok = 64.0 / 15.0 * rho ** (-2.0 * n) <= SEPARATED_TOL * (rho * rho - 1.0)
+        order[ok & (n < cap)] = n
+    return order

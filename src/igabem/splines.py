@@ -375,13 +375,6 @@ class KnotVector:
 
     # -- queries ------------------------------------------------------------
 
-    def multiplicity_of(self, t: float) -> int:
-        t = float(self.wrap(t))
-        for z, m in zip(self.breakpoints, self.multiplicities):
-            if z == t:
-                return m
-        return 0
-
     def wrap(self, ts) -> np.ndarray:
         """Reduce parameters into [a, b) for periodic vectors.
 

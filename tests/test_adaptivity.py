@@ -87,7 +87,7 @@ def test_saturated_tip_bisects_single_element():
         state = refine(initial_state(slit()), [tip])
         kv = state.curve.knots
         assert kv.breakpoints == (0.0, 0.5, 1.0)
-        assert kv.multiplicity_of(0.5) == 1
+        assert kv.multiplicities[1] == 1
         assert state.levels == (1, 1)
 
 
@@ -96,13 +96,13 @@ def test_interior_node_raises_then_bisects():
     state = refine(state, [1])
     kv = state.curve.knots
     assert kv.breakpoints == (0.0, 0.5, 1.0)
-    assert kv.multiplicity_of(0.5) == 2
+    assert kv.multiplicities[1] == 2
     assert state.levels == (0, 0)
     # saturated now: marking again splits both patch elements
     state = refine(state, [1])
     kv = state.curve.knots
     assert kv.breakpoints == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert kv.multiplicity_of(0.5) == 2
+    assert kv.multiplicities[2] == 2
     assert state.levels == (1, 1, 1, 1)
 
 
@@ -111,7 +111,7 @@ def test_both_endpoints_marked_bisects_without_raising():
     state = refine(state, [0, 1])
     kv = state.curve.knots
     assert kv.breakpoints == (0.0, 0.25, 0.5, 1.0)
-    assert kv.multiplicity_of(0.5) == 1  # consumed by the bisection
+    assert kv.multiplicities[2] == 1  # consumed by the bisection
     assert state.levels == (1, 1, 0)
 
 
@@ -128,7 +128,7 @@ def test_square_corner_multiplicity_raise():
     state = refine(state, [1])
     kv = state.curve.knots
     assert kv.breakpoints == (0.0, 0.25, 0.5, 0.75, 1.0)
-    assert kv.multiplicity_of(0.25) == 2
+    assert kv.multiplicities[1] == 2
     assert state.levels == (0, 0, 0, 0)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from igabem import quadrature
 from igabem.adaptivity import initial_state, refine, uniform_refine
 from igabem.experiments import pacman_trace
 from igabem.geometry import circle, pacman, slit, square
@@ -208,11 +209,24 @@ def test_spd_on_benchmark_meshes():
         assert np.linalg.eigvalsh(A).min() > 0.0
 
 
-def test_quadrature_order_stability():
-    for curve in (pacman(), square(), circle(0.8), _pacman_corner_graded(0)):
+def test_quadrature_order_stability(monkeypatch):
+    for curve in (pacman(), square(), circle(0.8), _corner_graded(pacman(), 0)):
         A12 = galerkin_matrix(curve, order=12)
         A20 = galerkin_matrix(curve, order=20)
         assert np.max(np.abs(A12 - A20)) < 1e-12, curve
+    # graded meshes of 150 elements and more, where far pairs of very
+    # different sizes take the lower orders of the separated-pair rule,
+    # against order 32 on every pair.  Order 16 on every pair meets it to
+    # 2.1e-15 of max|A| on these meshes; the rule at tolerance 1e-16 instead
+    # of 1e-20 misses by 1.1e-14
+    graded = (_corner_graded(slit(), 7, 40), _corner_graded(pacman(), 2, 30),
+              _corner_graded(square(), 2, 30))
+    A = [galerkin_matrix(curve) for curve in graded]
+    monkeypatch.setattr(quadrature, "SEPARATED_ORDERS", ())
+    for curve, A16 in zip(graded, A):
+        assert curve.knots.n_elements >= 150
+        A32 = galerkin_matrix(curve, order=32)
+        assert np.max(np.abs(A16 - A32)) <= 5e-15 * np.max(np.abs(A32)), curve
 
 
 # --------------------------------------------------------------------------
@@ -250,22 +264,28 @@ def test_collocation_entry_against_quadrature():
     assert B[1, 0] == pytest.approx(-2.0 * val / (2.0 * np.pi), abs=1e-12)
 
 
-def _pacman_corner_graded(uniform_steps=3):
-    state = initial_state(pacman())
+def _corner_graded(curve, uniform_steps=3, depth=1):
+    """``uniform_steps`` bisections, then ``depth`` refinements marking the
+    corners and the ends of an open curve."""
+    state = initial_state(curve)
     for _ in range(uniform_steps):
         state = uniform_refine(state)
-    curve = state.curve
-    corners = curve.corner_params()
-    at_corner = np.isclose(curve.knots.nodes[:, None], corners[None, :],
-                           rtol=0.0, atol=1e-12).any(axis=1)
-    return refine(state, np.flatnonzero(at_corner)).curve
+    for _ in range(depth):
+        curve = state.curve
+        kv = curve.knots
+        singular = np.concatenate(
+            [curve.corner_params(), [] if curve.closed else [kv.a, kv.b]])
+        marked = np.isclose(kv.nodes[:, None], singular[None, :],
+                            rtol=0.0, atol=1e-12).any(axis=1)
+        state = refine(state, np.flatnonzero(marked))
+    return state.curve
 
 
 def test_collocation_rows_match_pointwise():
     # far, graded-near and containing-element rules all occur at the targets;
     # the circle's collocation points straddle its periodic seam
     rng = np.random.default_rng(7)
-    for curve in (pacman(), _pacman_corner_graded(), circle(0.8)):
+    for curve in (pacman(), _corner_graded(pacman()), circle(0.8)):
         kv = curve.knots
         c = rng.standard_normal(kv.dim)
         B = collocation_matrix(curve)

@@ -1,8 +1,8 @@
 """Quadrature oracles.
 
 Expected values here are either closed-form moments or independent
-scipy.integrate computations; they were fixed before the rules were wired
-into any assembly code.
+scipy.integrate or mpmath computations; they were fixed before the rules
+were wired into any assembly code.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from igabem.quadrature import (
     gauss_log,
     gauss_unit,
     graded_unit,
+    separated_order,
 )
 
 
@@ -131,6 +132,28 @@ def test_graded_unit_mirror():
     np.testing.assert_allclose(w1, w0[::-1], atol=1e-16)
     xd, wd = graded_unit(12, levels=30, toward=1.0)
     assert wd @ np.log(1.0 / (1.0 - xd)) == pytest.approx(1.0, abs=1e-7)
+
+
+# ------------------------------------------------------- separated-pair order
+
+
+def test_separated_order_meets_log_reference():
+    # Gauss at the chosen order on int_{-1}^{1} log(a - y) dy, whose
+    # singularity at y = a sets the rule's rho, against an mpmath reference
+    mpmath = pytest.importorskip("mpmath")
+    a_s = np.geomspace(1.0, 1e6, 600)
+    for cap in (3, 8, 16, 32):
+        q = separated_order(a_s, cap)
+        assert q.max() <= cap
+        assert np.all(np.diff(q) <= 0)
+    q = separated_order(a_s, 16)
+    below = np.flatnonzero(q < 16)
+    assert len(below) > 500 and q.min() == 4
+    for a, n in zip(a_s[below], q[below]):
+        x, w = gauss_legendre(int(n))
+        with mpmath.workdps(40):
+            exact = float(mpmath.quad(lambda y: mpmath.log(mpmath.mpf(a) - y), [-1, 1]))
+        assert abs(w @ np.log(a - x) - exact) <= 1e-15 * abs(exact), a
 
 
 def test_invalid_arguments_raise():

@@ -111,10 +111,8 @@ def refine(state: MeshState, marked_nodes) -> MeshState:
     # elements at the width floor refuse to split, and so does any element
     # whose closure would need a refused one.  The refused set only grows
     # and no refused element is split, so the loop ends.
-    elems = kv.elements
     levels = state.levels
-    blocked = {e for e in range(kv.n_elements)
-               if elems[e, 1] - elems[e, 0] < 2.0 * MIN_WIDTH}
+    blocked = set(np.flatnonzero(kv.widths < 2.0 * MIN_WIDTH).tolist())
     bisect -= blocked
     changed = True
     while changed:
@@ -131,6 +129,7 @@ def refine(state: MeshState, marked_nodes) -> MeshState:
                 bisect |= lower
                 changed = True
 
+    elems = kv.elements
     mids = [float(0.5 * (elems[e, 0] + elems[e, 1])) for e in sorted(bisect)]
     if not mids and not raises:
         return state
@@ -166,7 +165,6 @@ def level_gaps_ok(state: MeshState) -> bool:
 def kappa(state: MeshState) -> float:
     """Largest ratio of neighboring element parameter widths."""
     left, right = _touching_pairs(state)
-    elems = state.curve.knots.elements
-    hs = elems[:, 1] - elems[:, 0]
+    hs = state.curve.knots.widths
     ratios = hs[right] / hs[left]
     return float(np.max(np.maximum(ratios, 1.0 / ratios), initial=1.0))

@@ -33,7 +33,7 @@ import numpy as np
 from .geometry import Curve
 from .operators import single_layer_values
 from .quadrature import gauss_unit, graded_unit
-from .splines import rational_basis
+from .splines import rational_basis  # noqa: F401  (wrapped here by perfbench/tracing.py)
 
 __all__ = [
     "ResidualData",
@@ -98,9 +98,9 @@ class ResidualData:
 
     @classmethod
     def from_function(cls, curve: Curve, func, q_int: int):
-        elems = curve.knots.elements
+        kv = curve.knots
         xg, _ = gauss_unit(q_int)
-        params = elems[:, 0][:, None] + (elems[:, 1] - elems[:, 0])[:, None] * xg
+        params = kv.elements[:, :1] + kv.widths[:, None] * xg
         values = np.asarray(func(params.ravel()), dtype=float).reshape(params.shape)
         _, _, D = _bary_data(q_int)
         return cls(curve, q_int, params, values, values @ D.T)
@@ -137,21 +137,20 @@ def _element_square_integrals(res: ResidualData) -> np.ndarray:
     the integrand takes its diagonal limit there.
     """
     curve = res.curve
-    elems = curve.knots.elements
-    hs = elems[:, 1] - elems[:, 0]
+    kv = curve.knots
+    hs = kv.widths
     xg, wg = gauss_unit(_RULE)
     halves = (0.5 * xg, 0.5 + 0.5 * xg)
     mats = [_bary_matrix(res.q_int, hx) for hx in halves]
 
     vals = [res.values @ m.T for m in mats]  # (n_el, RULE) each half
     ders = [res.deriv_nodes @ m.T for m in mats]
-    params = [elems[:, 0][:, None] + hs[:, None] * hx for hx in halves]
-    frames = [curve.frame(p.ravel(), 1) for p in params]
-    pts = [fr[:, 0].reshape(len(elems), _RULE, 2) for fr in frames]
-    sps = [np.hypot(fr[:, 1, 0], fr[:, 1, 1]).reshape(len(elems), _RULE)
-           for fr in frames]
+    frames = [curve.local_frame(np.arange(kv.n_elements)[:, None], hx, 1)
+              for hx in halves]
+    pts = [fr[..., 0, :] for fr in frames]
+    sps = [np.hypot(fr[..., 1, 0], fr[..., 1, 1]) for fr in frames]
 
-    out = np.zeros(len(elems))
+    out = np.zeros(kv.n_elements)
     w2 = wg[:, None] * wg[None, :]
     diag = np.eye(_RULE, dtype=bool)
     for a in range(2):
@@ -182,15 +181,13 @@ def _cross_integrals(res: ResidualData, left: np.ndarray,
     elements.
     """
     curve = res.curve
-    elems = curve.knots.elements
     sides = []
     for e, toward in ((left, 1.0), (right, 0.0)):
         xs, ws = graded_unit(_RULE, _CROSS_LEVELS, toward=toward)
-        h = elems[e, 1] - elems[e, 0]
         r = res.values[e] @ _bary_matrix(res.q_int, xs).T
-        ts = elems[e, 0][:, None] + h[:, None] * xs[None, :]
-        fr = curve.frame(ts.ravel(), 1).reshape(ts.shape + (2, 2))
-        sides.append((h, ws, r, fr[..., 0, :], np.hypot(fr[..., 1, 0], fr[..., 1, 1])))
+        fr = curve.local_frame(e[:, None], xs, 1)
+        sides.append((curve.knots.widths[e], ws, r, fr[..., 0, :],
+                      np.hypot(fr[..., 1, 0], fr[..., 1, 1])))
     (h1, ws1, r1, p1, sp1), (h2, ws2, r2, p2, sp2) = sides
 
     out = np.empty(len(left))
@@ -222,14 +219,13 @@ def faermann_indicators(res: ResidualData) -> np.ndarray:
 def _element_derivative_integrals(res: ResidualData) -> np.ndarray:
     """int_T (r')^2 per element, r' the arclength derivative of the residual."""
     curve = res.curve
-    elems = curve.knots.elements
-    hs = elems[:, 1] - elems[:, 0]
+    kv = curve.knots
     xg, wg = gauss_unit(_RULE)
     dv = res.deriv_nodes @ _bary_matrix(res.q_int, xg).T  # d/dx on unit coords
-    params = elems[:, 0][:, None] + hs[:, None] * xg
-    sp = curve.speed(params.ravel()).reshape(params.shape)
+    d1 = curve.local_frame(np.arange(kv.n_elements)[:, None], xg, 1)[..., 1, :]
+    sp = np.hypot(d1[..., 0], d1[..., 1])
     # int (R'(t)/|gamma'|)^2 |gamma'| dt = (1/h) int (dR/dx)^2 / |gamma'| dx
-    return (dv * dv / sp) @ wg / hs
+    return (dv * dv / sp) @ wg / kv.widths
 
 
 def residual_indicators(res: ResidualData, weight: str = "parameter") -> np.ndarray:
@@ -241,7 +237,7 @@ def residual_indicators(res: ResidualData, weight: str = "parameter") -> np.ndar
     """
     kv = res.curve.knots
     if weight == "parameter":
-        lens = kv.elements[:, 1] - kv.elements[:, 0]
+        lens = kv.widths
     elif weight == "arclength":
         lens = res.curve.element_lengths
     else:
@@ -281,15 +277,13 @@ def partition_quality(curve: Curve, order: int = 16) -> PartitionCheck:
     p = kv.degree
     n_el = kv.n_elements
     xg, wg = gauss_unit(order)
-    elems = kv.elements
-    hs = elems[:, 1] - elems[:, 0]
-    params = elems[:, 0][:, None] + hs[:, None] * xg
-    flat = params.ravel()
-    first, R = rational_basis(kv, curve.basis_weights, flat)
-    first = first.reshape(n_el, order)[:, 0]
+    hs = kv.widths
+    e = np.arange(n_el)
+    first = kv.element_table[0]
     # (element, window slot, node), so the node sums below run contiguously
-    basis = R[:, 0, :].reshape(n_el, order, p + 1).transpose(0, 2, 1).copy()
-    sp = curve.speed(flat).reshape(n_el, 1, order)
+    basis = curve.local_basis(e[:, None], xg).transpose(0, 2, 1).copy()
+    d1 = curve.local_frame(e[:, None], xg, 1)[..., 1, :]
+    sp = np.hypot(d1[..., 0], d1[..., 1])[:, None, :]
 
     # element e's window holds basis first[e] + r; clamped vectors give
     # each basis q the contiguous support lo[q]..hi[q]
@@ -310,7 +304,6 @@ def partition_quality(curve: Curve, order: int = 16) -> PartitionCheck:
     # candidates inside the m-layer patch first, then by smallest parameter
     # support and arclength; the sort is stable, so ties go to the lower index
     m_layers = (p + 1) // 2
-    e = np.arange(n_el)
     fits = ((lo[cols] >= e[:, None] - m_layers)
             & (hi[cols] <= e[:, None] + m_layers))
     pick = e, np.lexsort((supp_arc[cols], width[cols], ~fits), axis=-1)[:, 0]

@@ -9,17 +9,22 @@ A closed curve is a clamped curve over a periodic knot vector whose first and
 last control points and weights are equal.  Closed curves are parametrized
 counterclockwise; the outward unit normal is then the clockwise rotation of
 the unit tangent.
+
+``frame`` and its relatives take parameters; quadrature nodes go through
+``local_frame`` and ``local_basis`` as (element, local coordinate) pairs, and
+``chord`` takes divided differences from the element's Taylor coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 import numpy as np
 
 from .quadrature import gauss_unit
-from .splines import KnotVector, insert_knot, quotient_derivatives
+from .splines import KnotVector, _taylor_sum, insert_knot, quotient_derivatives
 
 __all__ = [
     "Curve",
@@ -97,7 +102,18 @@ class Curve:
         cols = first[:, None] + np.arange(kv.degree + 1)[None, :]
         return np.einsum("kor,orj->koj", table, self._hom[np.repeat(cols, 2, axis=0)])
 
+    @cached_property
+    def _basis_table(self) -> np.ndarray:
+        """The element table of the weighted basis windows w_r B_r."""
+        first, table = self.knots.element_table
+        cols = first[:, None] + np.arange(self.degree + 1)[None, :]
+        return table * np.repeat(self.weights[cols], 2, axis=0)
+
     # -- evaluation ----------------------------------------------------------
+
+    def _frames(self, row, tau, nd: int) -> np.ndarray:
+        A = _taylor_sum(np.take(self._frame_table, row, axis=1), tau, nd)
+        return quotient_derivatives([a[..., :2] for a in A], [a[..., 2] for a in A])
 
     def frame(self, ts, nd: int = 0, side: str = "right") -> np.ndarray:
         """Curve point and derivatives: array of shape (npts, nd + 1, 2).
@@ -111,8 +127,48 @@ class Curve:
         if self.closed:
             # keep t = b so callers can take left limits at the seam
             ts = np.where(ts == kv.b, ts, kv.wrap(ts))
-        _, A = kv.taylor_values(self._frame_table, ts, nd, side)
-        return quotient_derivatives([a[:, :2] for a in A], [a[:, 2] for a in A])
+        return self._frames(*kv.locate(ts, side), nd)
+
+    def local_frame(self, e, u, nd: int = 0) -> np.ndarray:
+        """``frame`` at local coordinates u of elements e, broadcast over
+        both: shape (..., nd + 1, 2), derivatives by the parameter."""
+        return self._frames(*self.knots.local(e, u), nd)
+
+    def local_basis(self, e, u) -> np.ndarray:
+        """Rational basis windows at local coordinates u of elements e,
+        shape (..., degree + 1); element e's window starts at basis
+        ``knots.element_table[0][e]``."""
+        row, tau = self.knots.local(e, u)
+        wb = _taylor_sum(np.take(self._basis_table, row, axis=1), tau, 0)[0]
+        return wb / wb.sum(axis=-1, keepdims=True)
+
+    def chord(self, row, sa, sb, second: bool = False):
+        """Divided differences of γ at offsets ``sa``, ``sb`` from the end
+        ``row`` (2 e + end) of one element, all three broadcasting.
+
+        Synthetic division of the element's A = (N, W) by z - a gives
+        A[a, b] with no difference of rounded values; Leibniz's rule for
+        N = γ W then gives γ[a, b] = (N[a, b] - γ(a) W[a, b]) / W(b) and
+        γ[a, a, b] = (N[a, a, b] - γ(a) W[a, a, b] - γ'(a) W[a, b]) / W(b).
+        Returns γ[a, b], or with ``second`` (γ[a, b], γ'(a), γ[a, a, b]).
+        """
+        A = np.take(self._frame_table, row, axis=1)
+        c = [A[k] / factorial(k) for k in range(len(A))]
+        if second:  # a zero top coefficient keeps A[a, a, b] defined at p = 1
+            c.append(np.zeros_like(c[0]))
+        sa = np.asarray(sa)[..., None]
+        sb = np.asarray(sb)[..., None]
+        Aa, *qa = _divide(c, sa)  # A(z) = A(a) + (z - a) Q(z)
+        ab = _divide(qa, sb)[0]  # A[a, b] = Q(b)
+        Wb = _divide(c, sb)[0][..., 2:]
+        ga = Aa[..., :2] / Aa[..., 2:]
+        g1 = (ab[..., :2] - ga * ab[..., 2:]) / Wb
+        if not second:
+            return g1
+        da, *qaa = _divide(qa, sa)  # A'(a) = Q(a), A[a, a, b] = Q[a, b]
+        aab = _divide(qaa, sb)[0]
+        gp = (da[..., :2] - ga * da[..., 2:]) / Aa[..., 2:]
+        return g1, gp, (aab[..., :2] - ga * aab[..., 2:] - gp * ab[..., 2:]) / Wb
 
     def point(self, ts) -> np.ndarray:
         return self.frame(ts)[:, 0]
@@ -146,16 +202,9 @@ class Curve:
     @cached_property
     def element_lengths(self) -> np.ndarray:
         xs, ws = gauss_unit(_LENGTH_RULE)
-        elems = self.knots.elements
-        out = np.empty(len(elems))
-        for k, (lo, hi) in enumerate(elems):
-            sp = self.speed(lo + (hi - lo) * xs)
-            out[k] = (hi - lo) * (ws @ sp)
-        return out
-
-    @property
-    def length(self) -> float:
-        return float(self.element_lengths.sum())
+        kv = self.knots
+        d1 = self.local_frame(np.arange(kv.n_elements)[:, None], xs, 1)[..., 1, :]
+        return kv.widths * (np.hypot(d1[..., 0], d1[..., 1]) @ ws)
 
     # -- corners ---------------------------------------------------------------
 
@@ -186,6 +235,16 @@ class Curve:
             kv, hom = insert_knot(kv, hom, t)
         w = hom[:, 2]
         return Curve(kv, hom[:, :2] / w[:, None], w)
+
+
+def _divide(c, a):
+    """Horner's rule for P(z) = sum_k c[k] z^k at a, keeping its partial
+    sums: returns [P(a), q_0, q_1, ...] with (P(z) - P(a)) / (z - a) =
+    sum_k q_k z^k."""
+    out = [c[-1]]
+    for ck in c[-2::-1]:
+        out.insert(0, ck + a * out[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 """Boundary integral operators on NURBS curves.
 
-Single-layer operator with kernel -log|x - y| / (2 pi).  Element pairs are
-integrated in two regimes:
+Single-layer operator with kernel -log|x - y| / (2 pi).  Every quadrature
+node is an (element, local coordinate) pair; only targets and the data f
+take parameters.  Element pairs are integrated in two regimes:
 
-* identical or touching pair: one Duffy-type rule.  A radial variable x
-  carries the singularity, and the kernel splits as log x, taken by a
-  log-weight Gauss rule in x, plus log(|gamma(s) - gamma(t)| / x), analytic
-  in (x, y) even across a geometric corner and taken by plain Gauss.  An
-  identical pair maps the triangle s > t by s - t = h x and adds its mirror
-  image; a touching pair takes the two triangles anchored at the shared
-  node.
+* identical or touching pair: one Duffy-type rule (Sauter and Schwab,
+  *Boundary Element Methods*, 2011).  A radial variable x carries the
+  singularity, and the kernel splits as log x, taken by a log-weight Gauss
+  rule in x, plus log(|gamma(s) - gamma(t)| / x), analytic in (x, y) even
+  across a geometric corner and taken by plain Gauss from the elements'
+  divided differences (``Curve.chord``).  An identical pair maps the
+  triangle s > t by s - t = h x and adds its mirror image; a touching pair
+  takes the two triangles anchored at the shared node.
 * separated pair: tensor Gauss at an order chosen per pair.  Each element
   gets a ball (centre the midpoint of its end points, radius reaching its
   Gauss points), and the gap between two balls relative to the larger
@@ -22,13 +24,12 @@ integrates far elements on a plain Gauss grid in blocks of targets, and the
 other elements near the target on composite rules graded toward it.  The
 element containing the target takes the kernel's own rule: for V a split at
 the target with the log-weight rule on each side, for K plain Gauss, since
-K is smooth along an arc; its nodes near the target take the kernel from
-the curvature integrated along the chord instead of a divided difference
-of two rounded points.  Nodes of other elements that come closer than 1e-9
-in parameter take the kernel's coincidence limit when no corner lies
-between them and the target.  The engine
-returns the density contracted with coefficients, the raw basis windows
-(one column per basis function), or the integral of data g.
+K is smooth along an arc; both take the kernel from divided differences.
+Nodes of other elements that come closer than 1e-9 in parameter take the
+kernel's coincidence limit when no corner lies between them and the
+target.  The engine returns the density contracted with coefficients, the
+raw basis windows (one column per basis function), or the integral of
+data g.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .geometry import _CORNER_TOL, Curve
 from .quadrature import gauss_log, gauss_unit, graded_unit, separated_order
-from .splines import rational_basis
+from .splines import rational_basis  # noqa: F401  (wrapped here by perfbench/tracing.py)
 
 logger = logging.getLogger(__name__)
 
@@ -48,13 +49,10 @@ DEFAULT_ORDER = 16
 NEAR_FACTOR = 0.75  # parameter-distance/size ratio below which grading kicks in
 GRADE_MAX_LEVELS = 48
 _TWO_PI = 2.0 * np.pi
-# parameter distance below which the double-layer kernel takes its
-# coincidence limit instead of a divided difference of two curve points
+# parameter distance below which the double-layer kernel at a node of
+# another element takes its coincidence limit instead of a divided
+# difference of two curve points
 _DL_COINCIDENT = 1e-9
-# own-element nodes closer to the target than this fraction of the element
-# take the kernel from a Gauss rule of this order along the chord
-_DL_CLOSE = 1.0 / 64.0
-_DL_CLOSE_ORDER = 4
 # far-field kernel entries evaluated per block of element pairs or of
 # targets: this bounds the memory of a block, whose temporaries are about
 # ten arrays of this many doubles, whatever the mesh size
@@ -88,29 +86,14 @@ class ElementCache:
     first: np.ndarray  # (n_el,) first basis index per element
     wbasis: np.ndarray  # (n_el, q, p+1) basis * speed * gauss weight * length
 
-    def density_weights(self, coeffs: np.ndarray) -> np.ndarray:
-        """(n_el, q) integration-ready values of the density sum c_q R_q."""
-        p = self.curve.degree
-        cols = self.first[:, None] + np.arange(p + 1)[None, :]
-        return np.einsum("eqb,eb->eq", self.wbasis, np.asarray(coeffs)[cols])
-
 
 def element_cache(curve: Curve, order: int = DEFAULT_ORDER) -> ElementCache:
     kv = curve.knots
     xg, wg = gauss_unit(order)
-    elems = kv.elements
-    lo = elems[:, 0][:, None]
-    hs = (elems[:, 1] - elems[:, 0])[:, None]
-    params = lo + hs * xg[None, :]
-    flat = params.ravel()
-    fr = curve.frame(flat, 1)
-    pts = fr[:, 0].reshape(len(elems), order, 2)
-    sp = np.hypot(fr[:, 1, 0], fr[:, 1, 1]).reshape(len(elems), order)
-    first, R = rational_basis(kv, curve.basis_weights, flat)
-    first = first.reshape(len(elems), order)[:, 0]
-    basis = R[:, 0, :].reshape(len(elems), order, kv.degree + 1)
-    wbasis = basis * (sp * wg[None, :] * hs)[:, :, None]
-    return ElementCache(curve, order, params, pts, first, wbasis)
+    hs = kv.widths[:, None]
+    phi, pts = _phi_windows(curve, np.arange(kv.n_elements)[:, None], xg)
+    return ElementCache(curve, order, kv.elements[:, :1] + hs * xg, pts,
+                        kv.element_table[0], phi * (wg * hs)[..., None])
 
 
 # --------------------------------------------------------------------------
@@ -118,32 +101,15 @@ def element_cache(curve: Curve, order: int = DEFAULT_ORDER) -> ElementCache:
 # --------------------------------------------------------------------------
 
 
-def _phi_windows(curve: Curve, ts: np.ndarray):
-    """Rational basis windows times speed at the given parameters, and the
-    curve points there."""
-    first, R = rational_basis(curve.knots, curve.basis_weights, ts)
-    fr = curve.frame(ts, 1)
-    return first, R[:, 0, :] * np.hypot(fr[:, 1, 0], fr[:, 1, 1])[:, None], fr[:, 0]
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.hypot(v[..., 0], v[..., 1])
 
 
-def _smooth_log_part(px: np.ndarray, s: np.ndarray, t: np.ndarray,
-                     frames: np.ndarray) -> np.ndarray:
-    """log(|gamma(s) - gamma(t)| / |s - t|) with diagonal limit log|gamma'(t)|,
-    from the points px = gamma(s) and the frames of order 1 at t.
-
-    Callers pass parameter values whose plain difference is already the
-    minimal periodic image.
-    """
-    d = np.abs(s - t)
-    pt = frames[..., 0, :]
-    dist = np.hypot(px[..., 0] - pt[..., 0], px[..., 1] - pt[..., 1])
-    ratio = np.empty_like(dist)
-    tiny = d < 1e-14
-    np.divide(dist, d, out=ratio, where=~tiny)
-    if tiny.any():
-        d1 = frames[..., 1, :][tiny]
-        ratio[tiny] = np.hypot(d1[:, 0], d1[:, 1])
-    return np.log(ratio)
+def _phi_windows(curve: Curve, e, u):
+    """Rational basis windows times speed at local coordinates u of
+    elements e, and the curve points there."""
+    fr = curve.local_frame(e, u, 1)
+    return curve.local_basis(e, u) * _norm(fr[..., 1, :])[..., None], fr[..., 0, :]
 
 
 def _grade_levels(h: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -169,35 +135,71 @@ def _radial_rule(order: int):
     return np.concatenate([xg, xl])[:, None], np.concatenate([wg, wl])[:, None]
 
 
-def _singular_blocks(curve: Curve, s: np.ndarray, t: np.ndarray,
+def _singular_blocks(curve: Curve, s, t, chord: np.ndarray,
                      jac: np.ndarray, order: int) -> np.ndarray:
     """Element matrices of log|gamma(s) - gamma(t)| over Duffy-mapped pairs.
 
-    ``s``, ``t`` and the Jacobian ``jac`` broadcast over (pair, x, y), with
-    x on the ``_radial_rule`` and y on plain Gauss.  The log-weight rows take
-    log x, the Gauss rows log(|gamma(s) - gamma(t)| / x).  Geometry and
-    basis are evaluated on the entries ``s`` and ``t`` hold, so a side that
-    depends on x alone costs 2q points per pair.  Returns M[k, a, b]
-    pairing pair k's s basis window against its t window.
+    The nodes ``s``, ``t`` ((element, u) pairs) and ``jac`` broadcast over
+    (pair, x, y), x on the ``_radial_rule`` and y on plain Gauss, and each
+    side is evaluated on the entries it holds.  The log-weight rows take
+    log x, the Gauss rows log ``chord`` = |gamma(s) - gamma(t)| / x.
+    Returns M[k, a, b] pairing pair k's s window against its t window.
     """
-    x, wx = _radial_rule(order)
+    _, wx = _radial_rule(order)
     _, wy = gauss_unit(order)
-    _, phis, ps = _phi_windows(curve, s.ravel())
-    _, phit, pt = _phi_windows(curve, t.ravel())
-    phis = phis.reshape(s.shape + (-1,))
-    phit = phit.reshape(t.shape + (-1,))
-    d = ps.reshape(s.shape + (2,)) - pt.reshape(t.shape + (2,))
+    phis = _phi_windows(curve, *s)[0]
+    phit = _phi_windows(curve, *t)[0]
     # the log weights carry log(1/x), so log x enters there as -1
-    kern = np.where(np.arange(2 * order)[:, None] < order,
-                    np.log(np.hypot(d[..., 0], d[..., 1]) / x), -1.0)
+    log_chord = np.log(chord)
+    kern = np.concatenate([log_chord, np.full_like(log_chord, -1.0)], axis=1)
     w = jac * wx * wy * kern
     return np.einsum("kxy,kxya,kxyb->kab", w, phis, phit)
+
+
+def _singular_pairs(curve: Curve, order: int):
+    """Element matrices of every identical and touching pair of elements.
+
+    Returns (s elements, t elements, blocks); the blocks pair the s basis
+    window against the t window and enter the matrix with their transposes.
+    """
+    kv = curve.knots
+    x, _ = _radial_rule(order)
+    y, _ = gauss_unit(order)
+    xq = x[:order]  # the Gauss rows, which take the chord
+
+    # identical pairs: the triangle s > t under s - t = h x, mirrored by the
+    # transpose; the chord over x is h |gamma[s, t]| about the element start
+    e = np.arange(kv.n_elements)[:, None, None]
+    h = kv.widths[e]
+    v = (1.0 - x) * y
+    chord = _norm(curve.chord(2 * e, h * (xq + v[:order]), h * v[:order]))
+    B = _singular_blocks(curve, (e, x + v), (e, v), h * chord,
+                         h * h * (1.0 - x), order)
+
+    # touching pairs: element et ends at the node where element es starts,
+    # the seam included.  The two triangles are anchored at that node; with
+    # s = h2 x a past it and t = h1 x b before it, the chord over x is
+    # h2 a gamma[node, s] + h1 b gamma[node, t], each side about the node
+    et, es = kv.patches[(kv.patches >= 0).all(axis=1)].T[:, :, None, None]
+    h1 = kv.widths[et]
+    h2 = kv.widths[es]
+
+    def touching_chord(a, b):
+        d = ((h2 * a)[..., None] * curve.chord(2 * es, 0.0, h2 * xq * a)
+             + (h1 * b)[..., None] * curve.chord(2 * et + 1, 0.0, -h1 * xq * b))
+        return _norm(d)
+
+    M = (_singular_blocks(curve, (es, x), (et, 1.0 - x * y),
+                          touching_chord(1.0, y), h1 * h2 * x, order)
+         + _singular_blocks(curve, (es, x * y), (et, 1.0 - x),
+                            touching_chord(y, 1.0), h1 * h2 * x, order))
+    return (np.concatenate([e.ravel(), es.ravel()]),
+            np.concatenate([e.ravel(), et.ravel()]), np.concatenate([B, M]))
 
 
 def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Symmetric Galerkin matrix of the single-layer operator."""
     kv = curve.knots
-    dim = kv.dim
     n_el = kv.n_elements
     # below three elements some pair of a closed curve touches at both ends,
     # and the touching-pair rule, anchored at one shared node, would leave
@@ -205,8 +207,14 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     if curve.closed and n_el < 3:
         raise ValueError("closed curves need at least three elements for assembly")
     cache = element_cache(curve, order)
-    p = kv.degree
-    A = np.zeros((dim, dim))
+    offsets = np.arange(kv.degree + 1)
+    # every pair is added once, the upper triangle's; A + A.T completes it
+    A = np.zeros((kv.dim, kv.dim))
+
+    def add(ce, cf, blocks):
+        rows = cache.first[ce][:, None] + offsets
+        cols = cache.first[cf][:, None] + offsets
+        np.add.at(A, (rows[:, :, None], cols[:, None, :]), blocks)
 
     # separated pairs: the upper triangle less the identical pairs and the
     # touching rows of the patch table
@@ -224,7 +232,6 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     gap = np.hypot(*(centre[e] - centre[f]).T) - radius[e] - radius[f]
     pair_order = separated_order(
         1.0 + np.maximum(gap, 0.0) / np.maximum(radius[e], radius[f]), order)
-    offsets = np.arange(p + 1)
     for m in np.unique(pair_order):
         cm = cache if m == order else element_cache(curve, int(m))
         pick = pair_order == m
@@ -234,65 +241,26 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
             ce, cf = ge[k0:k0 + step], gf[k0:k0 + step]
             d = cm.points[ce][:, :, None, :] - cm.points[cf][:, None, :, :]
             K = np.log(np.hypot(d[..., 0], d[..., 1]))
-            blocks = np.matmul(cm.wbasis[ce].transpose(0, 2, 1),
-                               np.matmul(K, cm.wbasis[cf]))
-            rows = cm.first[ce][:, None] + offsets
-            cols = cm.first[cf][:, None] + offsets
-            np.add.at(A, (rows[:, :, None], cols[:, None, :]), blocks)
-    A = A + A.T
-
-    elems = kv.elements
-    hs = elems[:, 1] - elems[:, 0]
-    x, _ = _radial_rule(order)
-    y, _ = gauss_unit(order)
-
-    # identical pairs: the triangle s > t under s - t = h x, then its mirror
-    lo = elems[:, 0][:, None, None]
-    h = hs[:, None, None]
-    v = (1.0 - x) * y
-    B = _singular_blocks(curve, lo + h * (x + v), lo + h * v,
-                         h * h * (1.0 - x), order)
-    for e, block in enumerate(B + np.transpose(B, (0, 2, 1))):
-        rows = cache.first[e] + offsets
-        A[np.ix_(rows, rows)] += block
-
-    # touching pairs: element et ends where element es starts, one pair per
-    # node with an element on both sides, rolled so a seam pair comes last;
-    # the two triangles are anchored at the shared node, and the seam pair
-    # takes s one period back, in es's own parameters
-    pairs = np.roll(kv.patches, -1, axis=0)
-    et, es = pairs[(pairs >= 0).all(axis=1)].T
-    if len(et):
-        corner = elems[et, 1][:, None, None]
-        s0 = corner - np.where(es == 0, kv.period, 0.0)[:, None, None]
-        h1 = hs[et][:, None, None]
-        h2 = hs[es][:, None, None]
-        jac = h1 * h2 * x
-        M = (_singular_blocks(curve, s0 + h2 * x, corner - h1 * x * y, jac, order)
-             + _singular_blocks(curve, s0 + h2 * x * y, corner - h1 * x, jac, order))
-        for t_el, s_el, block in zip(et, es, M):
-            rows = cache.first[s_el] + offsets
-            cols = cache.first[t_el] + offsets
-            A[np.ix_(rows, cols)] += block
-            A[np.ix_(cols, rows)] += block.T
-
-    A /= -_TWO_PI
-    return 0.5 * (A + A.T)
+            add(ce, cf, np.matmul(cm.wbasis[ce].transpose(0, 2, 1),
+                                  np.matmul(K, cm.wbasis[cf])))
+    add(*_singular_pairs(curve, order))
+    return (A + A.T) / (-_TWO_PI)
 
 
 def _corner_graded_rule(lo: float, hi: float, at_lo: bool, at_hi: bool,
                         order: int):
-    """Rule on [lo, hi] graded toward whichever endpoints are corners."""
+    """Rule on [lo, hi] graded toward whichever endpoints are corners:
+    parameters anchored at the corner, weights and local coordinates."""
     h = hi - lo
     levels = min(30, max(2, int(np.log2(max(h, 1e-30)) + 44.0)))
     xs, ws = graded_unit(order, levels, 0.0)
     if at_lo and at_hi:
         t = np.concatenate([lo + 0.5 * h * xs, hi - 0.5 * h * xs[::-1]])
         w = np.concatenate([0.5 * h * ws, 0.5 * h * ws[::-1]])
-        return t, w
+        return t, w, np.concatenate([0.5 * xs, 1.0 - 0.5 * xs[::-1]])
     if at_hi:
-        return hi - h * xs[::-1], h * ws[::-1]
-    return lo + h * xs, h * ws
+        return hi - h * xs[::-1], h * ws[::-1], 1.0 - xs[::-1]
+    return lo + h * xs, h * ws, xs
 
 
 def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -305,22 +273,24 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
     """
     kv = curve.knots
     elems = kv.elements
-    hs = elems[:, 1] - elems[:, 0]
+    hs = kv.widths
     at = np.zeros(elems.shape, dtype=bool)  # element ends on a corner
     corners = curve.corner_params()
     if corners.size:
         at = np.abs(curve.param_delta(elems[..., None], corners)).min(axis=2) < 1e-12
-    plain = ~at.any(axis=1)
+    plain = np.flatnonzero(~at.any(axis=1))
     xg, wg = gauss_unit(order)
-    rules = [(elems[plain, 0][:, None] + hs[plain][:, None] * xg[None, :],
-              hs[plain][:, None] * wg[None, :])]
-    rules += [_corner_graded_rule(float(lo), float(hi), bool(a_lo), bool(a_hi), order)
-              for (lo, hi), (a_lo, a_hi) in zip(elems[~plain], at[~plain])]
-    tq = np.concatenate([t.ravel() for t, _ in rules])
-    wq = np.concatenate([w.ravel() for _, w in rules])
-    first, phi, _ = _phi_windows(curve, tq)  # phi carries the speed
+    # (element, parameter, weight, local coordinate) per node
+    rules = [(plain.repeat(order),
+              (elems[plain, 0][:, None] + hs[plain][:, None] * xg).ravel(),
+              (hs[plain][:, None] * wg).ravel(), np.tile(xg, len(plain)))]
+    for e in np.flatnonzero(at.any(axis=1)):
+        t, w, u = _corner_graded_rule(*elems[e].tolist(), *at[e].tolist(), order)
+        rules.append((np.full(len(t), e), t, w, u))
+    eq, tq, wq, uq = (np.concatenate(parts) for parts in zip(*rules))
+    phi = _phi_windows(curve, eq, uq)[0]  # phi carries the speed
     b = np.zeros(kv.dim)
-    np.add.at(b, first[:, None] + np.arange(curve.degree + 1)[None, :],
+    np.add.at(b, kv.element_table[0][eq][:, None] + np.arange(curve.degree + 1),
               (np.asarray(f_of_params(tq)) * wq)[:, None] * phi)
     return b
 
@@ -333,15 +303,15 @@ def _graded_pair_rules(curve: Curve, params: np.ndarray, pair_i: np.ndarray,
                        pair_e: np.ndarray, order: int):
     """Group (target, element) pairs sharing a graded-rule shape.
 
-    Yields (targets, elements, slot, t_params, t_weights) per group, the rule
-    of each pair graded toward its target.  The nodes depend only on the
-    element, so ``t_params`` and ``t_weights`` hold one row per distinct
-    element of the group, ``elements``, and pair k reads row ``slot[k]``:
-    callers evaluate geometry and data once per element and group instead
-    of once per pair.
+    Yields (targets, elements, slot, u, t_params, t_weights) per group, the
+    rule of each pair graded toward its target, with local coordinates
+    ``u`` shared by the group.  The nodes depend only on the element, so
+    ``t_params`` and ``t_weights`` hold one row per distinct element of the
+    group, ``elements``, and pair k reads row ``slot[k]``: callers evaluate
+    geometry and data once per element and group instead of once per pair.
     """
     elems = curve.knots.elements
-    hs = elems[:, 1] - elems[:, 0]
+    hs = curve.knots.widths
     d_lo = np.abs(np.asarray(
         curve.param_delta(params[pair_i], elems[pair_e, 0]), dtype=float))
     d_hi = np.abs(np.asarray(
@@ -355,12 +325,7 @@ def _graded_pair_rules(curve: Curve, params: np.ndarray, pair_i: np.ndarray,
         xs, ws = graded_unit(order, key_lv, key_tw)
         tp = elems[ue, 0][:, None] + hs[ue][:, None] * xs[None, :]
         tw = hs[ue][:, None] * ws[None, :]
-        yield pair_i[pick], ue, slot, tp, tw
-
-
-def _node_frames(curve: Curve, ts: np.ndarray, nd: int) -> np.ndarray:
-    """Curve frames at a (k, n) node array, shaped (k, n, nd + 1, 2)."""
-    return curve.frame(ts.ravel(), nd).reshape(ts.shape + (nd + 1, 2))
+        yield pair_i[pick], ue, slot, xs, tp, tw
 
 
 class _SingleLayer:
@@ -382,9 +347,9 @@ class _SingleLayer:
             self.n_cols = cache.curve.knots.dim
             self.cw = None
         else:
-            self.grid = cache.density_weights(coeffs)[..., None]
-            self.cols, self.n_cols = np.zeros((len(cols), 1), dtype=int), 1
             self.cw = coeffs[cols]
+            self.grid = np.einsum("eqb,eb->eq", cache.wbasis, self.cw)[..., None]
+            self.cols, self.n_cols = np.zeros((len(cols), 1), dtype=int), 1
 
     @staticmethod
     def value(x, px, t, frames):
@@ -392,75 +357,37 @@ class _SingleLayer:
         return np.log(np.hypot(px[:, None, 0] - pts[..., 0],
                                px[:, None, 1] - pts[..., 1]) + 1e-300)
 
-    def density(self, ts, ee, frames):
-        curve = self.cache.curve
-        _, R = rational_basis(curve.knots, curve.basis_weights, ts.ravel())
-        d1 = frames[..., 1, :]
-        phi = (R[:, 0, :].reshape(ts.shape + (-1,))
-               * np.hypot(d1[..., 0], d1[..., 1])[..., None])
+    def density(self, e, u, frames):
+        phi = (self.cache.curve.local_basis(e, u)
+               * _norm(frames[..., 1, :])[..., None])
         if self.cw is None:
             return phi
-        return np.einsum("knb,kb->kn", phi, self.cw[ee])[..., None]
+        return (phi * self.cw[e]).sum(axis=-1, keepdims=True)
 
-    def containing(self, x, px, inside):
+    def containing(self, x, px, row, tau):
         """Split the element at the target: log|x - t| goes into the
-        log-weight rule on each side, the analytic rest
-        log(|gamma(x) - gamma(t)| / |x - t|) into plain Gauss."""
+        log-weight rule on each side, the analytic rest log |gamma[x, t]|
+        into plain Gauss, with the chord about the target's nearer end."""
         curve = self.cache.curve
         q = self.cache.order
-        elems = curve.knots.elements
         xg, wg = gauss_unit(q)
         xl, wl = gauss_log(q)
-        for orient, ell in ((1.0, elems[inside, 1] - x),
-                            (-1.0, x - elems[inside, 0])):
+        end = row & 1
+        h = curve.knots.widths[row >> 1]
+        v = tau / h  # the target's local coordinate less its nearer end
+        for orient, ell in ((1.0, 1.0 - end - v), (-1.0, end + v)):
             idx = np.flatnonzero(ell > 0.0)
             if not len(idx):
                 continue
-            ei = ell[idx, None]
-            tg = x[idx, None] + orient * ei * xg[None, :]
-            tl = x[idx, None] + orient * ei * xl[None, :]
-            fg = _node_frames(curve, tg, self.nd)
-            sm = _smooth_log_part(px[idx, None], x[idx, None], tg, fg)
-            yield idx, ei * (np.log(ei) + sm) * wg, self.density(tg, inside[idx], fg)
-            yield idx, -ei * wl, self.density(tl, inside[idx],
-                                              _node_frames(curve, tl, self.nd))
-
-
-def _dl_frame_parts(frames: np.ndarray):
-    """Split frames into point, tangent, rotated tangent and diagonal limit."""
-    pt = frames[..., 0, :]
-    d1 = frames[..., 1, :]
-    d2 = frames[..., 2, :]
-    rot = np.stack((d1[..., 1], -d1[..., 0]), axis=-1)
-    diag = (np.einsum("...i,...i->...", d2, rot)
-            / (2.0 * np.einsum("...i,...i->...", d1, d1)))
-    return pt, d1, rot, diag
-
-
-def _dl_kernel_core(x_point, pt, d1, rot, delta, diag, limit):
-    """Broadcastable stable double-layer kernel.
-
-    Kernel (gamma(x) - gamma(t)) . nu(t) |gamma'(t)| / |gamma(x) - gamma(t)|^2
-    through the divided difference g = (gamma(x) - gamma(t)) / (x - t):
-    (g - gamma'(t)) . rot(gamma'(t)) / ((x - t) |g|^2), exact also across
-    corners since gamma' . rot(gamma') = 0.  ``diag`` carries the coincidence
-    limit gamma'' . rot(gamma') / (2 |gamma'|^2), substituted where ``limit``
-    holds.  Callers set ``limit`` only for pairs closer than
-    ``_DL_COINCIDENT`` with a smooth arc between them: there the divided
-    difference of two rounded points has lost its digits, while substituting
-    the limit across a corner would erase the angle mass concentrated there.
-    Other pairs that round onto the same parameter contribute 0.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gx = (x_point[..., 0] - pt[..., 0]) / delta
-        gy = (x_point[..., 1] - pt[..., 1]) / delta
-        val = (((gx - d1[..., 0]) * rot[..., 0] + (gy - d1[..., 1]) * rot[..., 1])
-               / (delta * (gx * gx + gy * gy)))
-    # a target and a foreign quadrature node across a corner can round onto
-    # the same parameter once elements approach ulp scale; that pair's true
-    # weighted contribution is below resolution, so drop it rather than
-    # poison the sum with 0/0
-    return np.where(limit, diag, np.where(delta == 0.0, 0.0, val))
+            e, hi, li = row[idx, None] >> 1, h[idx, None], ell[idx, None]
+            ug = (end + v)[idx, None] + orient * li * xg
+            ul = (end + v)[idx, None] + orient * li * xl
+            chord = curve.chord(row[idx, None], tau[idx, None],
+                                hi * (ug - end[idx, None]))
+            ei = hi * li
+            dens = self.density(e, ug, curve.local_frame(e, ug, 1))
+            yield idx, ei * (np.log(ei) + np.log(_norm(chord))) * wg, dens
+            yield idx, -ei * wl, self.density(e, ul, curve.local_frame(e, ul, 1))
 
 
 class _DoubleLayer:
@@ -474,21 +401,30 @@ class _DoubleLayer:
     n_cols = 1
 
     def __init__(self, curve: Curve, order: int, g_of_points):
-        elems = curve.knots.elements
-        hs = elems[:, 1] - elems[:, 0]
+        kv = curve.knots
+        hs = kv.widths[:, None]
         xg, wg = gauss_unit(order)
         self.curve = curve
         self.order = order
         self.g_of_points = g_of_points
-        self.grid_t = (elems[:, 0][:, None] + hs[:, None] * xg[None, :]).ravel()
-        self.grid_frames = curve.frame(self.grid_t, 2)
-        gjac = (np.asarray(g_of_points(self.grid_frames[:, 0]))
-                * (hs[:, None] * wg[None, :]).ravel())
-        self.grid = gjac.reshape(len(elems), order, 1)
-        self.cols = np.zeros((len(elems), 1), dtype=int)
+        self.grid_t = (kv.elements[:, :1] + hs * xg).ravel()
+        self.grid_frames = curve.local_frame(
+            np.arange(kv.n_elements)[:, None], xg, 2).reshape(-1, 3, 2)
+        gjac = np.asarray(g_of_points(self.grid_frames[:, 0])) * (hs * wg).ravel()
+        self.grid = gjac.reshape(kv.n_elements, order, 1)
+        self.cols = np.zeros((kv.n_elements, 1), dtype=int)
 
     def value(self, x, px, t, frames):
-        pt, d1, rot, diag = _dl_frame_parts(frames)
+        """Kernel (gamma(x) - gamma(t)) . nu(t) |gamma'(t)| / |gamma(x) - gamma(t)|^2
+        at nodes t of other elements, as (g - gamma'(t)) . rot(gamma'(t)) /
+        ((x - t) |g|^2) with g = (gamma(x) - gamma(t)) / (x - t), exact also
+        across corners.  Nodes closer than ``_DL_COINCIDENT`` with a smooth
+        arc to the target take the limit gamma'' . rot(gamma') / (2 |gamma'|^2)
+        instead: there g has lost its digits, while the limit across a corner
+        would erase the angle mass concentrated there.
+        """
+        d1, d2 = frames[..., 1, :], frames[..., 2, :]
+        rot = np.stack((d1[..., 1], -d1[..., 0]), axis=-1)
         delta = np.asarray(self.curve.param_delta(x[:, None], t), dtype=float)
         limit = np.abs(delta) < _DL_COINCIDENT
         if limit.any():
@@ -501,46 +437,37 @@ class _DoubleLayer:
             cos = (np.einsum("kni,ki->kn", tn, tx)
                    / np.hypot(tn[..., 0], tn[..., 1]))
             limit[rows] &= 1.0 - cos <= _CORNER_TOL
-        return _dl_kernel_core(px[:, None], pt, d1, rot, delta, diag, limit)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gx = (px[:, None, 0] - frames[..., 0, 0]) / delta
+            gy = (px[:, None, 1] - frames[..., 0, 1]) / delta
+            val = (((gx - d1[..., 0]) * rot[..., 0] + (gy - d1[..., 1]) * rot[..., 1])
+                   / (delta * (gx * gx + gy * gy)))
+            diag = (np.einsum("...i,...i->...", d2, rot)
+                    / (2.0 * np.einsum("...i,...i->...", d1, d1)))
+        # a target and a foreign quadrature node across a corner can round
+        # onto the same parameter once elements approach ulp scale; that
+        # pair's true weighted contribution is below resolution, so drop it
+        # rather than poison the sum with 0/0
+        return np.where(limit, diag, np.where(delta == 0.0, 0.0, val))
 
-    def density(self, ts, ee, frames):
+    def density(self, e, u, frames):
         vals = self.g_of_points(frames[..., 0, :].reshape(-1, 2))
-        return np.asarray(vals).reshape(ts.shape + (1,))
+        return np.asarray(vals).reshape(frames.shape[:-2] + (1,))
 
-    def containing(self, x, px, inside):
+    def containing(self, x, px, row, tau):
         """The kernel is smooth inside the element containing the target, so
-        the rule there is plain Gauss, i.e. the grid itself.  Nodes within
-        ``_DL_CLOSE`` of the element width from the target take the kernel
-        from ``_dl_kernel_close``."""
-        src = inside[:, None] * self.order + np.arange(self.order)[None, :]
-        t, frames = self.grid_t[src], self.grid_frames[src]
-        kern = self.value(x, px, t, frames)
-        elems = self.curve.knots.elements
-        delta = np.asarray(self.curve.param_delta(x[:, None], t), dtype=float)
-        close = (np.abs(delta)
-                 < _DL_CLOSE * (elems[inside, 1] - elems[inside, 0])[:, None])
-        kern[close] = _dl_kernel_close(self.curve, t[close], delta[close],
-                                       frames[close][:, 1])
+        the rule there is plain Gauss, i.e. the grid itself.  The kernel of
+        ``value`` is gamma[t, t, x] . rot gamma'(t) / |gamma[t, x]|^2,
+        taken from the element's coefficients about the target's nearer
+        end, so no difference of two rounded points enters."""
+        xg, _ = gauss_unit(self.order)
+        inside, end = row >> 1, row[:, None] & 1
+        h = self.curve.knots.widths[inside][:, None]
+        g1, d1, g2 = self.curve.chord(row[:, None], h * (xg - end), tau[:, None],
+                                      second=True)
+        kern = ((g2[..., 0] * d1[..., 1] - g2[..., 1] * d1[..., 0])
+                / (g1[..., 0] ** 2 + g1[..., 1] ** 2))
         yield np.arange(len(x)), kern, self.grid[inside]
-
-
-def _dl_kernel_close(curve: Curve, t, delta, d1):
-    """Double-layer kernel at nodes t of the target's own element, x = t + delta.
-
-    gamma(x) = gamma(t) + delta gamma'(t) + delta^2 D with D = int_0^1
-    (1 - u) gamma''(t + delta u) du, so the kernel of ``_dl_kernel_core`` is
-    D . rot(gamma'(t)) / |gamma'(t) + delta D|^2, free of the difference of
-    two rounded points that loses about eps |gamma| / delta^2.  On one
-    element gamma is one rational piece, so Gauss over a small fraction of
-    the element is exact to rounding.
-    """
-    xg, wg = gauss_unit(_DL_CLOSE_ORDER)
-    u = t[:, None] + delta[:, None] * xg[None, :]
-    d2 = curve.frame(u.ravel(), 2)[:, 2].reshape(u.shape + (2,))
-    D = np.einsum("n,kni->ki", wg * (1.0 - xg), d2)
-    rot = np.stack((d1[:, 1], -d1[:, 0]), axis=-1)
-    g = d1 + delta[:, None] * D
-    return np.einsum("ki,ki->k", D, rot) / np.einsum("ki,ki->k", g, g)
 
 
 def _potential(curve: Curve, kernel, params) -> np.ndarray:
@@ -559,18 +486,24 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
     params = kv.wrap(np.atleast_1d(params))
     m = len(params)
     x_pts = curve.point(params)
-    # the element containing each target, right-continuous at breakpoints
-    inside = kv.locate(params)[0] >> 1
+    # the element containing each target, right-continuous at breakpoints,
+    # with the target's nearer end and offset
+    row, tau = kv.locate(params)
+    inside = row >> 1
     n_el, q, w = kernel.grid.shape
     out = np.zeros((m, kernel.n_cols))
 
     # near: the containing element and those within NEAR_FACTOR sizes
-    elems = kv.elements
-    hs = elems[:, 1] - elems[:, 0]
-    gap = np.abs(curve.param_delta(params[:, None], elems.mean(axis=1)[None, :]))
+    hs = kv.widths
+    gap = np.abs(curve.param_delta(params[:, None], kv.elements.mean(axis=1)[None, :]))
     near = np.maximum(gap - 0.5 * hs, 0.0) < NEAR_FACTOR * hs
     near[np.arange(m), inside] = True
 
+    def add(ii, ee, kw, vals):
+        np.add.at(out, (ii[:, None], kernel.cols[ee]),
+                  np.einsum("kn,knw->kw", kw, vals))
+
+    # far elements and the containing element, block by block of targets
     step = max(1, int(_FAR_BLOCK // (n_el * q)))
     for s0 in range(0, m, step):
         sl = slice(s0, min(s0 + step, m))
@@ -585,19 +518,15 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
             win = np.einsum("cer,erw->cew", K, kernel.grid)
             for j in range(w):  # slot j of distinct elements: distinct columns
                 out[sl, kernel.cols[:, j]] += win[:, :, j]
+        for idx, kw, vals in kernel.containing(params[sl], x_pts[sl], row[sl], tau[sl]):
+            add(s0 + idx, inside[sl][idx], kw, vals)
 
-    def add(ii, ee, kw, vals):
-        np.add.at(out, (ii[:, None], kernel.cols[ee]),
-                  np.einsum("kn,knw->kw", kw, vals))
-
-    for idx, kw, vals in kernel.containing(params, x_pts, inside):
-        add(idx, inside[idx], kw, vals)
     pair_i, pair_e = np.nonzero(near)
     keep = pair_e != inside[pair_i]
-    for ii, ue, slot, tp, tw in _graded_pair_rules(curve, params, pair_i[keep],
-                                                   pair_e[keep], q):
-        frames = _node_frames(curve, tp, kernel.nd)
-        dens = kernel.density(tp, ue, frames)
+    for ii, ue, slot, u, tp, tw in _graded_pair_rules(curve, params, pair_i[keep],
+                                                      pair_e[keep], q):
+        frames = curve.local_frame(ue[:, None], u, kernel.nd)
+        dens = kernel.density(ue[:, None], u, frames)
         kern = kernel.value(params[ii], x_pts[ii], tp[slot], frames[slot])
         add(ii, ue[slot], tw[slot] * kern, dens[slot])
     return out

@@ -24,9 +24,11 @@ nonzero basis window is one polynomial of degree p, so its derivatives
 0..p at the two element ends determine it; ``KnotVector.element_table``
 holds them, built once by the recurrence at 2 n_el points.  A point is
 evaluated by Horner's rule about the nearer end of its element, which
-returns element-end values exactly as the recurrence gives them.  The
-recurrence itself only builds tables, dense evaluations (``bspline_dense``)
-and Boehm insertion.
+returns element-end values exactly as the recurrence gives them; the offset
+from that end comes from ``locate`` for a parameter, and from ``local`` for
+a quadrature node (element, u), which never rounds the node to a parameter.
+The recurrence itself only builds tables, dense evaluations
+(``bspline_dense``) and Boehm insertion.
 
 Knot insertion transports coefficient rows in homogeneous form by one
 Boehm step and never changes the represented function.
@@ -174,14 +176,14 @@ def bspline_dense(knots, degree, ts, nd=0, side="right"):
 def _taylor_sum(derivs, tau, nd):
     """Derivatives 0..nd at offsets ``tau`` of polynomials given by their
     derivatives 0..p at the expansion point, ``derivs[k]`` of shape
-    (npts, ...).
+    tau.shape + (...).
 
     Horner's rule on sum_k derivs[k] tau^k / k!, once per derivative: at
     ``tau = 0`` it returns ``derivs[j]`` unchanged, and derivatives above p
     are zero.  Returns a list of nd + 1 arrays.
     """
     p = len(derivs) - 1
-    tau = tau.reshape(tau.shape + (1,) * (derivs[0].ndim - 1))
+    tau = tau.reshape(tau.shape + (1,) * (derivs[0].ndim - tau.ndim))
     steps = [tau / (i + 1) for i in range(p)]
     out = []
     for j in range(nd + 1):
@@ -265,6 +267,14 @@ class KnotVector:
         """Array of shape (n_elements, 2) with element endpoints."""
         bp = self.breakpoint_array
         return np.column_stack((bp[:-1], bp[1:]))
+
+    @cached_property
+    def widths(self) -> np.ndarray:
+        """Element widths, read-only."""
+        bp = self.breakpoint_array
+        arr = bp[1:] - bp[:-1]
+        arr.flags.writeable = False
+        return arr
 
     @property
     def dim(self) -> int:
@@ -363,6 +373,13 @@ class KnotVector:
         row = np.clip(np.searchsorted(z, ts, side=side) - 1, 0, len(z) - 2)
         return row, ts - self.breakpoint_array[(row + 1) >> 1]
 
+    def local(self, e, u):
+        """``locate`` for local coordinates u of elements e, broadcast, with
+        no search: row 2 e + end and tau = h (u - end), u - end being exact."""
+        u = np.asarray(u, dtype=float)
+        end = (u >= 0.5).astype(int)
+        return 2 * e + end, self.widths[e] * (u - end)
+
     def taylor_values(self, table, ts, nd: int = 0, side: str = "right"):
         """Evaluate element-end derivative data at parameters.
 
@@ -436,19 +453,19 @@ class KnotVector:
 def quotient_derivatives(num, den) -> np.ndarray:
     """Derivatives 0..nd of num / den from those of num and den.
 
-    ``num[k]`` (shape (npts, c)) and ``den[k]`` (shape (npts,)) are k-th
-    derivatives, k = 0..nd.  Returns an (npts, nd + 1, c) array from the
+    ``num[k]`` (shape (..., c)) and ``den[k]`` (shape (...)) are k-th
+    derivatives, k = 0..nd.  Returns a (..., nd + 1, c) array from the
     Leibniz expansion of (num / den) * den = num.
     """
-    out = [num[0] / den[0][:, None]]
+    out = [num[0] / den[0][..., None]]
     for k in range(1, len(num)):
         acc = num[k]
         binom = 1.0
         for j in range(1, k + 1):
             binom = binom * (k - j + 1) / j
-            acc = acc - binom * out[k - j] * den[j][:, None]
-        out.append(acc / den[0][:, None])
-    return np.stack(out, axis=1)
+            acc = acc - binom * out[k - j] * den[j][..., None]
+        out.append(acc / den[0][..., None])
+    return np.stack(out, axis=-2)
 
 
 def rational_basis(kv: KnotVector, basis_weights: np.ndarray, ts, nd: int = 0, side: str = "right"):

@@ -29,7 +29,7 @@ from igabem.geometry import Curve, circle, pacman, slit, square
 from igabem.operators import galerkin_matrix, galerkin_rhs
 from igabem.quadrature import gauss_unit
 from igabem.solve import solve_linear
-from igabem.splines import KnotVector, rational_basis
+from igabem.splines import KnotVector
 
 
 def _scalar_geometry(curve):
@@ -243,16 +243,15 @@ def test_partition_quality_quadratic_closed_form(n):
 
 def _partition_quality_loops(curve, order=16):
     """q_per_element and containment from the definition, element by
-    element, summing in the same order as ``partition_quality``."""
+    element, summing in the same order as ``partition_quality`` and on the
+    same element-local Gauss nodes."""
     kv = curve.knots
     p, n_el = kv.degree, kv.n_elements
     xg, wg = gauss_unit(order)
     hs = kv.elements[:, 1] - kv.elements[:, 0]
-    flat = (kv.elements[:, 0][:, None] + hs[:, None] * xg).ravel()
-    first, R = rational_basis(kv, curve.basis_weights, flat)
-    first = first.reshape(n_el, order)[:, 0]
-    basis = R[:, 0, :].reshape(n_el, order, p + 1)
-    sp = curve.speed(flat).reshape(n_el, order)
+    first = kv.element_table[0]
+    basis = [curve.local_basis(e, xg) for e in range(n_el)]
+    sp = [np.hypot(*curve.local_frame(e, xg, 1)[:, 1].T) for e in range(n_el)]
     arc = curve.element_lengths
     m = (p + 1) // 2
     q_out, contained = np.empty(n_el), True

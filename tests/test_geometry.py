@@ -18,7 +18,7 @@ def test_slit_basic():
     c = slit()
     np.testing.assert_allclose(c.point([0.0, 0.25, 1.0]), [[-1, 0], [-0.5, 0], [1, 0]], atol=1e-15)
     np.testing.assert_allclose(c.speed(np.linspace(0, 1, 9)), 2.0, atol=1e-14)
-    assert c.length == pytest.approx(2.0, rel=1e-14)
+    assert c.element_lengths.sum() == pytest.approx(2.0, rel=1e-14)
     assert c.corner_params().size == 0
     assert not c.closed
 
@@ -36,7 +36,7 @@ def test_square_points_and_normals():
     np.testing.assert_allclose(
         c.normal(mids), [[0, -1], [1, 0], [0, 1], [-1, 0]], atol=1e-14
     )
-    assert c.length == pytest.approx(2.0, rel=1e-14)
+    assert c.element_lengths.sum() == pytest.approx(2.0, rel=1e-14)
     np.testing.assert_allclose(c.corner_params(), [0.0, 0.25, 0.5, 0.75], atol=1e-15)
     # wrap-around evaluation
     np.testing.assert_allclose(c.point([1.25]), c.point([0.25]), atol=1e-15)
@@ -44,7 +44,7 @@ def test_square_points_and_normals():
 
 def test_square_initial_mesh_size_assumption():
     c = square()
-    assert np.max(c.element_lengths) <= c.length / 4 + 1e-14
+    assert np.max(c.element_lengths) <= c.element_lengths.sum() / 4 + 1e-14
 
 
 def test_pacman_exact_sector():
@@ -72,12 +72,12 @@ def test_pacman_corners_and_length():
     c = pacman()
     np.testing.assert_allclose(c.corner_params(), [0.0, 1 / 6, 5 / 6], atol=1e-15)
     exact = 0.2 + 0.1 * 7 * np.pi / 4
-    assert c.length == pytest.approx(exact, rel=1e-12)
+    assert c.element_lengths.sum() == pytest.approx(exact, rel=1e-12)
     ref, err = quad(lambda t: c.speed([t])[0], 0.0, 1.0, points=c.knots.breakpoints, limit=200)
     assert err < 1e-10
-    assert c.length == pytest.approx(ref, rel=1e-10)
+    assert c.element_lengths.sum() == pytest.approx(ref, rel=1e-10)
     # initial elements satisfy the quarter-length mesh assumption
-    assert np.max(c.element_lengths) <= c.length / 4 + 1e-14
+    assert np.max(c.element_lengths) <= c.element_lengths.sum() / 4 + 1e-14
 
 
 def test_pacman_outward_normal():
@@ -98,7 +98,7 @@ def test_circle_exactness():
     c = circle()
     ts = np.linspace(0, 1, 257, endpoint=False)
     np.testing.assert_allclose(np.hypot(*c.point(ts).T), 1.0, atol=1e-14)
-    assert c.length == pytest.approx(2 * np.pi, rel=1e-12)
+    assert c.element_lengths.sum() == pytest.approx(2 * np.pi, rel=1e-12)
     assert c.corner_params().size == 0
     nu = c.normal(ts)
     np.testing.assert_allclose(nu, c.point(ts), atol=1e-12)
@@ -134,7 +134,7 @@ def test_refinement_preserves_geometry():
     ts = np.linspace(0, 1, 211, endpoint=False)
     np.testing.assert_allclose(fine.point(ts), c.point(ts), atol=1e-13)
     np.testing.assert_allclose(fine.speed(ts), c.speed(ts), atol=1e-11)
-    assert fine.length == pytest.approx(c.length, rel=1e-12)
+    assert fine.element_lengths.sum() == pytest.approx(c.element_lengths.sum(), rel=1e-12)
 
 
 def test_curve_validation():

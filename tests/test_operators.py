@@ -218,7 +218,9 @@ def test_quadrature_order_stability(monkeypatch):
     # different sizes take the lower orders of the separated-pair rule,
     # against order 32 on every pair.  Order 16 on every pair meets it to
     # 2.1e-15 of max|A| on these meshes; the rule at tolerance 1e-16 instead
-    # of 1e-20 misses by 1.1e-14
+    # of 1e-20 misses by 1.1e-14.  Scaled by the diagonal, the entries of
+    # the smallest elements (2e-12 to 6e-11) count too: nodes or chords
+    # taken from rounded parameters spread them by 1e-7 to 1e-5
     graded = (_corner_graded(slit(), 7, 40), _corner_graded(pacman(), 2, 30),
               _corner_graded(square(), 2, 30))
     A = [galerkin_matrix(curve) for curve in graded]
@@ -227,6 +229,8 @@ def test_quadrature_order_stability(monkeypatch):
         assert curve.knots.n_elements >= 150
         A32 = galerkin_matrix(curve, order=32)
         assert np.max(np.abs(A16 - A32)) <= 5e-15 * np.max(np.abs(A32)), curve
+        d = np.sqrt(np.diag(A32))
+        assert np.max(np.abs(A16 - A32) / np.outer(d, d)) <= 1e-7, curve
 
 
 # --------------------------------------------------------------------------
@@ -427,4 +431,4 @@ def test_double_layer_near_corners_keeps_angle_mass():
 def test_galerkin_rhs_mass_of_one():
     curve = pacman()
     b = galerkin_rhs(curve, lambda ts: np.ones_like(ts))
-    assert b.sum() == pytest.approx(curve.length, rel=1e-12)
+    assert b.sum() == pytest.approx(curve.element_lengths.sum(), rel=1e-12)

@@ -11,8 +11,11 @@ counterclockwise; the outward unit normal is then the clockwise rotation of
 the unit tangent.
 
 ``frame`` and its relatives take parameters; quadrature nodes go through
-``local_frame`` and ``local_basis`` as (element, local coordinate) pairs, and
-``chord`` takes divided differences from the element's Taylor coefficients.
+``local_frame`` and ``local_basis`` as (element, local coordinate) pairs.
+Each element's Taylor coefficients are stored about both its ends with the
+control points measured from that end, so ``displacement`` gives gamma(t) -
+gamma(end) and ``chord`` divided differences without subtracting two
+rounded points.
 """
 
 from __future__ import annotations
@@ -94,26 +97,51 @@ class Curve:
         return np.column_stack((self.weights[:, None] * self.controls, self.weights))
 
     @cached_property
+    def _windows(self) -> np.ndarray:
+        """Basis indices of the window at element end 2 e + end."""
+        first = self.knots.element_table[0]
+        return np.repeat(first[:, None] + np.arange(self.degree + 1), 2, axis=0)
+
+    @cached_property
+    def end_points(self) -> np.ndarray:
+        """gamma at every element end, row 2 e + end: (2 n_el, 2)."""
+        A = np.einsum("or,orj->oj", self.knots.element_table[1][0],
+                      self._hom[self._windows])
+        return A[:, :2] / A[:, 2:]
+
+    @cached_property
     def _frame_table(self) -> np.ndarray:
-        """Derivatives of the homogeneous curve (w x, w y, w) at element
-        ends, laid out like ``KnotVector.element_table``: (p + 1, 2 n_el, 3)."""
-        kv = self.knots
-        first, table = kv.element_table
-        cols = first[:, None] + np.arange(kv.degree + 1)[None, :]
-        return np.einsum("kor,orj->koj", table, self._hom[np.repeat(cols, 2, axis=0)])
+        """Derivatives at element ends of (N - gamma(end) W, W), (N, W) the
+        homogeneous curve, laid out like ``KnotVector.element_table``.  Its
+        rows are w_r (P_r - gamma(end), 1) and its constant N term is zero,
+        so Taylor sums give displacements from the end to full relative
+        accuracy, also where large basis derivatives of small elements meet
+        control points far from the element."""
+        table = self.knots.element_table[1]
+        w = self.weights[self._windows]
+        P = self.controls[self._windows] - self.end_points[:, None, :]
+        A = np.einsum("kor,orj->koj", table,
+                      np.concatenate([w[..., None] * P, w[..., None]], axis=2))
+        A[0, :, :2] = 0.0
+        return A
 
     @cached_property
     def _basis_table(self) -> np.ndarray:
         """The element table of the weighted basis windows w_r B_r."""
-        first, table = self.knots.element_table
-        cols = first[:, None] + np.arange(self.degree + 1)[None, :]
-        return table * np.repeat(self.weights[cols], 2, axis=0)
+        return self.knots.element_table[1] * self.weights[self._windows]
 
     # -- evaluation ----------------------------------------------------------
 
-    def _frames(self, row, tau, nd: int) -> np.ndarray:
+    def displacement(self, row, tau, nd: int = 0) -> np.ndarray:
+        """gamma(end + tau) - gamma(end), exact to its last digits, and the
+        derivatives 1..nd of gamma at offsets ``tau`` from the element end
+        ``row`` (2 e + end), both broadcasting: shape (..., nd + 1, 2)."""
+        return self._frames(row, tau, nd, absolute=False)
+
+    def _frames(self, row, tau, nd: int, absolute: bool = True) -> np.ndarray:
         A = _taylor_sum(np.take(self._frame_table, row, axis=1), tau, nd)
-        return quotient_derivatives([a[..., :2] for a in A], [a[..., 2] for a in A])
+        origin = np.take(self.end_points, row, axis=0) if absolute else None
+        return quotient_derivatives([a[..., :2] for a in A], [a[..., 2] for a in A], origin)
 
     def frame(self, ts, nd: int = 0, side: str = "right") -> np.ndarray:
         """Curve point and derivatives: array of shape (npts, nd + 1, 2).

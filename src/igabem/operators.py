@@ -25,11 +25,12 @@ other elements near the target on composite rules graded toward it.  The
 element containing the target takes the kernel's own rule: for V a split at
 the target with the log-weight rule on each side, for K plain Gauss, since
 K is smooth along an arc; both take the kernel from divided differences.
-Nodes of other elements that come closer than 1e-9 in parameter take the
-kernel's coincidence limit when no corner lies between them and the
-target.  The engine returns the density contracted with coefficients, the
-raw basis windows (one column per basis function), or the integral of
-data g.
+A graded rule measures its nodes and the target from the element end it
+grades toward, so gamma(x) - gamma(t) is a difference of two displacements
+from that end (``Curve.displacement``), each exact to its last digits, and
+one kernel formula serves every node.  The engine returns the density
+contracted with coefficients, the raw basis windows (one column per basis
+function), or the integral of data g.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _CORNER_TOL, Curve
+from .geometry import Curve
 from .quadrature import gauss_log, gauss_unit, graded_unit, separated_order
 from .splines import rational_basis  # noqa: F401  (wrapped here by perfbench/tracing.py)
 
@@ -49,10 +50,6 @@ DEFAULT_ORDER = 16
 NEAR_FACTOR = 0.75  # parameter-distance/size ratio below which grading kicks in
 GRADE_MAX_LEVELS = 48
 _TWO_PI = 2.0 * np.pi
-# parameter distance below which the double-layer kernel at a node of
-# another element takes its coincidence limit instead of a divided
-# difference of two curve points
-_DL_COINCIDENT = 1e-9
 # far-field kernel entries evaluated per block of element pairs or of
 # targets: this bounds the memory of a block, whose temporaries are about
 # ten arrays of this many doubles, whatever the mesh size
@@ -77,11 +74,10 @@ __all__ = [
 
 @dataclass
 class ElementCache:
-    """Gauss data on every element: parameters, points, weighted basis."""
+    """Gauss data on every element: points, weighted basis."""
 
     curve: Curve
     order: int
-    params: np.ndarray  # (n_el, q)
     points: np.ndarray  # (n_el, q, 2)
     first: np.ndarray  # (n_el,) first basis index per element
     wbasis: np.ndarray  # (n_el, q, p+1) basis * speed * gauss weight * length
@@ -91,9 +87,9 @@ def element_cache(curve: Curve, order: int = DEFAULT_ORDER) -> ElementCache:
     kv = curve.knots
     xg, wg = gauss_unit(order)
     hs = kv.widths[:, None]
-    phi, pts = _phi_windows(curve, np.arange(kv.n_elements)[:, None], xg)
-    return ElementCache(curve, order, kv.elements[:, :1] + hs * xg, pts,
-                        kv.element_table[0], phi * (wg * hs)[..., None])
+    e = np.arange(kv.n_elements)[:, None]
+    return ElementCache(curve, order, curve.local_frame(e, xg)[..., 0, :], kv.element_table[0],
+                        _phi_windows(curve, e, xg) * (wg * hs)[..., None])
 
 
 # --------------------------------------------------------------------------
@@ -107,19 +103,15 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 def _phi_windows(curve: Curve, e, u):
     """Rational basis windows times speed at local coordinates u of
-    elements e, and the curve points there."""
-    fr = curve.local_frame(e, u, 1)
-    return curve.local_basis(e, u) * _norm(fr[..., 1, :])[..., None], fr[..., 0, :]
+    elements e; the speed needs no point, so it takes displacements."""
+    d1 = curve.displacement(*curve.knots.local(e, u), 1)[..., 1, :]
+    return curve.local_basis(e, u) * _norm(d1)[..., None]
 
 
 def _grade_levels(h: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Grading levels toward a target at distance d from elements of size h."""
-    # deeper panels than the floating-point grid near the endpoint can
-    # resolve would collapse onto it, so cap by ~ h / (256 eps)
-    cap = np.clip(np.trunc(np.log2(np.maximum(h, 1e-30)) + 44.0),
-                  2, GRADE_MAX_LEVELS)
     lv = np.ceil(np.log2(h / np.maximum(d, 1e-300))) + 2
-    return np.clip(lv, 2, cap).astype(int)
+    return np.clip(lv, 2, GRADE_MAX_LEVELS).astype(int)
 
 
 # --------------------------------------------------------------------------
@@ -147,8 +139,8 @@ def _singular_blocks(curve: Curve, s, t, chord: np.ndarray,
     """
     _, wx = _radial_rule(order)
     _, wy = gauss_unit(order)
-    phis = _phi_windows(curve, *s)[0]
-    phit = _phi_windows(curve, *t)[0]
+    phis = _phi_windows(curve, *s)
+    phit = _phi_windows(curve, *t)
     # the log weights carry log(1/x), so log x enters there as -1
     log_chord = np.log(chord)
     kern = np.concatenate([log_chord, np.full_like(log_chord, -1.0)], axis=1)
@@ -288,7 +280,7 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
         t, w, u = _corner_graded_rule(*elems[e].tolist(), *at[e].tolist(), order)
         rules.append((np.full(len(t), e), t, w, u))
     eq, tq, wq, uq = (np.concatenate(parts) for parts in zip(*rules))
-    phi = _phi_windows(curve, eq, uq)[0]  # phi carries the speed
+    phi = _phi_windows(curve, eq, uq)  # phi carries the speed
     b = np.zeros(kv.dim)
     np.add.at(b, kv.element_table[0][eq][:, None] + np.arange(curve.degree + 1),
               (np.asarray(f_of_params(tq)) * wq)[:, None] * phi)
@@ -299,33 +291,50 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
 # pointwise potentials (collocation rows, residual sampling, Dirichlet data)
 # --------------------------------------------------------------------------
 
-def _graded_pair_rules(curve: Curve, params: np.ndarray, pair_i: np.ndarray,
+def _graded_pair_rules(curve: Curve, params: np.ndarray, x_pts: np.ndarray,
+                       inside: np.ndarray, pair_i: np.ndarray,
                        pair_e: np.ndarray, order: int):
     """Group (target, element) pairs sharing a graded-rule shape.
 
-    Yields (targets, elements, slot, u, t_params, t_weights) per group, the
-    rule of each pair graded toward its target, with local coordinates
-    ``u`` shared by the group.  The nodes depend only on the element, so
-    ``t_params`` and ``t_weights`` hold one row per distinct element of the
-    group, ``elements``, and pair k reads row ``slot[k]``: callers evaluate
-    geometry and data once per element and group instead of once per pair.
+    A pair's rule grades toward the end z of its element nearer the target
+    and measures both from z: the nodes at offsets h x, the target from its
+    own element when z is one of that element's ends, else from points.
+    Yields (targets, elements, slot, u, weights, px, frames, origin) per
+    group: local coordinates ``u`` shared by the group, one target
+    displacement ``px`` per pair, and weights, node ``frames`` (row 0 the
+    displacement) and the point z, ``origin``, once per distinct element,
+    which pair k reads at ``slot[k]``.
     """
-    elems = curve.knots.elements
-    hs = curve.knots.widths
-    d_lo = np.abs(np.asarray(
-        curve.param_delta(params[pair_i], elems[pair_e, 0]), dtype=float))
-    d_hi = np.abs(np.asarray(
-        curve.param_delta(params[pair_i], elems[pair_e, 1]), dtype=float))
+    kv = curve.knots
+    elems, hs = kv.elements, kv.widths
+    x = params[pair_i]
+    d_lo = np.abs(curve.param_delta(x, elems[pair_e, 0]))
+    d_hi = np.abs(curve.param_delta(x, elems[pair_e, 1]))
     toward = (d_lo > d_hi).astype(int)
+    z = 2 * pair_e + toward
+
+    def node(row):
+        return ((row + 1) >> 1) % len(kv.nodes)
+
+    # the end of the target's element that is z, where it has one
+    own = 2 * inside[pair_i]
+    own += node(own) != node(z)
+    shared = np.flatnonzero(node(own) == node(z))
+    px = x_pts[pair_i] - curve.end_points[z]
+    own = own[shared]
+    px[shared] = curve.displacement(
+        own, x[shared] - kv.breakpoint_array[(own + 1) >> 1])[:, 0]
     key = 2 * _grade_levels(hs[pair_e], np.minimum(d_lo, d_hi)) + toward
     for k in np.unique(key):
         pick = key == k
-        key_lv, key_tw = int(k) // 2, float(k % 2)
+        levels, end = divmod(int(k), 2)
         ue, slot = np.unique(pair_e[pick], return_inverse=True)
-        xs, ws = graded_unit(order, key_lv, key_tw)
-        tp = elems[ue, 0][:, None] + hs[ue][:, None] * xs[None, :]
-        tw = hs[ue][:, None] * ws[None, :]
-        yield pair_i[pick], ue, slot, xs, tp, tw
+        xs, ws = graded_unit(order, levels)  # distances from z in widths
+        h = hs[ue][:, None]
+        rows = 2 * ue[:, None] + end
+        yield (pair_i[pick], ue, slot, 1.0 - xs if end else xs, h * ws, px[pick],
+               curve.displacement(rows, h * (-xs if end else xs), 1),
+               curve.end_points[rows])
 
 
 class _SingleLayer:
@@ -335,11 +344,8 @@ class _SingleLayer:
     Far elements use the element cache's Gauss grid.
     """
 
-    nd = 1  # frame order at quadrature nodes: points, and speeds for R_q
-
     def __init__(self, cache: ElementCache, coeffs: np.ndarray | None = None):
         self.cache = cache
-        self.grid_t = cache.params.ravel()
         self.grid_frames = cache.points.reshape(-1, 1, 2)
         cols = cache.first[:, None] + np.arange(cache.curve.degree + 1)[None, :]
         if coeffs is None:
@@ -352,19 +358,18 @@ class _SingleLayer:
             self.cols, self.n_cols = np.zeros((len(cols), 1), dtype=int), 1
 
     @staticmethod
-    def value(x, px, t, frames):
-        pts = frames[..., 0, :]
-        return np.log(np.hypot(px[:, None, 0] - pts[..., 0],
-                               px[:, None, 1] - pts[..., 1]) + 1e-300)
+    def value(px, frames):
+        return np.log(np.hypot(px[:, None, 0] - frames[..., 0, 0],
+                               px[:, None, 1] - frames[..., 0, 1]) + 1e-300)
 
-    def density(self, e, u, frames):
+    def density(self, e, u, frames, origin=None):  # reads only speeds
         phi = (self.cache.curve.local_basis(e, u)
                * _norm(frames[..., 1, :])[..., None])
         if self.cw is None:
             return phi
         return (phi * self.cw[e]).sum(axis=-1, keepdims=True)
 
-    def containing(self, x, px, row, tau):
+    def containing(self, row, tau):
         """Split the element at the target: log|x - t| goes into the
         log-weight rule on each side, the analytic rest log |gamma[x, t]|
         into plain Gauss, with the chord about the target's nearer end."""
@@ -385,19 +390,18 @@ class _SingleLayer:
             chord = curve.chord(row[idx, None], tau[idx, None],
                                 hi * (ug - end[idx, None]))
             ei = hi * li
-            dens = self.density(e, ug, curve.local_frame(e, ug, 1))
+            dens = self.density(e, ug, curve.displacement(*curve.knots.local(e, ug), 1))
             yield idx, ei * (np.log(ei) + np.log(_norm(chord))) * wg, dens
-            yield idx, -ei * wl, self.density(e, ul, curve.local_frame(e, ul, 1))
+            yield idx, -ei * wl, self.density(
+                e, ul, curve.displacement(*curve.knots.local(e, ul), 1))
 
 
 class _DoubleLayer:
     """Double-layer kernel against data g at boundary points, in one column.
 
-    The kernel carries the speed.  Far elements use a Gauss grid of its own,
-    whose frames reach gamma''.
+    The kernel carries the speed.  Far elements use a Gauss grid of its own.
     """
 
-    nd = 2
     n_cols = 1
 
     def __init__(self, curve: Curve, order: int, g_of_points):
@@ -407,54 +411,26 @@ class _DoubleLayer:
         self.curve = curve
         self.order = order
         self.g_of_points = g_of_points
-        self.grid_t = (kv.elements[:, :1] + hs * xg).ravel()
         self.grid_frames = curve.local_frame(
-            np.arange(kv.n_elements)[:, None], xg, 2).reshape(-1, 3, 2)
+            np.arange(kv.n_elements)[:, None], xg, 1).reshape(-1, 2, 2)
         gjac = np.asarray(g_of_points(self.grid_frames[:, 0])) * (hs * wg).ravel()
         self.grid = gjac.reshape(kv.n_elements, order, 1)
         self.cols = np.zeros((kv.n_elements, 1), dtype=int)
 
-    def value(self, x, px, t, frames):
-        """Kernel (gamma(x) - gamma(t)) . nu(t) |gamma'(t)| / |gamma(x) - gamma(t)|^2
-        at nodes t of other elements, as (g - gamma'(t)) . rot(gamma'(t)) /
-        ((x - t) |g|^2) with g = (gamma(x) - gamma(t)) / (x - t), exact also
-        across corners.  Nodes closer than ``_DL_COINCIDENT`` with a smooth
-        arc to the target take the limit gamma'' . rot(gamma') / (2 |gamma'|^2)
-        instead: there g has lost its digits, while the limit across a corner
-        would erase the angle mass concentrated there.
-        """
-        d1, d2 = frames[..., 1, :], frames[..., 2, :]
-        rot = np.stack((d1[..., 1], -d1[..., 0]), axis=-1)
-        delta = np.asarray(self.curve.param_delta(x[:, None], t), dtype=float)
-        limit = np.abs(delta) < _DL_COINCIDENT
-        if limit.any():
-            # a node is on a smooth arc with the target only if both have
-            # the same unit tangent direction
-            rows = np.flatnonzero(limit.any(axis=1))
-            tx = self.curve.tangent(x[rows])
-            tx /= np.hypot(tx[:, 0], tx[:, 1])[:, None]
-            tn = np.broadcast_to(d1, limit.shape + (2,))[rows]
-            cos = (np.einsum("kni,ki->kn", tn, tx)
-                   / np.hypot(tn[..., 0], tn[..., 1]))
-            limit[rows] &= 1.0 - cos <= _CORNER_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gx = (px[:, None, 0] - frames[..., 0, 0]) / delta
-            gy = (px[:, None, 1] - frames[..., 0, 1]) / delta
-            val = (((gx - d1[..., 0]) * rot[..., 0] + (gy - d1[..., 1]) * rot[..., 1])
-                   / (delta * (gx * gx + gy * gy)))
-            diag = (np.einsum("...i,...i->...", d2, rot)
-                    / (2.0 * np.einsum("...i,...i->...", d1, d1)))
-        # a target and a foreign quadrature node across a corner can round
-        # onto the same parameter once elements approach ulp scale; that
-        # pair's true weighted contribution is below resolution, so drop it
-        # rather than poison the sum with 0/0
-        return np.where(limit, diag, np.where(delta == 0.0, 0.0, val))
+    @staticmethod
+    def value(px, frames):
+        """d . rot gamma'(t) / |d|^2, the normal derivative times the speed,
+        with d = px less the point row of ``frames``; 0 where d = 0."""
+        dx = px[:, None, 0] - frames[..., 0, 0]
+        dy = px[:, None, 1] - frames[..., 0, 1]
+        d1 = frames[..., 1, :]
+        return (dx * d1[..., 1] - dy * d1[..., 0]) / (dx * dx + dy * dy + 1e-300)
 
-    def density(self, e, u, frames):
-        vals = self.g_of_points(frames[..., 0, :].reshape(-1, 2))
+    def density(self, e, u, frames, origin):
+        vals = self.g_of_points((frames[..., 0, :] + origin).reshape(-1, 2))
         return np.asarray(vals).reshape(frames.shape[:-2] + (1,))
 
-    def containing(self, x, px, row, tau):
+    def containing(self, row, tau):
         """The kernel is smooth inside the element containing the target, so
         the rule there is plain Gauss, i.e. the grid itself.  The kernel of
         ``value`` is gamma[t, t, x] . rot gamma'(t) / |gamma[t, x]|^2,
@@ -467,20 +443,21 @@ class _DoubleLayer:
                                       second=True)
         kern = ((g2[..., 0] * d1[..., 1] - g2[..., 1] * d1[..., 0])
                 / (g1[..., 0] ** 2 + g1[..., 1] ** 2))
-        yield np.arange(len(x)), kern, self.grid[inside]
+        yield np.arange(len(row)), kern, self.grid[inside]
 
 
 def _potential(curve: Curve, kernel, params) -> np.ndarray:
     """Integrals of ``kernel`` against its density at the target parameters.
 
-    ``kernel`` supplies the kernel ``value`` on a Gauss grid (``grid_t``,
-    ``grid_frames``) and at other quadrature nodes, its density there
-    (``grid`` (n_el, q, w) times weights, ``density`` at other nodes, both
-    in windows of w values), the output column ``cols[e, j]`` of slot j of
-    element e's window among ``n_cols``, and the rule on the element
-    containing the target.  Far elements take the grid, in blocks of
-    targets; the other near elements take composite rules graded toward
-    the target.  Returns an (n_targets, n_cols) array.
+    ``kernel`` supplies the kernel ``value`` on a Gauss grid
+    (``grid_frames``, points and whatever derivatives ``value`` reads) and
+    at other quadrature nodes, its density there (``grid`` (n_el, q, w)
+    times weights, ``density`` at other nodes from frames measured from
+    ``origin``, both in windows of w values), the output column
+    ``cols[e, j]`` of slot j of element e's window among ``n_cols``, and
+    the rule on the element containing the target.  Far elements take the
+    grid, in blocks of targets; the other near elements take composite
+    rules graded toward the target.  Returns an (n_targets, n_cols) array.
     """
     kv = curve.knots
     params = kv.wrap(np.atleast_1d(params))
@@ -507,7 +484,7 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
     step = max(1, int(_FAR_BLOCK // (n_el * q)))
     for s0 in range(0, m, step):
         sl = slice(s0, min(s0 + step, m))
-        K = kernel.value(params[sl], x_pts[sl], kernel.grid_t, kernel.grid_frames)
+        K = kernel.value(x_pts[sl], kernel.grid_frames)
         K = K.reshape(-1, n_el, q)
         K[near[sl]] = 0.0
         if w == 1:
@@ -518,16 +495,15 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
             win = np.einsum("cer,erw->cew", K, kernel.grid)
             for j in range(w):  # slot j of distinct elements: distinct columns
                 out[sl, kernel.cols[:, j]] += win[:, :, j]
-        for idx, kw, vals in kernel.containing(params[sl], x_pts[sl], row[sl], tau[sl]):
+        for idx, kw, vals in kernel.containing(row[sl], tau[sl]):
             add(s0 + idx, inside[sl][idx], kw, vals)
 
     pair_i, pair_e = np.nonzero(near)
     keep = pair_e != inside[pair_i]
-    for ii, ue, slot, u, tp, tw in _graded_pair_rules(curve, params, pair_i[keep],
-                                                      pair_e[keep], q):
-        frames = curve.local_frame(ue[:, None], u, kernel.nd)
-        dens = kernel.density(ue[:, None], u, frames)
-        kern = kernel.value(params[ii], x_pts[ii], tp[slot], frames[slot])
+    for ii, ue, slot, u, tw, px, frames, origin in _graded_pair_rules(
+            curve, params, x_pts, inside, pair_i[keep], pair_e[keep], q):
+        dens = kernel.density(ue[:, None], u, frames, origin)
+        kern = kernel.value(px, frames[slot])
         add(ii, ue[slot], tw[slot] * kern, dens[slot])
     return out
 

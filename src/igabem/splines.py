@@ -380,16 +380,6 @@ class KnotVector:
         end = (u >= 0.5).astype(int)
         return 2 * e + end, self.widths[e] * (u - end)
 
-    def taylor_values(self, table, ts, nd: int = 0, side: str = "right"):
-        """Evaluate element-end derivative data at parameters.
-
-        ``table`` is laid out like ``element_table[1]`` (derivative, element
-        end, then any trailing axes).  Returns the element of each point and
-        a list of its derivatives 0..nd there, each shaped (npts, ...).
-        """
-        row, tau = self.locate(ts, side)
-        return row >> 1, _taylor_sum(np.take(table, row, axis=1), tau, nd)
-
     # -- queries ------------------------------------------------------------
 
     def wrap(self, ts) -> np.ndarray:
@@ -450,12 +440,12 @@ class KnotVector:
 # --------------------------------------------------------------------------
 
 
-def quotient_derivatives(num, den) -> np.ndarray:
-    """Derivatives 0..nd of num / den from those of num and den.
+def quotient_derivatives(num, den, shift=None) -> np.ndarray:
+    """Derivatives 0..nd of num / den + shift from those of num and den.
 
     ``num[k]`` (shape (..., c)) and ``den[k]`` (shape (...)) are k-th
-    derivatives, k = 0..nd.  Returns a (..., nd + 1, c) array from the
-    Leibniz expansion of (num / den) * den = num.
+    derivatives, k = 0..nd, and ``shift`` broadcasts against num[0].  Returns
+    a (..., nd + 1, c) array from the Leibniz expansion of (num / den) * den.
     """
     out = [num[0] / den[0][..., None]]
     for k in range(1, len(num)):
@@ -465,6 +455,8 @@ def quotient_derivatives(num, den) -> np.ndarray:
             binom = binom * (k - j + 1) / j
             acc = acc - binom * out[k - j] * den[j][..., None]
         out.append(acc / den[0][..., None])
+    if shift is not None:
+        out[0] += shift
     return np.stack(out, axis=-2)
 
 
@@ -479,8 +471,9 @@ def rational_basis(kv: KnotVector, basis_weights: np.ndarray, ts, nd: int = 0, s
     first, table = kv.element_table
     w = np.asarray(basis_weights)[first[:, None] + np.arange(kv.degree + 1)[None, :]]
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    e, num = kv.taylor_values(table * np.repeat(w, 2, axis=0), ts, nd, side)
-    return first[e], quotient_derivatives(num, [v.sum(axis=1) for v in num])
+    row, tau = kv.locate(ts, side)
+    num = _taylor_sum(np.take(table * np.repeat(w, 2, axis=0), row, axis=1), tau, nd)
+    return first[row >> 1], quotient_derivatives(num, [v.sum(axis=1) for v in num])
 
 
 # --------------------------------------------------------------------------

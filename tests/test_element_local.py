@@ -9,7 +9,9 @@ from the same element end.  They check that divided differences of the
 curve and the Duffy-type blocks of identical and touching element pairs
 lose nothing to rounding, on elements of width 1e-12 to 1e-1 next to
 t = 0, inside and next to t = 1; the quadrature rules themselves are
-checked against other orders in ``test_operators``.
+checked against other orders in ``test_operators``.  The tangent check
+goes further back and takes the stored knots, control points and weights
+as exact, so it also covers how the coefficients are formed.
 """
 
 import mpmath as mp
@@ -178,3 +180,50 @@ def _check_blocks(make):
             if et >= 0 and es >= 0:
                 want = _mp_touching(curve, int(et), int(es))
                 assert _close(blocks[pairs[es, et]], want.tolist()), case + (et, es)
+
+
+def _mp_nurbs_tangent(curve, t):
+    """gamma'(t) of the NURBS defined by the curve's stored knots, control
+    points and weights, by the Cox-de Boor recurrence in mpmath at a t
+    inside an element."""
+    K = [mp.mpf(float(k)) for k in curve.knots.eval_knots]
+    p = curve.degree
+    t = mp.mpf(t)
+
+    def part(num, den, b):
+        return num / den * b if den else mp.mpf(0)
+
+    B = [mp.mpf(K[i] <= t < K[i + 1]) for i in range(len(K) - 1)]
+    for d in range(1, p + 1):
+        lower = B
+        B = [part(t - K[i], K[i + d] - K[i], lower[i])
+             + part(K[i + d + 1] - t, K[i + d + 1] - K[i + 1], lower[i + 1])
+             for i in range(len(lower) - 1)]
+    dB = [p * (part(1, K[i + p] - K[i], lower[i])
+               - part(1, K[i + p + 1] - K[i + 1], lower[i + 1]))
+          for i in range(len(B))]
+    w = [mp.mpf(float(v)) for v in curve.weights]
+    hom = [[w[i] * float(c[0]), w[i] * float(c[1]), w[i]]
+           for i, c in enumerate(curve.controls)]
+    A = [sum(b * r[j] for b, r in zip(B, hom)) for j in range(3)]
+    dA = [sum(b * r[j] for b, r in zip(dB, hom)) for j in range(3)]
+    return [(dA[j] - A[j] / A[2] * dA[2]) / A[2] for j in range(2)]
+
+
+def test_tangent_on_small_elements_matches_mpmath():
+    # an element of width 1e-12 on either side of every pacman breakpoint
+    # and at 0.45.  Its large basis derivatives once met the homogeneous
+    # rows w P themselves, and gamma' lost up to 4.4e-5 of itself
+    h = 1e-12
+    curve0 = pacman()
+    bps = curve0.knots.breakpoints
+    for t0 in [b + s for b in bps[:-1] for s in (0.0, -h)] + [0.45]:
+        t0 = t0 % 1.0
+        curve = curve0.refined([t for t in (t0, t0 + h) if t not in bps])
+        ts = t0 + h * np.array([0.0, 0.1, 0.3, 0.5, 0.7, 0.9])
+        got = curve.frame(ts, 1)[:, 1]
+        with mp.workdps(60):
+            for t, g in zip(ts, got):
+                want = _mp_nurbs_tangent(curve, t)
+                err = mp.hypot(g[0] - want[0], g[1] - want[1]) / mp.hypot(*want)
+                assert err <= 1e-13, (t0, t, float(err))

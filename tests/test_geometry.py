@@ -180,12 +180,23 @@ def recurrence_basis(curve, ts, nd, side):
 
 
 def recurrence_frame(curve, ts, nd, side):
-    """Curve frames straight from the recurrence on homogeneous rows."""
+    """Curve frames straight from the recurrence on homogeneous rows.
+
+    The point is the plain contraction.  The derivatives contract the rows
+    w_r (P_r - gamma(t)), w_r, the control points measured from that point:
+    the rows w_r P_r hold P_r only to about eps |P_r|, and derivatives of
+    order k on an element of width h amplify that by h^-k.
+    """
     kv = curve.knots
     first, ders = bspline_derivatives(kv.eval_knots, kv.degree, ts, nd, side)
     cols = first[:, None] + np.arange(kv.degree + 1)[None, :]
     A = np.einsum("mkr,mrj->mkj", ders, curve._hom[cols])
-    return _quotient(A[..., :2], A[..., 2])
+    point = A[:, 0, :2] / A[:, 0, 2:]
+    w = curve.weights[cols][..., None]
+    out = _quotient(np.einsum("mkr,mrj->mkj", ders, w * (curve.controls[cols] - point[:, None])),
+                    A[..., 2])
+    out[:, 0] = point
+    return out
 
 
 def _raised(curve):

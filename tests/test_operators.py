@@ -23,7 +23,6 @@ from igabem.operators import (
     collocation_matrix,
     dirichlet_rhs,
     double_layer_values,
-    element_cache,
     galerkin_matrix,
     galerkin_rhs,
     single_layer_values,
@@ -332,10 +331,16 @@ def ones_of_points(pts):
     return np.ones(len(np.atleast_2d(pts)))
 
 
+def gauss_nodes(curve, order):
+    """Parameters of the order-point Gauss nodes of every element."""
+    kv = curve.knots
+    xg, _ = quadrature.gauss_unit(order)
+    return (kv.elements[:, :1] + kv.widths[:, None] * xg).ravel()
+
+
 def test_double_layer_of_one_is_minus_half():
     for curve in (circle(0.8), square(), pacman()):
-        cache = element_cache(curve, 6)
-        params = cache.params.ravel()[::5]
+        params = gauss_nodes(curve, 6)[::5]
         vals = double_layer_values(curve, ones_of_points, params)
         assert np.allclose(vals, -0.5, atol=1e-10), curve
 
@@ -366,7 +371,7 @@ def test_double_layer_exact_near_nodes_of_own_element():
     # eps |gamma| / delta^2 (3.8e-6 here when the kernel was formed that way);
     # on a circle the kernel is constant, so K x vanishes
     curve = circle(0.8)
-    nodes = element_cache(curve, 16).params.ravel()
+    nodes = gauss_nodes(curve, 16)
     offsets = np.array([-1e-4, -1e-6, -1e-7, 1e-7, 1e-6, 1e-4])
     params = (nodes[::5][:, None] + offsets[None, :]).ravel()
     vals = double_layer_values(curve, lambda pts: pts[:, 0], params)
@@ -417,15 +422,22 @@ def test_dirichlet_rhs_continuous_across_smooth_junctions():
 
 
 def test_double_layer_near_corners_keeps_angle_mass():
-    # targets 1e-12 from the square's corners: nodes of the other edge are
-    # that close too, and the coincidence limit must not stand in for them.
-    # Nodes within 1e-9 there carry most of the corner's angle, about 0.25;
-    # the graded rules themselves miss by up to 8.5e-8 at this distance.
-    curve = square()
-    corners = np.array([0.25, 0.5, 0.75])
-    params = np.concatenate([corners - 1e-12, corners + 1e-12])
-    vals = double_layer_values(curve, ones_of_points, params)
-    np.testing.assert_allclose(vals, -0.5, atol=1e-6)
+    # targets 1e-14 to 1e-6 on either side of every breakpoint of the
+    # square, the pacman and a circle.  The graded rule of the neighbouring
+    # element puts nodes that close to them; across a corner those nodes
+    # carry most of the corner's angle (about 0.25 on the square), so K 1 =
+    # -1/2 holds only if gamma(x) - gamma(t) keeps its digits there.  On a
+    # circle the kernel is constant, so K x vanishes.  Differences of two
+    # rounded curve points missed by up to 2.3e-5 on the square and 1.7e-4
+    # on the pacman, and read K x = 3.4e-9 on the circle.
+    offsets = np.array([s * 10.0 ** -k for k in range(6, 15) for s in (-1, 1)])
+    for curve in (square(), pacman(), circle(0.8)):
+        kv = curve.knots
+        params = kv.wrap((kv.nodes[:, None] + offsets).ravel())
+        vals = double_layer_values(curve, ones_of_points, params)
+        np.testing.assert_allclose(vals, -0.5, rtol=0, atol=1e-14, err_msg=str(kv))
+    linear = double_layer_values(curve, lambda pts: pts[:, 0], params)
+    np.testing.assert_allclose(linear, 0.0, rtol=0, atol=1e-14)
 
 
 def test_galerkin_rhs_mass_of_one():

@@ -149,22 +149,18 @@ def uniform_refine(state: MeshState) -> MeshState:
     return MeshState(state.curve.refined(mids), levels)
 
 
-def _touching_pairs(state: MeshState) -> np.ndarray:
-    """(left, right) elements of every node with an element on both sides."""
-    patches = state.curve.knots.patches
-    return patches[(patches >= 0).all(axis=1)].T
-
-
 def level_gaps_ok(state: MeshState) -> bool:
     """Whether neighboring bisection levels differ by at most one."""
-    left, right = _touching_pairs(state)
+    kv = state.curve.knots
+    left, right = kv.patches[kv.touching].T
     lv = np.asarray(state.levels)
     return bool(np.all(np.abs(lv[right] - lv[left]) <= 1))
 
 
 def kappa(state: MeshState) -> float:
     """Largest ratio of neighboring element parameter widths."""
-    left, right = _touching_pairs(state)
-    hs = state.curve.knots.widths
+    kv = state.curve.knots
+    left, right = kv.patches[kv.touching].T
+    hs = kv.widths
     ratios = hs[right] / hs[left]
     return float(np.max(np.maximum(ratios, 1.0 / ratios), initial=1.0))

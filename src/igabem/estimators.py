@@ -206,7 +206,7 @@ def faermann_indicators(res: ResidualData) -> np.ndarray:
     """Squared Faermann indicators on the mesh nodes."""
     patches = res.curve.knots.patches
     out = _patch_sums(_element_square_integrals(res), patches)
-    inner = (patches >= 0).all(axis=1)
+    inner = res.curve.knots.touching
     out[inner] += 2.0 * _cross_integrals(res, patches[inner, 0], patches[inner, 1])
     return out
 

@@ -34,7 +34,6 @@ __all__ = [
     "slit",
     "square",
     "pacman",
-    "circle",
 ]
 
 _LENGTH_RULE = 16  # Gauss points per element for arclength integrals
@@ -244,7 +243,7 @@ class Curve:
         ``a``.
         """
         kv = self.knots
-        z = kv.nodes[(kv.patches >= 0).all(axis=1)]
+        z = kv.nodes[kv.touching]
         if not len(z):
             return z
         tl = self.frame(np.where(z != kv.a, z, kv.b), 1, side="left")[:, 1]
@@ -343,18 +342,3 @@ def pacman(radius: float = 0.1, opening: float = 0.25 * np.pi) -> Curve:
     )
     return Curve(kv, controls, weights)
 
-
-def circle(radius: float = 1.0) -> Curve:
-    """Exact circle from four rational quadrant arcs (seam at angle 0)."""
-    r = float(radius)
-    c = np.array(
-        [
-            [r, 0], [r, r], [0, r], [-r, r], [-r, 0],
-            [-r, -r], [0, -r], [r, -r], [r, 0],
-        ],
-        dtype=float,
-    )
-    s = np.sqrt(2.0) / 2.0
-    w = np.array([1, s, 1, s, 1, s, 1, s, 1], dtype=float)
-    kv = KnotVector(2, (0.0, 0.25, 0.5, 0.75, 1.0), (3, 2, 2, 2, 3), periodic=True)
-    return Curve(kv, c, w)

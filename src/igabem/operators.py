@@ -172,7 +172,7 @@ def _singular_pairs(curve: Curve, order: int):
     # the seam included.  The two triangles are anchored at that node; with
     # s = h2 x a past it and t = h1 x b before it, the chord over x is
     # h2 a gamma[node, s] + h1 b gamma[node, t], each side about the node
-    et, es = kv.patches[(kv.patches >= 0).all(axis=1)].T[:, :, None, None]
+    et, es = kv.patches[kv.touching].T[:, :, None, None]
     h1 = kv.widths[et]
     h2 = kv.widths[es]
 
@@ -210,14 +210,14 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
 
     # separated pairs: the upper triangle less the identical pairs and the
     # touching rows of the patch table
-    touching = kv.patches[(kv.patches >= 0).all(axis=1)]
+    touching = kv.patches[kv.touching]
     separated = np.triu(np.ones((n_el, n_el), dtype=bool), 1)
     separated[touching.min(axis=1), touching.max(axis=1)] = False
     e, f = np.nonzero(separated)
     # each pair's Gauss order from the balls around its two elements: the
     # centre is the midpoint of the end points, the radius reaches every
     # Gauss point
-    ends = curve.point(kv.elements.ravel()).reshape(n_el, 2, 2)
+    ends = curve.end_points.reshape(n_el, 2, 2)
     centre = 0.5 * (ends[:, 0] + ends[:, 1])
     reach = np.concatenate([ends, cache.points], axis=1) - centre[:, None, :]
     radius = np.hypot(reach[..., 0], reach[..., 1]).max(axis=1)

@@ -1,8 +1,8 @@
 """B-spline and NURBS spline spaces on an interval or a closed parameter loop.
 
 Two layers live here.  The low-level engine (``find_span``,
-``bspline_derivatives``, ``bspline_dense``) works on raw expanded knot arrays
-and is a vectorized transcription of the classical basis-function recurrences
+``bspline_derivatives``) works on raw expanded knot arrays and is a
+vectorized transcription of the classical basis-function recurrences
 (Piegl & Tiller, algorithms A2.2/A2.3): all branch bounds depend only on the
 degree and derivative order, never on the evaluation point, so whole batches
 of points are processed with numpy at once.
@@ -17,7 +17,8 @@ interior knot of multiplicity ``p + 1``.
 The identification is the only topology a vector adds to its breakpoints,
 and it lives in two tables every other module reads: ``KnotVector.nodes``,
 the mesh nodes (the seam counted once), and ``KnotVector.patches``, the
-elements left and right of each node.
+elements left and right of each node, with ``KnotVector.touching`` marking
+the nodes that have both.
 
 Pointwise evaluation goes through element tables.  On each element the
 nonzero basis window is one polynomial of degree p, so its derivatives
@@ -27,8 +28,7 @@ evaluated by Horner's rule about the nearer end of its element, which
 returns element-end values exactly as the recurrence gives them; the offset
 from that end comes from ``locate`` for a parameter, and from ``local`` for
 a quadrature node (element, u), which never rounds the node to a parameter.
-The recurrence itself only builds tables, dense evaluations
-(``bspline_dense``) and Boehm insertion.
+The recurrence itself only builds the element tables.
 
 Knot insertion transports coefficient rows in homogeneous form by one
 Boehm step and never changes the represented function.
@@ -44,7 +44,6 @@ import numpy as np
 __all__ = [
     "find_span",
     "bspline_derivatives",
-    "bspline_dense",
     "KnotVector",
     "rational_basis",
     "quotient_derivatives",
@@ -143,34 +142,6 @@ def bspline_derivatives(knots, degree, ts, nd, side="right"):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     spans = find_span(knots, degree, ts, side)
     return spans - degree, _derivative_windows(knots, degree, spans, ts, nd)
-
-
-def bspline_dense(knots, degree, ts, nd=0, side="right"):
-    """Dense evaluation of every basis function of a raw knot array.
-
-    Pads the array with phantom outer knots so that short vectors (down to a
-    single basis function) evaluate cleanly, then scatters the windows.
-
-    Returns an array of shape ``(npts, nd + 1, ndim)`` where
-    ``ndim = len(knots) - degree - 1``.
-    """
-    knots = np.asarray(knots, dtype=float)
-    p = degree
-    ndim = len(knots) - p - 1
-    if ndim < 1:
-        raise ValueError("knot array too short for the requested degree")
-    pad_lo = knots[0] - np.arange(p, 0, -1, dtype=float)
-    pad_hi = knots[-1] + np.arange(1, p + 1, dtype=float)
-    padded = np.concatenate((pad_lo, knots, pad_hi))
-    first, ders = bspline_derivatives(padded, p, ts, nd, side)
-    first = first - p  # phantom offset
-    out = np.zeros((ders.shape[0], nd + 1, ndim))
-    cols = first[:, None] + np.arange(p + 1)[None, :]
-    keep = (cols >= 0) & (cols < ndim)
-    rows = np.broadcast_to(np.arange(ders.shape[0])[:, None], cols.shape)
-    for k in range(nd + 1):
-        out[rows[keep], k, cols[keep]] = ders[:, k, :][keep]
-    return out
 
 
 def _taylor_sum(derivs, tau, nd):
@@ -358,6 +329,14 @@ class KnotVector:
         arr = np.stack([left, right], axis=1)
         arr.flags.writeable = False
         return arr
+
+    @cached_property
+    def touching(self) -> np.ndarray:
+        """Mask of the nodes with an element on both sides, the rows of
+        ``patches`` that are touching element pairs.  Read-only."""
+        mask = (self.patches >= 0).all(axis=1)
+        mask.flags.writeable = False
+        return mask
 
     def locate(self, ts, side: str = "right"):
         """Nearer element end of each parameter and the offset from it.

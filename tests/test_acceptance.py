@@ -50,7 +50,9 @@ from igabem.operators import (
 )
 from igabem.quadrature import gauss_legendre, gauss_log
 from igabem.solve import aitken, fit_rate, solve_linear
-from igabem.splines import bspline_dense, insert_knot
+from igabem.splines import insert_knot
+
+from helpers import bspline_dense
 
 ENERGY_CACHE = Path(__file__).resolve().parents[1] / "ref_energies.json"
 THETA = 0.75

@@ -51,9 +51,3 @@ def test_estimator_aliases_map_to_same_run(tmp_path):
     np.testing.assert_array_equal(outs[0]["N"], outs[1]["N"])
     np.testing.assert_allclose(outs[0]["mu"], outs[1]["mu"], rtol=0.0)
 
-
-def test_verify_quick_passes(capsys):
-    assert main(["verify", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 6

@@ -25,11 +25,13 @@ from igabem.estimators import (
     residual_indicators,
     sample_residual,
 )
-from igabem.geometry import Curve, circle, pacman, slit, square
+from igabem.geometry import Curve, pacman, slit, square
 from igabem.operators import galerkin_matrix, galerkin_rhs
 from igabem.quadrature import gauss_unit
 from igabem.solve import solve_linear
 from igabem.splines import KnotVector
+
+from helpers import circle
 
 
 def _scalar_geometry(curve):

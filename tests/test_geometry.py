@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from igabem.geometry import Curve, circle, pacman, slit, square
+from igabem.geometry import Curve, pacman, slit, square
 from igabem.splines import KnotVector, bspline_derivatives, rational_basis
+
+from helpers import circle
 
 
 def test_slit_basic():

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from igabem import quadrature
 from igabem.adaptivity import initial_state, refine, uniform_refine
 from igabem.experiments import pacman_trace
-from igabem.geometry import circle, pacman, slit, square
+from igabem.geometry import pacman, slit, square
 from igabem.operators import (
     collocation_matrix,
     dirichlet_rhs,
@@ -28,6 +28,8 @@ from igabem.operators import (
     single_layer_values,
 )
 from igabem.splines import rational_basis
+
+from helpers import circle
 
 TOTAL_SLIT_ENERGY = (3.0 - 2.0 * np.log(2.0)) / np.pi
 
@@ -199,7 +201,7 @@ def test_circle_pointwise_constant_density():
     # and so must -1e-17, whose reduction into the period rounds onto t = 1
     params = np.array([0.0, 0.02, 0.1, 0.100001, 0.26, 0.5, 0.93, 1.0, -1e-17])
     vals = single_layer_values(curve, ones, params)
-    assert np.allclose(vals, -R * np.log(R), atol=1e-11)
+    np.testing.assert_allclose(vals, -R * np.log(R), rtol=0.0, atol=1e-11)
 
 
 def test_spd_on_benchmark_meshes():
@@ -265,6 +267,13 @@ def test_collocation_entry_against_quadrature():
         0.0, 0.5, epsabs=1e-14, limit=300,
     )
     assert B[1, 0] == pytest.approx(-2.0 * val / (2.0 * np.pi), abs=1e-12)
+
+
+def test_collocation_rejects_corner_points():
+    # the square's initial collocation points 1/4, 1/2 and 3/4 are corners,
+    # where the jump factor depends on the interior angle
+    with pytest.raises(ValueError, match=r"t=0\.25 lies on a corner"):
+        collocation_matrix(square(), 8)
 
 
 def _corner_graded(curve, uniform_steps=3, depth=1):

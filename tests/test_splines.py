@@ -10,11 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from igabem.splines import (
     KnotVector,
-    bspline_dense,
     bspline_derivatives,
     insert_knot,
     rational_basis,
 )
+
+from helpers import bspline_dense
 
 HALF_SQRT2 = np.sqrt(2.0) / 2.0
 
@@ -178,7 +179,8 @@ def test_node_bookkeeping_open():
     assert np.allclose(kv.nodes, [0.0, 0.25, 0.5, 1.0])
     np.testing.assert_array_equal(kv.patches,
                                   [[-1, 0], [0, 1], [1, 2], [2, -1]])
-    _assert_read_only(kv.nodes, kv.patches)
+    np.testing.assert_array_equal(kv.touching, [False, True, True, False])
+    _assert_read_only(kv.nodes, kv.patches, kv.touching)
 
 
 def test_node_bookkeeping_closed():
@@ -187,7 +189,8 @@ def test_node_bookkeeping_closed():
     assert np.allclose(kv.nodes, [0.0, 0.25, 0.5, 0.75])
     np.testing.assert_array_equal(kv.patches,
                                   [[3, 0], [0, 1], [1, 2], [2, 3]])
-    _assert_read_only(kv.nodes, kv.patches)
+    np.testing.assert_array_equal(kv.touching, [True] * 4)
+    _assert_read_only(kv.nodes, kv.patches, kv.touching)
 
 
 # ------------------------------------------------------------------- NURBS

@@ -15,6 +15,7 @@ from .experiments import (
     write_knots_csv,
     write_run_csv,
 )
+from .operators import DEFAULT_ORDER
 from .solve import fit_rate
 
 _ESTIMATOR_ALIASES = {
@@ -94,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--uniform", action="store_true",
                      help="refine every element instead of marking")
     run.add_argument("--max-dofs", type=int, default=500)
-    run.add_argument("--quad-order", type=int, default=16)
+    run.add_argument("--quad-order", type=int, default=DEFAULT_ORDER)
     run.add_argument("--out", help="write per-iteration CSV here")
     run.add_argument("--knots-out", help="write final knot histogram CSV here")
     run.add_argument("--energy-cache", default=REF_ENERGY_CACHE,

@@ -8,7 +8,8 @@ elements left and right of each node, -1 where an open end of the curve has
 no element on that side.  Both indicators are reductions over that table:
 per-element integrals summed over the patch, plus, for the Faermann
 indicator, one cross term per node with an element on both sides, from one
-graded rule per side shared by all those nodes.
+graded rule per side shared by all those nodes.  Element squares and cross
+terms are both sums of one blocked seminorm kernel (``_seminorm``).
 
 * Faermann indicator: squared H^(1/2) seminorm of the residual on the patch,
 
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Curve
-from .operators import single_layer_values
+from .operators import DEFAULT_ORDER, single_layer_values
 from .quadrature import gauss_unit, graded_unit
 from .splines import rational_basis  # noqa: F401  (wrapped here by perfbench/tracing.py)
 
@@ -46,8 +47,8 @@ __all__ = [
 
 _RULE = 16  # quadrature order inside the patch integrals
 _CROSS_LEVELS = 2  # dyadic grading toward the shared node in cross terms
-# nodes per block of cross terms: bounds each (nodes, m, m) temporary of the
-# integrand at a few MB, whatever the number of nodes
+# rows (elements or nodes) per block of the seminorm kernel: bounds each
+# (rows, m, m) temporary of the integrand at a few MB, whatever the mesh size
 _CROSS_BLOCK = 128
 
 
@@ -107,7 +108,7 @@ class ResidualData:
 
 
 def sample_residual(curve: Curve, coeffs: np.ndarray, f_of_params,
-                    order: int = 16) -> ResidualData:
+                    order: int = DEFAULT_ORDER) -> ResidualData:
     """Sample r = f - V phi_h on every element's interior Gauss grid of
     max(p + 2, 6) points."""
     return ResidualData.from_function(
@@ -128,86 +129,66 @@ def _patch_sums(per_element: np.ndarray, patches: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _element_square_integrals(res: ResidualData) -> np.ndarray:
-    """For every element T: the double integral of the seminorm over T x T.
+def _side(res: ResidualData, e: np.ndarray, xs: np.ndarray):
+    """Residual, points and speeds of elements e at local coordinates xs."""
+    fr = res.curve.local_frame(e[:, None], xs, 1)
+    return (res.values[e] @ _bary_matrix(res.q_int, xs).T, fr[..., 0, :],
+            np.hypot(fr[..., 1, 0], fr[..., 1, 1]))
 
-    T x T is split into four subsquares at the midpoint so that the two
-    congruent halves share their one-dimensional point sets; the two
-    same-half subsquares meet the diagonal where the node indices agree, and
-    the integrand takes its diagonal limit there.
+
+def _seminorm(a, b, wa: np.ndarray, wb: np.ndarray, diag=None) -> np.ndarray:
+    """Per row k of the sides a and b, each from ``_side``:
+
+        sum_ij wa_i wb_j (r_i - r_j)^2 s_i s_j / |x_i - x_j|^2,
+
+    block by block of rows.  With ``diag`` the two sides coincide, and the
+    diagonal i = j takes the integrand's limit diag[k, i] = (dr/dt)^2.
     """
-    curve = res.curve
-    kv = curve.knots
-    hs = kv.widths
-    xg, wg = gauss_unit(_RULE)
-    halves = (0.5 * xg, 0.5 + 0.5 * xg)
-    mats = [_bary_matrix(res.q_int, hx) for hx in halves]
-
-    vals = [res.values @ m.T for m in mats]  # (n_el, RULE) each half
-    ders = [res.deriv_nodes @ m.T for m in mats]
-    frames = [curve.local_frame(np.arange(kv.n_elements)[:, None], hx, 1)
-              for hx in halves]
-    pts = [fr[..., 0, :] for fr in frames]
-    sps = [np.hypot(fr[..., 1, 0], fr[..., 1, 1]) for fr in frames]
-
-    out = np.zeros(kv.n_elements)
-    w2 = wg[:, None] * wg[None, :]
-    diag = np.eye(_RULE, dtype=bool)
-    for a in range(2):
-        for b in range(2):
-            dr = vals[a][:, :, None] - vals[b][:, None, :]
-            dx = pts[a][:, :, None, 0] - pts[b][:, None, :, 0]
-            dy = pts[a][:, :, None, 1] - pts[b][:, None, :, 1]
-            dist2 = dx * dx + dy * dy
-            spsp = sps[a][:, :, None] * sps[b][:, None, :]
-            if a == b:
-                dist2[:, diag] = 1.0
-            integrand = dr * dr * spsp / dist2
-            if a == b:
-                integrand[:, diag] = (ders[a] / hs[:, None]) ** 2
-            out += 0.25 * np.einsum("eij,ij->e", integrand, w2)
-    return out * hs**2
-
-
-def _cross_integrals(res: ResidualData, left: np.ndarray,
-                     right: np.ndarray) -> np.ndarray:
-    """Patch cross terms over T_left x T_right for element pairs sharing
-    the node at the end of T_left and the start of T_right.
-
-    Each side takes one rule graded toward the shared node, evaluated for
-    all pairs at once; only the pairwise integrand goes block by block.
-    The integrand only sees physical distances, so the seam pair of a
-    closed curve needs no special casing beyond picking the right two
-    elements.
-    """
-    curve = res.curve
-    sides = []
-    for e, toward in ((left, 1.0), (right, 0.0)):
-        xs, ws = graded_unit(_RULE, _CROSS_LEVELS, toward=toward)
-        r = res.values[e] @ _bary_matrix(res.q_int, xs).T
-        fr = curve.local_frame(e[:, None], xs, 1)
-        sides.append((curve.knots.widths[e], ws, r, fr[..., 0, :],
-                      np.hypot(fr[..., 1, 0], fr[..., 1, 1])))
-    (h1, ws1, r1, p1, sp1), (h2, ws2, r2, p2, sp2) = sides
-
-    out = np.empty(len(left))
-    for start in range(0, len(left), _CROSS_BLOCK):
+    (ra, pa, sa), (rb, pb, sb) = a, b
+    i = np.arange(ra.shape[1])
+    out = np.empty(len(ra))
+    for start in range(0, len(ra), _CROSS_BLOCK):
         k = slice(start, start + _CROSS_BLOCK)
-        dr = r1[k, :, None] - r2[k, None, :]
-        dx = p1[k, :, None, 0] - p2[k, None, :, 0]
-        dy = p1[k, :, None, 1] - p2[k, None, :, 1]
+        dr = ra[k, :, None] - rb[k, None, :]
+        dx = pa[k, :, None, 0] - pb[k, None, :, 0]
+        dy = pa[k, :, None, 1] - pb[k, None, :, 1]
         dist2 = dx * dx + dy * dy
-        integrand = dr * dr * (sp1[k, :, None] * sp2[k, None, :]) / dist2
-        out[k] = h1[k] * h2[k] * np.einsum("kij,i,j->k", integrand, ws1, ws2)
+        if diag is not None:
+            dist2[:, i, i] = 1.0
+        integrand = dr * dr * (sa[k, :, None] * sb[k, None, :]) / dist2
+        if diag is not None:
+            integrand[:, i, i] = diag[k]
+        out[k] = np.einsum("kij,i,j->k", integrand, wa, wb)
     return out
 
 
 def faermann_indicators(res: ResidualData) -> np.ndarray:
-    """Squared Faermann indicators on the mesh nodes."""
-    patches = res.curve.knots.patches
-    out = _patch_sums(_element_square_integrals(res), patches)
-    inner = res.curve.knots.touching
-    out[inner] += 2.0 * _cross_integrals(res, patches[inner, 0], patches[inner, 1])
+    """Squared Faermann indicators on the mesh nodes.
+
+    Each element square T x T is split at the midpoint of T: the two mixed
+    halves are mirror images, and the two same-half blocks meet the diagonal.
+    The cross term over T_left x T_right of a node with an element on both
+    sides takes one rule per side graded toward the node.  The integrand
+    only sees physical distances, so the seam pair of a closed curve needs
+    no special casing beyond picking the right two elements.
+    """
+    kv = res.curve.knots
+    hs = kv.widths
+    xg, wg = gauss_unit(_RULE)
+    halves = []
+    for xs in (0.5 * xg, 0.5 + 0.5 * xg):
+        dr = res.deriv_nodes @ _bary_matrix(res.q_int, xs).T / hs[:, None]
+        halves.append((_side(res, np.arange(kv.n_elements), xs), dr * dr))
+    (lo, dlo), (hi, dhi) = halves
+    squares = 0.25 * hs**2 * (2.0 * _seminorm(lo, hi, wg, wg)
+                              + _seminorm(lo, lo, wg, wg, dlo)
+                              + _seminorm(hi, hi, wg, wg, dhi))
+    out = _patch_sums(squares, kv.patches)
+
+    x, w = graded_unit(_RULE, _CROSS_LEVELS)  # distances from the node
+    left, right = kv.patches[kv.touching].T
+    out[kv.touching] += 2.0 * hs[left] * hs[right] * _seminorm(
+        _side(res, left, 1.0 - x[::-1]), _side(res, right, x), w[::-1], w)
     return out
 
 

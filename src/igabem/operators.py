@@ -36,7 +36,6 @@ function), or the integral of data g.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +55,6 @@ _TWO_PI = 2.0 * np.pi
 _FAR_BLOCK = 1e5
 
 __all__ = [
-    "ElementCache",
-    "element_cache",
     "galerkin_matrix",
     "galerkin_rhs",
     "collocation_matrix",
@@ -65,31 +62,6 @@ __all__ = [
     "double_layer_values",
     "dirichlet_rhs",
 ]
-
-
-# --------------------------------------------------------------------------
-# shared per-element quadrature data
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ElementCache:
-    """Gauss data on every element: points, weighted basis."""
-
-    curve: Curve
-    order: int
-    points: np.ndarray  # (n_el, q, 2)
-    first: np.ndarray  # (n_el,) first basis index per element
-    wbasis: np.ndarray  # (n_el, q, p+1) basis * speed * gauss weight * length
-
-
-def element_cache(curve: Curve, order: int = DEFAULT_ORDER) -> ElementCache:
-    kv = curve.knots
-    xg, wg = gauss_unit(order)
-    hs = kv.widths[:, None]
-    e = np.arange(kv.n_elements)[:, None]
-    return ElementCache(curve, order, curve.local_frame(e, xg)[..., 0, :], kv.element_table[0],
-                        _phi_windows(curve, e, xg) * (wg * hs)[..., None])
 
 
 # --------------------------------------------------------------------------
@@ -106,6 +78,16 @@ def _phi_windows(curve: Curve, e, u):
     elements e; the speed needs no point, so it takes displacements."""
     d1 = curve.displacement(*curve.knots.local(e, u), 1)[..., 1, :]
     return curve.local_basis(e, u) * _norm(d1)[..., None]
+
+
+def _grid(curve: Curve, order: int):
+    """Gauss points on every element, (n_el, q, 2), and the basis windows
+    there times speed, Gauss weight and width, (n_el, q, p + 1)."""
+    kv = curve.knots
+    xg, wg = gauss_unit(order)
+    e = np.arange(kv.n_elements)[:, None]
+    return (curve.local_frame(e, xg)[..., 0, :],
+            _phi_windows(curve, e, xg) * (wg * kv.widths[:, None])[..., None])
 
 
 def _grade_levels(h: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -198,14 +180,15 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     # the singularity at the other
     if curve.closed and n_el < 3:
         raise ValueError("closed curves need at least three elements for assembly")
-    cache = element_cache(curve, order)
+    points, wbasis = _grid(curve, order)
+    first = kv.element_table[0]
     offsets = np.arange(kv.degree + 1)
     # every pair is added once, the upper triangle's; A + A.T completes it
     A = np.zeros((kv.dim, kv.dim))
 
     def add(ce, cf, blocks):
-        rows = cache.first[ce][:, None] + offsets
-        cols = cache.first[cf][:, None] + offsets
+        rows = first[ce][:, None] + offsets
+        cols = first[cf][:, None] + offsets
         np.add.at(A, (rows[:, :, None], cols[:, None, :]), blocks)
 
     # separated pairs: the upper triangle less the identical pairs and the
@@ -219,22 +202,22 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     # Gauss point
     ends = curve.end_points.reshape(n_el, 2, 2)
     centre = 0.5 * (ends[:, 0] + ends[:, 1])
-    reach = np.concatenate([ends, cache.points], axis=1) - centre[:, None, :]
+    reach = np.concatenate([ends, points], axis=1) - centre[:, None, :]
     radius = np.hypot(reach[..., 0], reach[..., 1]).max(axis=1)
     gap = np.hypot(*(centre[e] - centre[f]).T) - radius[e] - radius[f]
     pair_order = separated_order(
         1.0 + np.maximum(gap, 0.0) / np.maximum(radius[e], radius[f]), order)
     for m in np.unique(pair_order):
-        cm = cache if m == order else element_cache(curve, int(m))
+        pm, wm = (points, wbasis) if m == order else _grid(curve, int(m))
         pick = pair_order == m
         ge, gf = e[pick], f[pick]
         step = max(1, int(_FAR_BLOCK // (m * m)))
         for k0 in range(0, len(ge), step):
             ce, cf = ge[k0:k0 + step], gf[k0:k0 + step]
-            d = cm.points[ce][:, :, None, :] - cm.points[cf][:, None, :, :]
+            d = pm[ce][:, :, None, :] - pm[cf][:, None, :, :]
             K = np.log(np.hypot(d[..., 0], d[..., 1]))
-            add(ce, cf, np.matmul(cm.wbasis[ce].transpose(0, 2, 1),
-                                  np.matmul(K, cm.wbasis[cf])))
+            add(ce, cf, np.matmul(wm[ce].transpose(0, 2, 1),
+                                  np.matmul(K, wm[cf])))
     add(*_singular_pairs(curve, order))
     return (A + A.T) / (-_TWO_PI)
 
@@ -245,7 +228,7 @@ def _corner_graded_rule(lo: float, hi: float, at_lo: bool, at_hi: bool,
     parameters anchored at the corner, weights and local coordinates."""
     h = hi - lo
     levels = min(30, max(2, int(np.log2(max(h, 1e-30)) + 44.0)))
-    xs, ws = graded_unit(order, levels, 0.0)
+    xs, ws = graded_unit(order, levels)
     if at_lo and at_hi:
         t = np.concatenate([lo + 0.5 * h * xs, hi - 0.5 * h * xs[::-1]])
         w = np.concatenate([0.5 * h * ws, 0.5 * h * ws[::-1]])
@@ -341,20 +324,22 @@ class _SingleLayer:
     """Kernel log|gamma(x) - gamma(t)| against sum coeffs[q] R_q |gamma'| in
     one column or, without ``coeffs``, against each R_q |gamma'| in column q.
 
-    Far elements use the element cache's Gauss grid.
+    Far elements use the ``_grid`` of the given order.
     """
 
-    def __init__(self, cache: ElementCache, coeffs: np.ndarray | None = None):
-        self.cache = cache
-        self.grid_frames = cache.points.reshape(-1, 1, 2)
-        cols = cache.first[:, None] + np.arange(cache.curve.degree + 1)[None, :]
+    def __init__(self, curve: Curve, order: int, coeffs: np.ndarray | None = None):
+        self.curve = curve
+        self.order = order
+        points, wbasis = _grid(curve, order)
+        self.grid_frames = points.reshape(-1, 1, 2)
+        cols = curve.knots.element_table[0][:, None] + np.arange(curve.degree + 1)[None, :]
         if coeffs is None:
-            self.grid, self.cols = cache.wbasis, cols
-            self.n_cols = cache.curve.knots.dim
+            self.grid, self.cols = wbasis, cols
+            self.n_cols = curve.knots.dim
             self.cw = None
         else:
             self.cw = coeffs[cols]
-            self.grid = np.einsum("eqb,eb->eq", cache.wbasis, self.cw)[..., None]
+            self.grid = np.einsum("eqb,eb->eq", wbasis, self.cw)[..., None]
             self.cols, self.n_cols = np.zeros((len(cols), 1), dtype=int), 1
 
     @staticmethod
@@ -363,7 +348,7 @@ class _SingleLayer:
                                px[:, None, 1] - frames[..., 0, 1]) + 1e-300)
 
     def density(self, e, u, frames, origin=None):  # reads only speeds
-        phi = (self.cache.curve.local_basis(e, u)
+        phi = (self.curve.local_basis(e, u)
                * _norm(frames[..., 1, :])[..., None])
         if self.cw is None:
             return phi
@@ -373,8 +358,8 @@ class _SingleLayer:
         """Split the element at the target: log|x - t| goes into the
         log-weight rule on each side, the analytic rest log |gamma[x, t]|
         into plain Gauss, with the chord about the target's nearer end."""
-        curve = self.cache.curve
-        q = self.cache.order
+        curve = self.curve
+        q = self.order
         xg, wg = gauss_unit(q)
         xl, wl = gauss_log(q)
         end = row & 1
@@ -527,8 +512,7 @@ def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
                 "the jump factor depends on the interior angle; refine or "
                 "reparametrize so collocation points avoid corners"
             )
-    cache = element_cache(curve, order)
-    return _potential(curve, _SingleLayer(cache), pts) / (-_TWO_PI)
+    return _potential(curve, _SingleLayer(curve, order), pts) / (-_TWO_PI)
 
 
 def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
@@ -538,7 +522,7 @@ def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
     phi_h = sum coeffs[q] R_q, contracted on the quadrature grids, so no
     (targets x dim) array is built.
     """
-    kernel = _SingleLayer(element_cache(curve, order), np.asarray(coeffs, dtype=float))
+    kernel = _SingleLayer(curve, order, np.asarray(coeffs, dtype=float))
     return _potential(curve, kernel, params)[:, 0] / (-_TWO_PI)
 
 

@@ -13,7 +13,8 @@ Three families are provided, and one order rule:
   the modified Chebyshev algorithm (shifted-Legendre modified moments) and
   the Golub-Welsch eigenvalue step.
 * ``graded_unit``: composite Gauss rules on dyadically graded partitions of
-  [0, 1], used near integrable endpoint singularities.
+  [0, 1], used near integrable endpoint singularities; the nodes are
+  distances from the end the panels accumulate at.
 * ``separated_order``: the least Gauss order in ``SEPARATED_ORDERS`` whose
   error bound meets ``SEPARATED_TOL`` for an integrand singular at a real
   point beyond the ends of [-1, 1].
@@ -170,7 +171,7 @@ def gauss_log(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _graded_unit_impl(n: int, levels: int, toward: float) -> tuple[np.ndarray, np.ndarray]:
+def _graded_unit_impl(n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     edges = np.concatenate(([0.0], 0.5 ** np.arange(levels, -1, -1, dtype=float)))
     xs, ws = gauss_unit(n)
     parts_x = []
@@ -180,27 +181,23 @@ def _graded_unit_impl(n: int, levels: int, toward: float) -> tuple[np.ndarray, n
         parts_w.append((hi - lo) * ws)
     x = np.concatenate(parts_x)
     w = np.concatenate(parts_w)
-    if toward == 1.0:
-        x = 1.0 - x[::-1]
-        w = w[::-1].copy()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
-def graded_unit(n: int, levels: int, toward: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Composite n-point Gauss rule on [0, 1], dyadically graded toward one end.
+def graded_unit(n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite n-point Gauss rule on [0, 1], dyadically graded toward 0.
 
     The interval is split at 2^-levels, ..., 1/4, 1/2 (so ``levels + 1``
-    panels) with the panels accumulating geometrically at the endpoint
-    ``toward`` (0.0 or 1.0).  Suitable for integrands with an integrable
-    singularity at that endpoint, e.g. log or weak algebraic blow-up.
+    panels) with the panels accumulating geometrically at 0.  Suitable for
+    integrands with an integrable singularity at an endpoint, e.g. log or
+    weak algebraic blow-up: the nodes are distances from that endpoint, and
+    a rule graded toward 1 is ``1 - x[::-1]`` with weights ``w[::-1]``.
     """
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
-    if toward not in (0.0, 1.0):
-        raise ValueError(f"toward must be 0.0 or 1.0, got {toward}")
-    return _graded_unit_impl(int(n), int(levels), float(toward))
+    return _graded_unit_impl(int(n), int(levels))
 
 
 def separated_order(a, cap: int) -> np.ndarray:

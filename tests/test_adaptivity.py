@@ -215,7 +215,7 @@ def test_random_marking_invariants(data):
         assert level_gaps_ok(state)
         assert kappa(state) <= 2.0 * kappa0 + 1e-12
     # knot insertion never moves the curve
-    assert np.allclose(state.curve.point(ts), ref_points, atol=1e-12)
+    assert np.allclose(state.curve.point(ts), ref_points, rtol=0, atol=1e-12)
 
 
 def test_mesh_state_validates_levels():

@@ -272,11 +272,13 @@ def test_energy_equals_data_density_pairing(name):
         at_hi = hi in corners or (kv.periodic and hi == kv.breakpoints[-1]
                                   and 0.0 in corners)
         if at_lo and at_hi:
-            half, whalf = graded_unit(24, 40, 0.0)
+            half, whalf = graded_unit(24, 40)
             xs = np.concatenate([0.5 * half, 1.0 - 0.5 * half[::-1]])
             ws = np.concatenate([0.5 * whalf, 0.5 * whalf[::-1]])
         elif at_lo or at_hi:
-            xs, ws = graded_unit(24, 40, 0.0 if at_lo else 1.0)
+            xs, ws = graded_unit(24, 40)
+            if at_hi:  # graded toward 1: the rule toward 0, mirrored
+                xs, ws = 1.0 - xs[::-1], ws[::-1]
         else:
             xs, ws = xs_p, ws_p
         tp = lo + h * xs

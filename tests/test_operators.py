@@ -190,7 +190,7 @@ def test_circle_galerkin_constant_density():
     assert np.max(np.abs(A - A.T)) == 0.0
     ones = np.ones(A.shape[0])
     mass = galerkin_rhs(curve, lambda ts: np.ones_like(ts))
-    assert np.allclose(A @ ones, -R * np.log(R) * mass, atol=5e-11)
+    assert np.allclose(A @ ones, -R * np.log(R) * mass, rtol=0, atol=5e-11)
 
 
 def test_circle_pointwise_constant_density():
@@ -245,7 +245,7 @@ def test_pointwise_slit_exact():
     params = np.array([0.04, 0.3, 0.3 + 1e-9, 0.5, 0.65, 0.7 - 1e-7, 0.99])
     xs = -1.0 + 2.0 * params
     vals = single_layer_values(curve, ones, params)
-    assert np.allclose(vals, v_one_slit(xs), atol=1e-11)
+    assert np.allclose(vals, v_one_slit(xs), rtol=0, atol=1e-11)
 
 
 def test_collocation_applies_pointwise_potential():
@@ -253,14 +253,14 @@ def test_collocation_applies_pointwise_potential():
     B = collocation_matrix(curve)
     pts = curve.knots.collocation_points()
     ones = np.ones(curve.knots.dim)
-    assert np.allclose(B @ ones, v_one_slit(-1.0 + 2.0 * pts), atol=1e-12)
+    assert np.allclose(B @ ones, v_one_slit(-1.0 + 2.0 * pts), rtol=0, atol=1e-12)
 
 
 def test_collocation_entry_against_quadrature():
     curve = slit().refined([0.5])
     B = collocation_matrix(curve)
     pts = curve.knots.collocation_points()
-    assert np.allclose(pts, [1.0 / 6.0, 0.5, 5.0 / 6.0], atol=1e-15)
+    assert np.allclose(pts, [1.0 / 6.0, 0.5, 5.0 / 6.0], rtol=0, atol=1e-15)
     # row 1, column 0: V applied to the first hat, evaluated at t = 1/2
     val, _ = quad(
         lambda t: hat(0, t) * np.log(2.0 * abs(0.5 - t)),
@@ -302,7 +302,7 @@ def test_collocation_rows_match_pointwise():
         c = rng.standard_normal(kv.dim)
         B = collocation_matrix(curve)
         direct = single_layer_values(curve, c, kv.collocation_points())
-        assert np.allclose(B @ c, direct, atol=1e-13), curve
+        assert np.allclose(B @ c, direct, rtol=0, atol=1e-13), curve
 
 
 def test_pointwise_pacman_against_scipy():
@@ -351,7 +351,7 @@ def test_double_layer_of_one_is_minus_half():
     for curve in (circle(0.8), square(), pacman()):
         params = gauss_nodes(curve, 6)[::5]
         vals = double_layer_values(curve, ones_of_points, params)
-        assert np.allclose(vals, -0.5, atol=1e-10), curve
+        assert np.allclose(vals, -0.5, rtol=0, atol=1e-10), curve
 
 
 def test_double_layer_vanishes_on_slit():
@@ -371,7 +371,7 @@ def test_double_layer_circle_projects_to_mean():
     gx = double_layer_values(curve, lambda pts: pts[:, 0], params)
     assert np.allclose(gx, 0.0, atol=1e-12)
     f = dirichlet_rhs(curve, lambda pts: pts[:, 0], params)
-    assert np.allclose(f, 0.5 * curve.point(params)[:, 0], atol=1e-12)
+    assert np.allclose(f, 0.5 * curve.point(params)[:, 0], rtol=0, atol=1e-12)
 
 
 def test_double_layer_exact_near_nodes_of_own_element():

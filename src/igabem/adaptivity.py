@@ -15,7 +15,8 @@ refinement step translates a set of marked nodes into element operations:
 Multiplicity raises change neither the element list nor the levels.
 Elements already at the width floor ``MIN_WIDTH`` are never bisected, nor
 is any element whose closure would need one of them; a step whose every
-operation is refused returns the state unchanged.
+operation is refused returns the state unchanged.  Uniform refinement is
+``refine`` with every node marked, so the floor holds there too.
 
 Nodes, their patches and element neighbours are read from the knot
 vector's ``nodes`` and ``patches`` tables, so open and closed curves take
@@ -143,10 +144,8 @@ def refine(state: MeshState, marked_nodes) -> MeshState:
 
 
 def uniform_refine(state: MeshState) -> MeshState:
-    elems = state.curve.knots.elements
-    mids = 0.5 * (elems[:, 0] + elems[:, 1])
-    levels = tuple(lv + 1 for lv in state.levels for _ in range(2))
-    return MeshState(state.curve.refined(mids), levels)
+    """``refine`` with every node marked: bisect all but floored elements."""
+    return refine(state, np.arange(len(state.curve.knots.nodes)))
 
 
 def level_gaps_ok(state: MeshState) -> bool:

@@ -18,13 +18,6 @@ from .experiments import (
 from .operators import DEFAULT_ORDER
 from .solve import fit_rate
 
-_ESTIMATOR_ALIASES = {
-    "eta": "eta",
-    "faermann": "eta",
-    "mu": "mu",
-    "residual": "mu",
-}
-
 
 def _cmd_run(args) -> int:
     def progress(row):
@@ -38,7 +31,7 @@ def _cmd_run(args) -> int:
     record = run_adaptive(
         args.problem,
         method=args.method,
-        estimator=_ESTIMATOR_ALIASES[args.estimator],
+        estimator=args.estimator,
         theta=args.theta,
         max_dofs=args.max_dofs,
         order=args.quad_order,
@@ -89,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--problem", choices=sorted(PROBLEMS), required=True)
     run.add_argument("--method", choices=("galerkin", "collocation"),
                      default="galerkin")
-    run.add_argument("--estimator", choices=sorted(_ESTIMATOR_ALIASES),
-                     default="mu", help="faermann/eta or residual/mu")
+    run.add_argument("--estimator", choices=("eta", "mu"), default="mu",
+                     help="Faermann (eta) or weighted residual (mu)")
     run.add_argument("--theta", type=float, default=0.75)
     run.add_argument("--uniform", action="store_true",
-                     help="refine every element instead of marking")
+                     help="mark every node instead of Doerfler marking")
     run.add_argument("--max-dofs", type=int, default=500)
     run.add_argument("--quad-order", type=int, default=DEFAULT_ORDER)
     run.add_argument("--out", help="write per-iteration CSV here")

@@ -53,7 +53,9 @@ __all__ = [
     "MATRIX",
 ]
 
-REF_ENERGY_CACHE = "ref_energies.json"
+# the cache shipped at the source tree's root, whatever the working directory
+REF_ENERGY_CACHE = Path(__file__).resolve().parents[2] / "ref_energies.json"
+MAX_ITERATIONS = 400  # refinement steps a run or an energy sequence takes at most
 RUN_CSV_HEADER = "iter,N,n_elements,eta,mu,err_sq,eff_eta,eff_mu,wall_ms"
 _INT_COLUMNS = ("iter", "N", "n_elements")
 
@@ -246,18 +248,18 @@ def get_problem(problem) -> Problem:
 
 
 def _energy_sequence(problem: Problem, order: int, max_dofs: int,
-                     uniform: bool = False, theta: float = 0.75,
-                     max_iterations: int = 400):
+                     uniform: bool = False):
     """Galerkin energies <V phi_h, phi_h> = c . b along a refinement sequence.
 
-    The adaptive variant marks with the weighted-residual indicators, which
-    are much cheaper than the Faermann ones and give the same mesh family.
+    The adaptive variant marks at theta 0.75 with the weighted-residual
+    indicators, which are much cheaper than the Faermann ones and give the
+    same mesh family.
     """
     state = initial_state(problem.make_curve())
     f = problem.rhs_factory(state.curve, order)
     ns: list[int] = []
     energies: list[float] = []
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         curve = state.curve
         A = galerkin_matrix(curve, order)
         b = galerkin_rhs(curve, f, order)
@@ -266,15 +268,12 @@ def _energy_sequence(problem: Problem, order: int, max_dofs: int,
         energies.append(float(np.dot(c, b)))
         if curve.knots.dim >= max_dofs:
             break
-        if uniform:
-            state = uniform_refine(state)
-        else:
-            res = sample_residual(curve, c, f, order)
-            marked = dorfler_marking(residual_indicators(res), theta)
-            new_state = refine(state, marked)
-            if new_state is state:  # every marked element is at the width floor
-                break
-            state = new_state
+        new_state = (uniform_refine(state) if uniform else
+                     refine(state, dorfler_marking(residual_indicators(
+                         sample_residual(curve, c, f, order)), 0.75)))
+        if new_state is state:  # every element to split is at the width floor
+            break
+        state = new_state
     return np.asarray(ns), np.asarray(energies)
 
 
@@ -382,14 +381,14 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
                  theta: float = 0.75, max_dofs: int = 500,
                  order: int = DEFAULT_ORDER, uniform: bool = False,
                  energy_cache: str | Path | None = REF_ENERGY_CACHE,
-                 max_iterations: int = 400,
                  progress: Callable[[dict], None] | None = None) -> RunRecord:
     """Drive solve/estimate/mark/refine until ``max_dofs`` unknowns.
 
     Both estimator totals are recorded every iteration; ``estimator`` only
-    selects which one steers the marking.  With ``uniform=True`` every
-    element is bisected instead.  Collocation runs also assemble the
-    Galerkin system of the same space, since the error identity needs it.
+    selects which one steers the marking.  With ``uniform=True`` every node
+    is marked instead, which bisects every element above the width floor.
+    Collocation runs also assemble the Galerkin system of the same space,
+    since the error identity needs it.
     """
     problem = get_problem(problem)
     if method not in problem.methods:
@@ -403,7 +402,7 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
     f = problem.rhs_factory(state.curve, order)
     rows: list[dict] = []
 
-    for it in range(max_iterations):
+    for it in range(MAX_ITERATIONS):
         t0 = time.perf_counter()
         curve = state.curve
         kv = curve.knots
@@ -447,16 +446,13 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
             progress(row)
         if kv.dim >= max_dofs:
             break
-        if uniform:
-            state = uniform_refine(state)
-        else:
-            marked = dorfler_marking(eta_sq if estimator == "eta" else mu_sq,
-                                     theta)
-            new_state = refine(state, marked)
-            if new_state is state:
-                logger.info("mesh saturated at N=%d, stopping", kv.dim)
-                break
-            state = new_state
+        new_state = (uniform_refine(state) if uniform else
+                     refine(state, dorfler_marking(
+                         eta_sq if estimator == "eta" else mu_sq, theta)))
+        if new_state is state:
+            logger.info("mesh saturated at N=%d, stopping", kv.dim)
+            break
+        state = new_state
 
     return RunRecord(
         problem=problem.name,

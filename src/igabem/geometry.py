@@ -240,14 +240,17 @@ class Curve:
 
         The candidates are the nodes with an element on both sides: the
         interior breakpoints, and on a closed curve the seam, reported at
-        ``a``.
+        ``a``.  The one-sided tangents are those of the two elements of each
+        touching row of ``patches``, at the end and the start.
         """
         kv = self.knots
         z = kv.nodes[kv.touching]
         if not len(z):
             return z
-        tl = self.frame(np.where(z != kv.a, z, kv.b), 1, side="left")[:, 1]
-        tr = self.frame(z, 1, side="right")[:, 1]
+        left, right = kv.patches[kv.touching].T
+        tau = np.zeros(len(z))
+        tl = self._frames(2 * left + 1, tau, 1)[:, 1]
+        tr = self._frames(2 * right, tau, 1)[:, 1]
         tl = tl / np.hypot(tl[:, 0], tl[:, 1])[:, None]
         tr = tr / np.hypot(tr[:, 0], tr[:, 1])[:, None]
         return np.sort(z[1.0 - np.einsum("ij,ij->i", tl, tr) > _CORNER_TOL])
@@ -256,10 +259,7 @@ class Curve:
 
     def refined(self, new_knots) -> "Curve":
         """Insert knots (repeats raise multiplicities); geometry is unchanged."""
-        kv = self.knots
-        hom = self._hom
-        for t in sorted(np.atleast_1d(np.asarray(new_knots, dtype=float))):
-            kv, hom = insert_knot(kv, hom, t)
+        kv, hom = insert_knot(self.knots, self._hom, new_knots)
         w = hom[:, 2]
         return Curve(kv, hom[:, :2] / w[:, None], w)
 

@@ -249,10 +249,9 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
     kv = curve.knots
     elems = kv.elements
     hs = kv.widths
-    at = np.zeros(elems.shape, dtype=bool)  # element ends on a corner
-    corners = curve.corner_params()
-    if corners.size:
-        at = np.abs(curve.param_delta(elems[..., None], corners)).min(axis=2) < 1e-12
+    # element ends on a corner; element e ends at node (e + 1) % n_nodes
+    corner = np.isin(kv.nodes, curve.corner_params())
+    at = np.column_stack((corner, np.roll(corner, -1)))[: kv.n_elements]
     plain = np.flatnonzero(~at.any(axis=1))
     xg, wg = gauss_unit(order)
     # (element, parameter, weight, local coordinate) per node

@@ -31,7 +31,8 @@ a quadrature node (element, u), which never rounds the node to a parameter.
 The recurrence itself only builds the element tables.
 
 Knot insertion transports coefficient rows in homogeneous form by one
-Boehm step and never changes the represented function.
+Boehm step per knot on the expanded array, builds the refined
+``KnotVector`` once per call, and never changes the represented function.
 """
 
 from __future__ import annotations
@@ -392,27 +393,6 @@ class KnotVector:
         window = np.lib.stride_tricks.sliding_window_view(E, p + 2)[: self.dim]
         return window.mean(axis=1)
 
-    # -- refinement ---------------------------------------------------------
-
-    def with_knot(self, t: float) -> "KnotVector":
-        """Knot structure after inserting t (use :func:`insert_knot` to
-        transport coefficients)."""
-        t = float(self.wrap(t))
-        bp = list(self.breakpoints)
-        mult = list(self.multiplicities)
-        if t in bp:
-            i = bp.index(t)
-            if mult[i] >= self.degree + 1:  # always true at the ends
-                raise ValueError(f"multiplicity at {t} already maximal")
-            mult[i] += 1
-        else:
-            if not self.a < t < self.b:
-                raise ValueError(f"knot {t} outside parameter interval")
-            i = int(np.searchsorted(np.asarray(bp), t))
-            bp.insert(i, t)
-            mult.insert(i, 1)
-        return KnotVector(self.degree, tuple(bp), tuple(mult), self.periodic)
-
 
 # --------------------------------------------------------------------------
 # rational (NURBS) basis windows
@@ -480,23 +460,29 @@ def _boehm(knots, degree, coeffs, t):
     return new_knots, out
 
 
-def insert_knot(kv: KnotVector, coeffs: np.ndarray, t: float) -> tuple[KnotVector, np.ndarray]:
-    """Insert a knot, transporting coefficient rows.
+def insert_knot(kv: KnotVector, coeffs: np.ndarray, ts) -> tuple[KnotVector, np.ndarray]:
+    """Insert one knot or several, transporting coefficient rows.
 
-    ``coeffs`` has one row per basis function (shape ``(kv.dim, d)``).  Rows
-    are transported linearly, so callers representing rational data must
-    pass homogeneous coordinates.  Periodic vectors take ``t`` modulo the
-    period.  Raising a multiplicity past ``degree + 1``, the ends included,
-    raises ``ValueError``.
-
-    Returns the refined vector and the new coefficient rows (one extra row).
+    ``coeffs`` has one row per basis function (shape ``(kv.dim, d)``), moved
+    linearly, so rational data goes in homogeneous coordinates.  The knots
+    are wrapped and inserted in ascending order by one Boehm step each on
+    the expanded array, repeats raising multiplicities, and the refined
+    vector is built once (Piegl & Tiller, section 5.3).  A knot outside
+    (a, b), or past multiplicity ``degree + 1``, raises ``ValueError``
+    before its step.  Returns the refined vector and the new rows.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim == 1:
         coeffs = coeffs[:, None]
     if coeffs.shape[0] != kv.dim:
         raise ValueError(f"expected {kv.dim} coefficient rows, got {coeffs.shape[0]}")
-    t = float(kv.wrap(t))
-    new_kv = kv.with_knot(t)  # validates range and multiplicity
-    _, out = _boehm(kv.eval_knots, kv.degree, coeffs, t)
-    return new_kv, out
+    p = kv.degree
+    knots = kv.eval_knots
+    for t in np.sort(kv.wrap(np.atleast_1d(np.asarray(ts, dtype=float)))).tolist():
+        if not kv.a < t < kv.b:
+            raise ValueError(f"knot {t} outside the open parameter interval")
+        if np.count_nonzero(knots == t) > p:
+            raise ValueError(f"multiplicity at {t} already maximal")
+        knots, coeffs = _boehm(knots, p, coeffs, t)
+    bp, mult = np.unique(knots, return_counts=True)
+    return KnotVector(p, tuple(bp), tuple(mult), kv.periodic), coeffs

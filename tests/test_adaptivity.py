@@ -191,6 +191,19 @@ def test_uniform_refine():
     assert state.levels == (1, 1, 1, 1)
 
 
+def test_uniform_refine_keeps_the_width_floor():
+    # the 1e-12 element stays whole; its neighbours are bisected
+    state = MeshState(slit().refined([0.5, 0.5 + 1e-12]), (1, 1, 1))
+    new = uniform_refine(state)
+    assert new.curve.knots.breakpoints == (
+        0.0, 0.25, 0.5, 0.5 + 1e-12, 0.5 * (0.5 + 1e-12 + 1.0), 1.0)
+    assert new.levels == (2, 2, 1, 2, 2)
+    # a mesh with every element at the floor is saturated
+    kv = KnotVector(1, (0.0, 1e-12), (2, 2))
+    floored = initial_state(Curve(kv, np.array([[0.0, 0.0], [1.0, 0.0]]), np.ones(2)))
+    assert uniform_refine(floored) is floored
+
+
 # --------------------------------------------------------------------------
 # invariants under random marking
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ def test_run_writes_csv_and_rates_reads_it(tmp_path, capsys):
     out = tmp_path / "slit.csv"
     knots = tmp_path / "slit_knots.csv"
     code = main([
-        "run", "--problem", "slit", "--estimator", "residual",
+        "run", "--problem", "slit", "--estimator", "mu",
         "--max-dofs", "24", "--out", str(out), "--knots-out", str(knots),
         "--energy-cache", str(tmp_path / "ref.json"),
     ])
@@ -38,16 +38,4 @@ def test_rates_fails_cleanly_on_bad_file(tmp_path, capsys):
     bad.write_text("nope\n", encoding="utf-8")
     assert main(["rates", str(bad)]) == 1
     assert "unexpected header" in capsys.readouterr().err
-
-
-def test_estimator_aliases_map_to_same_run(tmp_path):
-    outs = []
-    for name in ("mu", "residual"):
-        out = tmp_path / f"{name}.csv"
-        main(["run", "--problem", "slit", "--estimator", name,
-              "--max-dofs", "16", "--out", str(out),
-              "--energy-cache", str(tmp_path / "ref.json")])
-        outs.append(read_run_csv(out))
-    np.testing.assert_array_equal(outs[0]["N"], outs[1]["N"])
-    np.testing.assert_allclose(outs[0]["mu"], outs[1]["mu"], rtol=0.0)
 

@@ -216,6 +216,35 @@ def test_shipped_reference_sidecar_is_readable():
         assert entry["dofs"] >= PROBLEMS[name].reference_dofs
 
 
+def test_default_cache_does_not_depend_on_working_directory(tmp_path, monkeypatch):
+    # from any directory the default reads the shipped sidecar: no
+    # extrapolation starts and no file appears where the run was started
+    def no_extrapolation(*args, **kwargs):
+        raise AssertionError("reference energy extrapolated")
+
+    monkeypatch.setattr(experiments, "_energy_sequence", no_extrapolation)
+    monkeypatch.chdir(tmp_path)
+    data = json.loads((REPO_ROOT / "ref_energies.json").read_text("utf-8"))
+    assert reference_energy("pacman") == data["pacman"]["energy"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_perfbench_tracer_finds_every_traced_name(monkeypatch):
+    # the benchmark's tracer wraps program functions by name; a renamed or
+    # removed one must fail here, not only in traced benchmark runs
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
+    import tracing
+
+    originals = (experiments.refine, experiments.uniform_refine)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()  # raises AttributeError on a missing name
+        assert experiments.refine is not originals[0]
+    finally:
+        tracer.uninstall()
+    assert (experiments.refine, experiments.uniform_refine) == originals
+
+
 def test_traces_at_geometry_landmarks():
     pts = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
     vals = square_trace(pts)

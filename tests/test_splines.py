@@ -4,6 +4,8 @@ Hand values below (hat functions, the cardinal quadratic, the rational
 quarter-circle weights) were computed on paper before the engine existed.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,6 +259,26 @@ def test_insertion_structure():
     assert c2.shape == (4, 3)
     kv3, _ = insert_knot(kv2, c2, 0.5)
     assert kv3.multiplicities == (3, 2, 3)
+
+
+def test_batched_insertion_matches_single_insertions():
+    kv = KnotVector(2, (0.0, 0.3, 0.7, 1.0), (3, 1, 2, 3), periodic=True)
+    rng = np.random.default_rng(3)
+    hom = np.column_stack((rng.uniform(-1, 1, (kv.dim, 2)), rng.uniform(0.5, 2, kv.dim)))
+    ts = [0.55, 0.3, 1.15, 0.55, 0.3]  # 1.15 wraps to 0.15; repeats raise
+    kv_all, hom_all = insert_knot(kv, hom, ts)
+    kv_one, hom_one = kv, hom
+    for t in sorted(kv.wrap(np.array(ts))):
+        kv_one, hom_one = insert_knot(kv_one, hom_one, t)
+    assert kv_all == kv_one
+    assert kv_all.multiplicities == (3, 1, 3, 2, 2, 3)
+    assert np.array_equal(hom_all, hom_one)
+    # a list that pushes 0.7 past p + 1 is refused before any step divides
+    # by a zero knot span
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="maximal"):
+            insert_knot(kv, hom, [0.2, 0.7, 0.7])
 
 
 grid = st.sampled_from([i / 32 for i in range(1, 32)])

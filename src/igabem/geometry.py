@@ -16,6 +16,18 @@ Each element's Taylor coefficients are stored about both its ends with the
 control points measured from that end, so ``displacement`` gives gamma(t) -
 gamma(end) and ``chord`` divided differences without subtracting two
 rounded points.
+
+Two paths evaluate those coefficients.  Where every element takes the same
+local coordinates (quadrature rules, element grids), each element end's
+coefficients, scaled to the unit offset s = u - end, form one small table,
+and all nodes of an element come from one matrix product of that table
+with the powers of s, formed once per rule: ``local_frame`` and
+``local_basis`` take this path when u is shared by the elements e, and
+the graded rules of ``operators`` measure their nodes from a fixed end
+through ``_end_frames``.  Where the offset differs per node (targets given
+by parameter, the split at a target inside its element, corner-graded load
+rules, ``splines.rational_basis``) Horner's rule sums the derivatives at
+the nearer end node by node.
 """
 
 from __future__ import annotations
@@ -129,6 +141,23 @@ class Curve:
         """The element table of the weighted basis windows w_r B_r."""
         return self.knots.element_table[1] * self.weights[self._windows]
 
+    @cached_property
+    def _end_tables(self) -> np.ndarray:
+        """``_frame_table`` and ``_basis_table`` side by side, row k scaled
+        by h^k / k!: ``[e, j, end * (p + 1) + k]`` is the coefficient of
+        s^k, s = u - end, in column j of (N - gamma(end) W, W, w_r B_r)
+        about that end of element e.  Shape (n_el, p + 4, 2 p + 2),
+        read-only."""
+        k = np.arange(self.degree + 1)
+        scale = (np.repeat(self.knots.widths, 2) ** k[:, None]
+                 / np.array([factorial(i) for i in k])[:, None])
+        T = np.concatenate([self._frame_table, self._basis_table], axis=2)
+        T = (T * scale[..., None]).reshape(len(k), -1, 2, T.shape[-1])
+        T = np.ascontiguousarray(T.transpose(1, 3, 2, 0))
+        T = T.reshape(len(T), T.shape[1], -1)
+        T.flags.writeable = False
+        return T
+
     # -- evaluation ----------------------------------------------------------
 
     def displacement(self, row, tau, nd: int = 0) -> np.ndarray:
@@ -142,32 +171,75 @@ class Curve:
         origin = np.take(self.end_points, row, axis=0) if absolute else None
         return quotient_derivatives([a[..., :2] for a in A], [a[..., 2] for a in A], origin)
 
-    def frame(self, ts, nd: int = 0, side: str = "right") -> np.ndarray:
+    def frame(self, ts, nd: int = 0) -> np.ndarray:
         """Curve point and derivatives: array of shape (npts, nd + 1, 2).
 
         ``frame(ts, 2)[:, k]`` is the k-th parameter derivative of γ.  Closed
         curves accept any real parameter (periodic extension); derivatives at
-        breakpoints are one-sided per ``side``.
+        breakpoints are right limits, and t = b of a closed curve is t = a.
         """
         kv = self.knots
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self.closed:
-            # keep t = b so callers can take left limits at the seam
-            ts = np.where(ts == kv.b, ts, kv.wrap(ts))
-        return self._frames(*kv.locate(ts, side), nd)
+        ts = kv.wrap(np.atleast_1d(np.asarray(ts, dtype=float)))
+        return self._frames(*kv.locate(ts), nd)
 
     def local_frame(self, e, u, nd: int = 0) -> np.ndarray:
         """``frame`` at local coordinates u of elements e, broadcast over
         both: shape (..., nd + 1, 2), derivatives by the parameter."""
+        if nd < 2 and _shared(e, u):
+            return self._end_frames(e, *_nearer_end(u), nd, absolute=True)
         return self._frames(*self.knots.local(e, u), nd)
 
     def local_basis(self, e, u) -> np.ndarray:
         """Rational basis windows at local coordinates u of elements e,
         shape (..., degree + 1); element e's window starts at basis
         ``knots.element_table[0][e]``."""
-        row, tau = self.knots.local(e, u)
-        wb = _taylor_sum(np.take(self._basis_table, row, axis=1), tau, 0)[0]
+        if _shared(e, u):
+            wb = self._tabulate(e, *_nearer_end(u), slice(3, None), 0)[:, 0]
+            wb = _unflatten(wb.transpose(0, 2, 1), e, u)
+        else:
+            row, tau = self.knots.local(e, u)
+            wb = _taylor_sum(np.take(self._basis_table, row, axis=1), tau, 0)[0]
         return wb / wb.sum(axis=-1, keepdims=True)
+
+    def _tabulate(self, e, s, end, cols, nd: int) -> np.ndarray:
+        """Columns ``cols`` of the end tables of elements e at unit offsets
+        s from element end ``end`` (one end, or one per offset), and for
+        nd = 1 their s-derivatives: an (elements, nd + 1, columns, nodes)
+        array, e and s flattened.  The offsets are shared by all elements,
+        so the powers of s are formed once and each element takes one
+        matrix product; a node's powers fill the block of its end and zeros
+        that of the other."""
+        s = np.ravel(s)
+        p = self.degree
+        V = np.empty((nd + 1, p + 1, len(s)))
+        V[0, 0] = 1.0
+        for k in range(1, p + 1):
+            V[0, k] = V[0, k - 1] * s
+        if nd:
+            V[1, 0] = 0.0
+            V[1, 1:] = V[0, :-1] * np.arange(1, p + 1)[:, None]
+        T = self._end_tables[np.ravel(e)][:, None, cols]
+        at_end = np.ravel(end) == 1
+        return np.matmul(T, np.concatenate([V * ~at_end, V * at_end], axis=1))
+
+    def _end_frames(self, e, s, end, nd: int = 1, absolute: bool = False) -> np.ndarray:
+        """Frames of elements e at unit offsets s from element end ``end``
+        (broadcast against s), s shared by all elements: the displacement
+        gamma - gamma(end), or with ``absolute`` the point, then for nd = 1
+        gamma' = (D' - (D / W) W') / (h W) from the product (D, W) =
+        (N - gamma(end) W, W) and its s-derivative.  Shape as
+        ``local_frame``."""
+        A = self._tabulate(e, s, end, slice(0, 3), nd)
+        W = A[:, 0, 2:]
+        out = np.empty((len(A), nd + 1, 2, A.shape[-1]))
+        g = np.divide(A[:, 0, :2], W, out=out[:, 0])
+        if nd:
+            h = self.knots.widths[np.ravel(e)][:, None, None]
+            np.divide(A[:, 1, :2] - g * A[:, 1, 2:], h * W, out=out[:, 1])
+        if absolute:
+            ends = self.end_points.reshape(-1, 2, 2)[np.ravel(e)].transpose(0, 2, 1)
+            g += np.where(np.ravel(end), ends[..., 1:], ends[..., :1])
+        return _unflatten(out.transpose(0, 3, 1, 2), e, s)
 
     def chord(self, row, sa, sb, second: bool = False):
         """Divided differences of γ at offsets ``sa``, ``sb`` from the end
@@ -262,6 +334,28 @@ class Curve:
         kv, hom = insert_knot(self.knots, self._hom, new_knots)
         w = hom[:, 2]
         return Curve(kv, hom[:, :2] / w[:, None], w)
+
+
+def _shared(e, u) -> bool:
+    """Whether the local coordinates u are shared by all elements e: u
+    spans only axes on which e has length 1."""
+    n = np.ndim(u)
+    return 0 < n < np.ndim(e) and all(k == 1 for k in np.shape(e)[-n:])
+
+
+def _nearer_end(u):
+    """Offsets s = u - end of local coordinates u from their nearer element
+    end, and that end, as ``KnotVector.local`` takes them."""
+    u = np.asarray(u, dtype=float)
+    end = (u >= 0.5).astype(int)
+    return u - end, end
+
+
+def _unflatten(a: np.ndarray, e, u) -> np.ndarray:
+    """An (elements, nodes, ...) array of flattened shared nodes u of
+    elements e, in the shape of e broadcast against u."""
+    lead = np.shape(e)[:np.ndim(e) - np.ndim(u)]
+    return a.reshape(lead + np.shape(u) + a.shape[2:])
 
 
 def _divide(c, a):

@@ -27,10 +27,20 @@ the target with the log-weight rule on each side, for K plain Gauss, since
 K is smooth along an arc; both take the kernel from divided differences.
 A graded rule measures its nodes and the target from the element end it
 grades toward, so gamma(x) - gamma(t) is a difference of two displacements
-from that end (``Curve.displacement``), each exact to its last digits, and
-one kernel formula serves every node.  The engine returns the density
-contracted with coefficients, the raw basis windows (one column per basis
-function), or the integral of data g.
+from that end, each exact to its last digits, and one kernel formula serves
+every node.  The engine returns the density contracted with coefficients,
+the raw basis windows (one column per basis function), or the integral of
+data g.
+
+Geometry and basis at quadrature nodes come from ``Curve`` by two paths.
+Nodes that every element shares (the Duffy rule of identical and touching
+pairs, the Gauss grids, a graded rule over all its elements, the plain
+elements of the load vector) take one table product per element end
+(``Curve.local_frame``, ``Curve.local_basis``, and ``Curve._end_frames``
+for the graded rules, whose nodes are measured from a fixed end).  Nodes
+whose local coordinates differ per node (the targets, the split at a
+target inside its element, the corner-graded load rules) take Horner's
+rule node by node (``Curve.displacement`` and the same two methods).
 """
 
 from __future__ import annotations
@@ -75,8 +85,8 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 def _phi_windows(curve: Curve, e, u):
     """Rational basis windows times speed at local coordinates u of
-    elements e; the speed needs no point, so it takes displacements."""
-    d1 = curve.displacement(*curve.knots.local(e, u), 1)[..., 1, :]
+    elements e."""
+    d1 = curve.local_frame(e, u, 1)[..., 1, :]
     return curve.local_basis(e, u) * _norm(d1)[..., None]
 
 
@@ -254,15 +264,16 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
     at = np.column_stack((corner, np.roll(corner, -1)))[: kv.n_elements]
     plain = np.flatnonzero(~at.any(axis=1))
     xg, wg = gauss_unit(order)
-    # (element, parameter, weight, local coordinate) per node
+    # (element, parameter, weight, basis windows times speed) per node; the
+    # plain elements share one Gauss rule
     rules = [(plain.repeat(order),
               (elems[plain, 0][:, None] + hs[plain][:, None] * xg).ravel(),
-              (hs[plain][:, None] * wg).ravel(), np.tile(xg, len(plain)))]
+              (hs[plain][:, None] * wg).ravel(),
+              _phi_windows(curve, plain[:, None], xg).reshape(-1, curve.degree + 1))]
     for e in np.flatnonzero(at.any(axis=1)):
         t, w, u = _corner_graded_rule(*elems[e].tolist(), *at[e].tolist(), order)
-        rules.append((np.full(len(t), e), t, w, u))
-    eq, tq, wq, uq = (np.concatenate(parts) for parts in zip(*rules))
-    phi = _phi_windows(curve, eq, uq)  # phi carries the speed
+        rules.append((np.full(len(t), e), t, w, _phi_windows(curve, e, u)))
+    eq, tq, wq, phi = (np.concatenate(parts) for parts in zip(*rules))
     b = np.zeros(kv.dim)
     np.add.at(b, kv.element_table[0][eq][:, None] + np.arange(curve.degree + 1),
               (np.asarray(f_of_params(tq)) * wq)[:, None] * phi)
@@ -312,11 +323,10 @@ def _graded_pair_rules(curve: Curve, params: np.ndarray, x_pts: np.ndarray,
         levels, end = divmod(int(k), 2)
         ue, slot = np.unique(pair_e[pick], return_inverse=True)
         xs, ws = graded_unit(order, levels)  # distances from z in widths
-        h = hs[ue][:, None]
-        rows = 2 * ue[:, None] + end
-        yield (pair_i[pick], ue, slot, 1.0 - xs if end else xs, h * ws, px[pick],
-               curve.displacement(rows, h * (-xs if end else xs), 1),
-               curve.end_points[rows])
+        e = ue[:, None]
+        yield (pair_i[pick], ue, slot, 1.0 - xs if end else xs, hs[e] * ws, px[pick],
+               curve._end_frames(e, -xs if end else xs, end),
+               curve.end_points[2 * e + end])
 
 
 class _SingleLayer:

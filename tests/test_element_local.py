@@ -12,15 +12,23 @@ t = 0, inside and next to t = 1; the quadrature rules themselves are
 checked against other orders in ``test_operators``.  The tangent check
 goes further back and takes the stored knots, control points and weights
 as exact, so it also covers how the coefficients are formed.
+
+Nodes that every element shares take one table product per element end
+(``Curve._end_tables``); the parity checks below hold that path to the
+per-node Horner sums of ``frame``, ``rational_basis`` and ``displacement``
+at the same parameters, each tolerance 100 times the largest difference
+measured on these meshes.
 """
 
 import mpmath as mp
 import numpy as np
 import pytest
+from helpers import circle
 
 from igabem.geometry import pacman, slit, square
 from igabem.operators import _radial_rule, _singular_pairs
-from igabem.quadrature import gauss_unit
+from igabem.quadrature import gauss_unit, graded_unit
+from igabem.splines import rational_basis
 
 WIDTHS = (1e-12, 1e-9, 1e-6, 1e-3, 1e-1)
 STARTS = (lambda h: 0.0, lambda h: 0.45, lambda h: 1.0 - h)
@@ -227,3 +235,97 @@ def test_tangent_on_small_elements_matches_mpmath():
                 want = _mp_nurbs_tangent(curve, t)
                 err = mp.hypot(g[0] - want[0], g[1] - want[1]) / mp.hypot(*want)
                 assert err <= 1e-13, (t0, t, float(err))
+
+
+# largest differences measured on the meshes below: basis windows 2.2e-16
+# absolute, speeds 6.1e-16 and displacements 5.9e-16 relative
+BASIS_TOL = 2.2e-14
+SPEED_TOL = 6.1e-14
+DISPLACEMENT_TOL = 5.9e-14
+
+
+def _parity_curves():
+    """The four geometries with seven random knots each, and pacman with an
+    element of width 1e-12 on either side of every breakpoint."""
+    rng = np.random.default_rng(7)
+    for make in (slit, square, pacman, lambda: circle(0.8)):
+        yield make().refined(np.sort(rng.uniform(0.0, 1.0, 7)))
+    h = 1e-12
+    curve0 = pacman()
+    bps = curve0.knots.breakpoints
+    for b in bps[:-1]:
+        for t0 in (b, (b - h) % 1.0):
+            yield curve0.refined([t for t in (t0, t0 + h) if t not in bps])
+
+
+PARITY_CURVES = list(_parity_curves())
+
+
+def _shared_nodes():
+    """Local coordinates of the element ends and midpoint, a Gauss rule and
+    rules graded toward both ends down to about 1e-14."""
+    xg, _ = gauss_unit(16)
+    xs, _ = graded_unit(16, 40)
+    return np.concatenate([[0.0, 0.5, 1.0], xg, xs, 1.0 - xs[::-1]])
+
+
+@pytest.mark.parametrize("k", range(len(PARITY_CURVES)))
+def test_table_product_matches_per_node_path(k):
+    curve = PARITY_CURVES[k]
+    kv = curve.knots
+    u = _shared_nodes()
+    for e in range(kv.n_elements):
+        # the parameters of element e's nodes; ``locate`` gives the element
+        # and offset that ``frame`` and ``rational_basis`` evaluate, and the
+        # table product takes the same offset as a local coordinate
+        ts = kv.elements[e, 0] + kv.widths[e] * u
+        row, tau = kv.locate(ts)
+        first, R = rational_basis(kv, curve.basis_weights, ts)
+        d1 = curve.frame(ts, 1)[:, 1]
+        for el in np.unique(row >> 1):
+            pick = (row >> 1) == el
+            ue = (row[pick] & 1) + tau[pick] / kv.widths[el]
+            basis = curve.local_basis(np.array([[el]]), ue)[0]
+            speed = np.hypot(*curve.local_frame(np.array([[el]]), ue, 1)[0, :, 1].T)
+            want = np.hypot(*d1[pick].T)
+            np.testing.assert_array_equal(first[pick], kv.element_table[0][el])
+            np.testing.assert_allclose(basis, R[pick, 0], rtol=0, atol=BASIS_TOL)
+            np.testing.assert_allclose(speed, want, rtol=SPEED_TOL, atol=0)
+
+
+@pytest.mark.parametrize("k", range(len(PARITY_CURVES)))
+def test_end_displacements_match_per_node_path(k):
+    # the graded rules' nodes: unit offsets from one end, shared by every
+    # element, against Horner's rule at the parameter offsets h x
+    curve = PARITY_CURVES[k]
+    kv = curve.knots
+    xs, _ = graded_unit(16, 40)
+    e = np.arange(kv.n_elements)[:, None]
+    for end, s in ((0, xs), (1, -xs)):
+        got = curve._end_frames(e, s, end)
+        want = curve.displacement(2 * e + end, kv.widths[e] * s, 1)
+        for j, tol in ((0, DISPLACEMENT_TOL), (1, SPEED_TOL)):
+            err = np.hypot(*np.moveaxis(got[..., j, :] - want[..., j, :], -1, 0))
+            size = np.hypot(*np.moveaxis(want[..., j, :], -1, 0))
+            assert np.all(err <= tol * size), (end, j, float((err / size).max()))
+
+
+def test_refined_curve_builds_its_own_tables():
+    # the tables are built on first use, per curve; a refined curve holds
+    # other elements and must never read its parent's
+    curve = pacman()
+    assert "_end_tables" not in vars(curve)
+    e = np.arange(curve.knots.n_elements)[:, None]
+    xg, _ = gauss_unit(8)
+    curve.local_basis(e, xg)
+    parent = curve._end_tables
+    fine = curve.refined([0.05, 0.5, 0.93])
+    assert "_end_tables" not in vars(fine)
+    ef = np.arange(fine.knots.n_elements)[:, None]
+    basis = fine.local_basis(ef, xg)
+    assert fine._end_tables is not parent
+    assert fine._end_tables.shape[0] == fine.knots.n_elements
+    want = fine.local_basis(np.broadcast_to(ef, basis.shape[:2]),
+                            np.broadcast_to(xg, basis.shape[:2]))  # per node
+    np.testing.assert_allclose(basis, want, rtol=0, atol=BASIS_TOL)
+    assert not parent.flags.writeable and not fine._end_tables.flags.writeable

@@ -249,14 +249,15 @@ def test_partition_quality_quadratic_closed_form(n):
 def _partition_quality_loops(curve, order=16):
     """q_per_element and containment from the definition, element by
     element, summing in the same order as ``partition_quality`` and on the
-    same element-local Gauss nodes."""
+    same element-local Gauss nodes, which one element at a time shares."""
     kv = curve.knots
     p, n_el = kv.degree, kv.n_elements
     xg, wg = gauss_unit(order)
     hs = kv.elements[:, 1] - kv.elements[:, 0]
     first = kv.element_table[0]
-    basis = [curve.local_basis(e, xg) for e in range(n_el)]
-    sp = [np.hypot(*curve.local_frame(e, xg, 1)[:, 1].T) for e in range(n_el)]
+    basis = [curve.local_basis(np.array([[e]]), xg)[0] for e in range(n_el)]
+    sp = [np.hypot(*curve.local_frame(np.array([[e]]), xg, 1)[0, :, 1].T)
+          for e in range(n_el)]
     arc = curve.element_lengths
     m = (p + 1) // 2
     q_out, contained = np.empty(n_el), True

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="write per-iteration CSV here")
     run.add_argument("--knots-out", help="write final knot histogram CSV here")
     run.add_argument("--energy-cache", default=REF_ENERGY_CACHE,
-                     help="JSON sidecar holding extrapolated reference energies")
+                     help="JSON sidecar caching reference energies")
     run.set_defaults(func=_cmd_run)
 
     rates = sub.add_parser("rates", help="fit log-log slopes from run CSVs")

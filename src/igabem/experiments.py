@@ -7,9 +7,9 @@ whose data is a harmonic trace.  Each run drives the solve/estimate/mark
 energy-norm error against a reference energy.
 
 Reference energies for the Dirichlet problems are not known in closed form.
-They are extrapolated once from a fine adaptive Galerkin sequence, cross
-checked against a uniform sequence, and cached in a JSON sidecar so later
-runs (and the CLI) just read the number.
+Each is the Calderon pairing <f, phi> = <V phi, phi> of the data with the
+exact density, computed once by graded quadrature on the geometry mesh and
+cached in a JSON sidecar so later runs (and the CLI) just read the number.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ from .operators import (
     galerkin_matrix,
     galerkin_rhs,
 )
-from .solve import aitken, energy_error_collocation, energy_error_galerkin, solve_linear
+from .quadrature import gauss_unit, graded_unit
+# aitken has no caller here; it stays importable from this module because
+# perfbench/tracing.py wraps experiments.aitken by name
+from .solve import aitken, energy_error_collocation, energy_error_galerkin, solve_linear  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +58,7 @@ __all__ = [
 
 # the cache shipped at the source tree's root, whatever the working directory
 REF_ENERGY_CACHE = Path(__file__).resolve().parents[2] / "ref_energies.json"
-MAX_ITERATIONS = 400  # refinement steps a run or an energy sequence takes at most
+MAX_ITERATIONS = 400  # refinement steps a run takes at most
 RUN_CSV_HEADER = "iter,N,n_elements,eta,mu,err_sq,eff_eta,eff_mu,wall_ms"
 _INT_COLUMNS = ("iter", "N", "n_elements")
 
@@ -91,21 +94,23 @@ class Problem:
     the geometry, so it is computed on the geometry mesh ``make_curve()``
     at quadrature order ``order``, whatever mesh the caller analyses.  Each
     returned f memoises its values by parameter, so a run builds f once
-    and every mesh of the run shares it.  ``energy_exact``
-    is the squared energy norm of the exact density when known, otherwise
-    None and a reference energy is extrapolated (see ``reference_energy``).
-    ``density_exact(curve, ts)`` evaluates the exact density; it blows up at
-    geometric singularities, so callers keep their parameters away from
-    those points.
+    and every mesh of the run shares it.
+    ``density_exact(curve, row, tau)`` evaluates the exact density at
+    offsets ``tau`` from the element ends ``row`` (2 e + end) of ``curve``,
+    as ``Curve.displacement`` addresses points: a point next to a tip or a
+    corner, where the density blows up, is measured from that end and
+    keeps its digits.  Only tau = 0 at such an end is excluded.
+    ``energy_exact`` is the squared energy norm of the exact density when
+    known in closed form, otherwise None and ``reference_energy`` computes
+    it as the pairing <f, phi>.
     """
 
     name: str
     make_curve: Callable[[], Curve]
     rhs_factory: Callable[[Curve, int], Callable]
     methods: tuple[str, ...]
+    density_exact: Callable[[Curve, np.ndarray, np.ndarray], np.ndarray]
     energy_exact: float | None = None
-    reference_dofs: int = 600
-    density_exact: Callable[[Curve, np.ndarray], np.ndarray] | None = None
 
 
 def _slit_rhs(curve: Curve, order: int):
@@ -167,36 +172,28 @@ def _dirichlet_factory(make_curve, trace):
     return factory
 
 
-def _slit_density(curve: Curve, ts: np.ndarray) -> np.ndarray:
-    # -x / sqrt(1 - x^2) with x = 2t - 1, written so the square root does
-    # not cancel near the tips
-    del curve
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return (1.0 - 2.0 * ts) / (2.0 * np.sqrt(ts * (1.0 - ts)))
+def _slit_density(curve: Curve, row, tau) -> np.ndarray:
+    # -x / sqrt(1 - x^2) with x = 2t - 1 is (t_b - t_a) / (2 sqrt(t_a t_b)),
+    # t_a = t - a and t_b = b - t; both are taken from the element end, so
+    # each is exact at its own tip
+    kv = curve.knots
+    end = kv.breakpoint_array[(np.asarray(row) + 1) >> 1]
+    ta = (end - kv.a) + tau
+    tb = (kv.b - end) - tau
+    return (tb - ta) / (2.0 * np.sqrt(ta * tb))
 
 
-def _square_density(curve: Curve, ts: np.ndarray) -> np.ndarray:
-    # normal derivative of sinh(2 pi x) cos(2 pi y), jumps at the corners
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    pts = curve.point(ts)
-    nrm = curve.normal(ts)
-    gx = 2.0 * np.pi * np.cosh(2.0 * np.pi * pts[:, 0]) * np.cos(2.0 * np.pi * pts[:, 1])
-    gy = -2.0 * np.pi * np.sinh(2.0 * np.pi * pts[:, 0]) * np.sin(2.0 * np.pi * pts[:, 1])
-    return gx * nrm[:, 0] + gy * nrm[:, 1]
+def _normal_derivative(dw):
+    """Exact density of the data g = Re w(z), w analytic with derivative
+    ``dw``: dg / dnu = Re(w'(z) nu), z and the unit normal nu = -i gamma' /
+    |gamma'| taken as complex numbers from displacements from the end."""
+    def density(curve: Curve, row, tau) -> np.ndarray:
+        d = curve.displacement(row, tau, 1)
+        z = curve.end_points[row] + d[..., 0, :]
+        tan = d[..., 1, 0] + 1j * d[..., 1, 1]
+        return np.real(dw(z[..., 0] + 1j * z[..., 1]) * -1j * tan / np.abs(tan))
 
-
-def _pacman_density(curve: Curve, ts: np.ndarray) -> np.ndarray:
-    # normal derivative of Re(z^(4/7)): Re(w'(z) nu) with w' = (4/7) z^(-3/7),
-    # unbounded at the reentrant corner z = 0
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    pts = curve.point(ts)
-    nrm = curve.normal(ts)
-    z = pts[:, 0] + 1j * pts[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wp = (4.0 / 7.0) * z ** (-3.0 / 7.0)
-    out = np.real(wp * (nrm[:, 0] + 1j * nrm[:, 1]))
-    out[z == 0] = 0.0  # quadrature nodes rounded onto the corner carry no mass
-    return out
+    return density
 
 
 PROBLEMS = {
@@ -205,28 +202,27 @@ PROBLEMS = {
         make_curve=slit,
         rhs_factory=_slit_rhs,
         methods=("galerkin", "collocation"),
-        energy_exact=np.pi / 4.0,
         density_exact=_slit_density,
+        energy_exact=np.pi / 4.0,
     ),
     "square": Problem(
         name="square",
         make_curve=square,
         rhs_factory=_dirichlet_factory(square, square_trace),
         methods=("galerkin",),
-        reference_dofs=900,
-        density_exact=_square_density,
+        # sinh(2 pi x) cos(2 pi y) = Re sinh(2 pi z); its normal
+        # derivative jumps at the corners
+        density_exact=_normal_derivative(
+            lambda z: 2.0 * np.pi * np.cosh(2.0 * np.pi * z)),
     ),
-    # the pacman reference sequence stops at 300 unknowns: its optimally
-    # graded meshes reach the element width floor soon after, where the
-    # energies pick up noise around 1e-12 while at N = 300 they already
-    # sit within 1e-13 of the limit
     "pacman": Problem(
         name="pacman",
         make_curve=pacman,
         rhs_factory=_dirichlet_factory(pacman, pacman_trace),
         methods=("galerkin", "collocation"),
-        reference_dofs=300,
-        density_exact=_pacman_density,
+        # Re z^(4/7), unbounded at the reentrant corner z = 0, which is the
+        # exact end point of both its elements: z = 0 only at tau = 0 there
+        density_exact=_normal_derivative(lambda z: (4.0 / 7.0) * z ** (-3.0 / 7.0)),
     ),
 }
 
@@ -247,46 +243,61 @@ def get_problem(problem) -> Problem:
 # --------------------------------------------------------------------------
 
 
-def _energy_sequence(problem: Problem, order: int, max_dofs: int,
-                     uniform: bool = False):
-    """Galerkin energies <V phi_h, phi_h> = c . b along a refinement sequence.
+# Gauss points per panel and dyadic grading levels of the pairing rule, and
+# the next rule up, whose value checks it.  The slit density grows like
+# t^(-1/2) at its tips, so the levels go far below the 48 of the operators:
+# at 60 levels the pairing misses pi / 4 by 1.8e-11.
+PAIRING_RULE = (24, 100)
+PAIRING_CHECK_RULE = (32, 112)
+PAIRING_GAP_WARN = 1e-12  # relative gap between the two rules that is logged
 
-    The adaptive variant marks at theta 0.75 with the weighted-residual
-    indicators, which are much cheaper than the Faermann ones and give the
-    same mesh family.
+
+def _pairing(problem: Problem, n: int, levels: int, order: int) -> float:
+    """<f, phi> = <V phi, phi>, the squared energy norm of the exact density.
+
+    Quadrature on the geometry mesh ``problem.make_curve()``: each element
+    is split at its midpoint and each half is measured from its own element
+    end (row 2 e + end, tau = +-(h / 2) x).  A half whose end is a corner or
+    an open end, where the density blows up, takes ``graded_unit(n,
+    levels)``, the others ``gauss_unit(n)``.  Speeds and the density come
+    from displacements from the end; only f takes parameters.
     """
-    state = initial_state(problem.make_curve())
-    f = problem.rhs_factory(state.curve, order)
-    ns: list[int] = []
-    energies: list[float] = []
-    for _ in range(MAX_ITERATIONS):
-        curve = state.curve
-        A = galerkin_matrix(curve, order)
-        b = galerkin_rhs(curve, f, order)
-        c, _ = solve_linear(A, b)
-        ns.append(curve.knots.dim)
-        energies.append(float(np.dot(c, b)))
-        if curve.knots.dim >= max_dofs:
-            break
-        new_state = (uniform_refine(state) if uniform else
-                     refine(state, dorfler_marking(residual_indicators(
-                         sample_residual(curve, c, f, order)), 0.75)))
-        if new_state is state:  # every element to split is at the width floor
-            break
-        state = new_state
-    return np.asarray(ns), np.asarray(energies)
+    curve = problem.make_curve()
+    kv = curve.knots
+    # element ends on a corner or an open end; element e ends at node
+    # (e + 1) % n_nodes, and row 2 e + end is entry (e, end)
+    singular = np.isin(kv.nodes, curve.corner_params())
+    if not kv.periodic:
+        singular[[0, -1]] = True
+    singular = np.column_stack((singular, np.roll(singular, -1)))[: kv.n_elements]
+    rules = []
+    for rows, (xs, ws) in ((np.flatnonzero(singular), graded_unit(n, levels)),
+                           (np.flatnonzero(~singular), gauss_unit(n))):
+        half = 0.5 * kv.widths[rows // 2]
+        rules.append((rows.repeat(len(xs)),
+                      np.outer(np.where(rows % 2, -half, half), xs).ravel(),
+                      np.outer(half, ws).ravel()))
+    row, tau, w = (np.concatenate(parts) for parts in zip(*rules))
+    d1 = curve.displacement(row, tau, 1)[:, 1]
+    f = problem.rhs_factory(curve, order)
+    fv = f(kv.wrap(kv.breakpoint_array[(row + 1) >> 1] + tau))
+    phi = problem.density_exact(curve, row, tau)
+    return float(np.sum(w * fv * phi * np.hypot(d1[:, 0], d1[:, 1])))
 
 
 def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
                      order: int = DEFAULT_ORDER) -> float:
-    """Squared energy norm of the exact density, exact or extrapolated.
+    """Squared energy norm of the exact density, exact or from the pairing.
 
     Known values short-circuit.  Otherwise the cache file is consulted, and
-    on a miss the energy is Aitken-extrapolated from an adaptive Galerkin
-    sequence up to ``problem.reference_dofs`` unknowns, cross checked against
-    a uniform sequence, and stored under the problem name.  A cached entry
-    whose ``degree`` differs from the problem's curve belongs to another
-    discretisation: it is reported and treated as a miss.
+    on a miss the energy is the pairing <f, phi> of the data (at quadrature
+    order ``order``) with the exact density, at ``PAIRING_RULE``.  It is
+    stored under the problem name with its ``degree`` and the
+    ``relative_gap`` to the pairing at ``PAIRING_CHECK_RULE``; a gap above
+    ``PAIRING_GAP_WARN`` is logged.  A cached entry whose energy is not a
+    finite positive number, or whose ``degree`` differs from the problem's
+    curve, is reported and treated as a miss; a usable one is returned as
+    stored, without recomputing the pairing.
     """
     problem = get_problem(problem)
     if problem.energy_exact is not None:
@@ -299,45 +310,30 @@ def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
         data = json.loads(path.read_text(encoding="utf-8"))
         entry = data.get(problem.name)
         if entry is not None:
-            if entry.get("degree") == degree:
-                return float(entry["energy"])
-            logger.warning(
-                "ignoring cached reference energy for %s: degree %s, "
-                "the curve has degree %d", problem.name, entry.get("degree"),
-                degree,
-            )
+            energy = entry.get("energy")
+            if entry.get("degree") != degree:
+                why = f"degree {entry.get('degree')}, the curve has degree {degree}"
+            elif not (isinstance(energy, (int, float)) and np.isfinite(energy)
+                      and energy > 0.0):
+                why = f"energy {energy!r} is not a finite positive number"
+            else:
+                return float(energy)
+            logger.warning("ignoring cached reference energy for %s: %s",
+                           problem.name, why)
 
-    logger.info("extrapolating reference energy for %s", problem.name)
-    ns, energies = _energy_sequence(problem, order, problem.reference_dofs)
-    acc, ok = aitken(energies)
-    # Galerkin energies increase toward the limit on nested spaces, so no
-    # reference may lie below any computed energy; the deep adaptive tail is
-    # accurate enough on its own whenever the extrapolation misbehaves.
-    seq_max = float(np.max(energies))
-    ok = bool(ok and acc >= seq_max)
-    if not ok:
-        acc = seq_max
-    uni_cap = max(64, problem.reference_dofs // 2)
-    _, uni_energies = _energy_sequence(problem, order, uni_cap, uniform=True)
-    uni_acc, _ = aitken(uni_energies)
-    gap = abs(acc - uni_acc) / max(abs(acc), 1e-300)
-    if gap > 1e-3:
-        logger.warning(
-            "reference energies disagree for %s: adaptive %.12g vs uniform %.12g",
-            problem.name, acc, uni_acc,
-        )
-    entry = {
-        "energy": acc,
-        "accelerated": bool(ok),
-        "uniform_estimate": float(uni_acc),
-        "relative_gap": float(gap),
-        "dofs": int(ns[-1]),
-        "degree": degree,
-    }
+    logger.info("computing reference energy for %s", problem.name)
+    energy, check = (_pairing(problem, *rule, order)
+                     for rule in (PAIRING_RULE, PAIRING_CHECK_RULE))
+    gap = abs(energy - check) / energy
+    if gap > PAIRING_GAP_WARN:
+        logger.warning("reference energy of %s moves by %.3g relative between "
+                       "quadrature rules %s and %s", problem.name, gap,
+                       PAIRING_RULE, PAIRING_CHECK_RULE)
     if path is not None:
-        data[problem.name] = entry
+        data[problem.name] = {"energy": energy, "degree": degree,
+                              "relative_gap": gap}
         _write_json_atomic(path, data)
-    return float(acc)
+    return energy
 
 
 def _write_json_atomic(path: Path, data: dict) -> None:

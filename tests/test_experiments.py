@@ -1,6 +1,7 @@
 """End-to-end tests for the benchmark driver, CSV output, and references."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from igabem.operators import (
     galerkin_matrix,
     galerkin_rhs,
 )
-from igabem.quadrature import gauss_unit, graded_unit
 from igabem.solve import (
     energy_error_collocation,
     energy_error_galerkin,
@@ -141,47 +141,57 @@ def test_reference_energy_exact_short_circuit(tmp_path):
     assert not cache.exists()  # exact values never touch the sidecar
 
 
-def test_reference_energy_cache_round_trip(tmp_path):
-    toy = Problem(
-        name="toy-slit",
-        make_curve=slit,
-        rhs_factory=PROBLEMS["slit"].rhs_factory,
-        methods=("galerkin",),
-        energy_exact=None,
-        reference_dofs=48,
-    )
-    cache = tmp_path / "ref.json"
-    val = reference_energy(toy, cache=cache)
-    assert abs(val - np.pi / 4.0) < 1e-3
-    data = json.loads(cache.read_text(encoding="utf-8"))
-    entry = data["toy-slit"]
-    assert set(entry) == {"energy", "accelerated", "uniform_estimate",
-                          "relative_gap", "dofs", "degree"}
-    assert entry["degree"] == 1
-    # second call reads the sidecar (poison the pipeline by zero dofs)
-    again = reference_energy(
-        Problem(name="toy-slit", make_curve=slit,
-                rhs_factory=PROBLEMS["slit"].rhs_factory,
-                methods=("galerkin",), reference_dofs=0),
-        cache=cache)
-    assert again == val
-
-
-def _toy_slit(reference_dofs=16):
+def _toy_slit():
+    # the slit without its closed-form energy: reference_energy pairs
     return Problem(name="toy-slit", make_curve=slit,
                    rhs_factory=PROBLEMS["slit"].rhs_factory,
-                   methods=("galerkin",), reference_dofs=reference_dofs)
+                   methods=("galerkin",),
+                   density_exact=PROBLEMS["slit"].density_exact)
+
+
+def test_reference_energy_cache_round_trip(tmp_path, monkeypatch):
+    cache = tmp_path / "ref.json"
+    val = reference_energy(_toy_slit(), cache=cache)
+    assert abs(val - np.pi / 4.0) <= 1e-14
+    data = json.loads(cache.read_text(encoding="utf-8"))
+    entry = data["toy-slit"]
+    assert set(entry) == {"energy", "degree", "relative_gap"}
+    assert entry["degree"] == 1 and entry["energy"] == val
+    assert entry["relative_gap"] < experiments.PAIRING_GAP_WARN
+
+    # second call reads the sidecar: no pairing is computed
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("reference energy recomputed on a cache hit")
+
+    monkeypatch.setattr(experiments, "_pairing", no_pairing)
+    assert reference_energy(_toy_slit(), cache=cache) == val
 
 
 def test_reference_energy_refuses_entry_of_other_degree(tmp_path, caplog):
     cache = tmp_path / "ref.json"
-    stale = {"energy": 1.0, "accelerated": True, "uniform_estimate": 1.0,
-             "relative_gap": 0.0, "dofs": 16, "degree": 2}
+    stale = {"energy": 1.0, "relative_gap": 0.0, "degree": 2}
     cache.write_text(json.dumps({"toy-slit": stale}), encoding="utf-8")
     with caplog.at_level("WARNING", logger="igabem"):
         val = reference_energy(_toy_slit(), cache=cache)
     assert "ignoring cached reference energy for toy-slit" in caplog.text
-    assert abs(val - np.pi / 4.0) < 1e-2
+    assert abs(val - np.pi / 4.0) <= 1e-14
+    entry = json.loads(cache.read_text(encoding="utf-8"))["toy-slit"]
+    assert entry["degree"] == 1 and entry["energy"] == val
+
+
+@pytest.mark.parametrize("energy", [-1.0, 0.0, float("nan"), float("inf"),
+                                    "0.785", None])
+def test_reference_energy_refuses_unusable_energy(tmp_path, caplog, energy):
+    # a degree-1 entry whose energy no run can use is reported and
+    # recomputed, exactly as an entry of another degree is
+    cache = tmp_path / "ref.json"
+    cache.write_text(json.dumps({"toy-slit": {"energy": energy, "degree": 1}}),
+                     encoding="utf-8")
+    with caplog.at_level("WARNING", logger="igabem"):
+        val = reference_energy(_toy_slit(), cache=cache)
+    assert "ignoring cached reference energy for toy-slit" in caplog.text
+    assert "not a finite positive number" in caplog.text
+    assert abs(val - np.pi / 4.0) <= 1e-14
     entry = json.loads(cache.read_text(encoding="utf-8"))["toy-slit"]
     assert entry["degree"] == 1 and entry["energy"] == val
 
@@ -211,18 +221,18 @@ def test_shipped_reference_sidecar_is_readable():
     data = json.loads((REPO_ROOT / "ref_energies.json").read_text("utf-8"))
     for name in ("square", "pacman"):
         entry = data[name]
-        assert entry["energy"] > 0.0
-        assert entry["relative_gap"] < 1e-3
-        assert entry["dofs"] >= PROBLEMS[name].reference_dofs
+        assert np.isfinite(entry["energy"]) and entry["energy"] > 0.0
+        assert entry["degree"] == PROBLEMS[name].make_curve().degree
+        assert entry["relative_gap"] < 1e-3  # the bound the benchmark reads
 
 
 def test_default_cache_does_not_depend_on_working_directory(tmp_path, monkeypatch):
-    # from any directory the default reads the shipped sidecar: no
-    # extrapolation starts and no file appears where the run was started
-    def no_extrapolation(*args, **kwargs):
-        raise AssertionError("reference energy extrapolated")
+    # from any directory the default reads the shipped sidecar: no pairing
+    # is computed and no file appears where the run was started
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("reference energy computed")
 
-    monkeypatch.setattr(experiments, "_energy_sequence", no_extrapolation)
+    monkeypatch.setattr(experiments, "_pairing", no_pairing)
     monkeypatch.chdir(tmp_path)
     data = json.loads((REPO_ROOT / "ref_energies.json").read_text("utf-8"))
     assert reference_energy("pacman") == data["pacman"]["energy"]
@@ -272,50 +282,78 @@ def test_exact_density_matches_normal_difference_quotient(name):
     nrm = curve.normal(ts)
     eps = 1e-6
     fd = (trace(pts + eps * nrm) - trace(pts - eps * nrm)) / (2.0 * eps)
-    phi = prob.density_exact(curve, ts)
+    phi = prob.density_exact(curve, *curve.knots.locate(ts))
     np.testing.assert_allclose(phi, fd, rtol=1e-5, atol=1e-8)
 
 
 def test_slit_density_is_odd_and_vanishes_at_center():
-    phi = PROBLEMS["slit"].density_exact(slit(), np.array([0.25, 0.5, 0.75]))
+    curve = slit()
+    phi = PROBLEMS["slit"].density_exact(
+        curve, *curve.knots.locate(np.array([0.25, 0.5, 0.75])))
     assert phi[1] == 0.0
     assert phi[0] == pytest.approx(-phi[2])
 
 
+def test_exact_density_next_to_tips_and_corner():
+    # 1e-30 from an end the point is measured from that end, so the
+    # density keeps its digits where a parameter would round onto the end;
+    # -x / sqrt(1 - x^2) is +inf at the tip x = -1 (t = 0)
+    tau = np.array([1e-30, -1e-30])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tips = PROBLEMS["slit"].density_exact(slit(), np.array([0, 1]), tau)
+        curve = pacman()
+        last = 2 * curve.knots.n_elements - 1  # the end of the last element
+        corner = PROBLEMS["pacman"].density_exact(curve, np.array([0, last]), tau)
+    np.testing.assert_allclose(tips, [1.0, -1.0] / (2.0 * np.sqrt(1e-30)),
+                               rtol=1e-15, atol=0.0)
+    assert np.all(np.isfinite(corner))
+    # mirror-symmetric about the x axis, and |w'| ~ |z|^(-3/7) is huge there
+    assert corner[0] == pytest.approx(corner[1], rel=1e-12)
+    assert np.all(np.abs(corner) > 1e12)
+
+
+@pytest.fixture(scope="module")
+def pairings():
+    """The program's reference pairing of each problem at its rule and the
+    next rule up."""
+    return {name: [experiments._pairing(PROBLEMS[name], *rule, 16)
+                   for rule in (experiments.PAIRING_RULE,
+                                experiments.PAIRING_CHECK_RULE)]
+            for name in PROBLEMS}
+
+
+def _meets(value, reference, rel):
+    return abs(value - reference) <= rel * abs(reference)
+
+
+def test_pairing_meets_the_slit_energy(pairings):
+    # |||phi|||^2 = <V phi, phi> = <f, phi> = pi / 4 in closed form
+    assert all(_meets(v, np.pi / 4.0, 1e-14) for v in pairings["slit"])
+
+
 @pytest.mark.parametrize("name", ["square", "pacman"])
-def test_energy_equals_data_density_pairing(name):
-    # |||phi|||^2 = <V phi, phi> = <f, phi>, computed with the exact density
-    # and graded quadrature toward the corners; independent of the Galerkin
-    # pipeline that produced the reference energy
-    prob = PROBLEMS[name]
-    trace = {"square": square_trace, "pacman": pacman_trace}[name]
-    curve = prob.make_curve()
-    kv = curve.knots
-    corners = {float(c) for c in curve.corner_params()}
-    xs_p, ws_p = gauss_unit(24)
-    total = 0.0
-    for lo, hi in kv.elements:
-        lo, hi = float(lo), float(hi)
-        h = hi - lo
-        at_lo = lo in corners
-        at_hi = hi in corners or (kv.periodic and hi == kv.breakpoints[-1]
-                                  and 0.0 in corners)
-        if at_lo and at_hi:
-            half, whalf = graded_unit(24, 40)
-            xs = np.concatenate([0.5 * half, 1.0 - 0.5 * half[::-1]])
-            ws = np.concatenate([0.5 * whalf, 0.5 * whalf[::-1]])
-        elif at_lo or at_hi:
-            xs, ws = graded_unit(24, 40)
-            if at_hi:  # graded toward 1: the rule toward 0, mirrored
-                xs, ws = 1.0 - xs[::-1], ws[::-1]
-        else:
-            xs, ws = xs_p, ws_p
-        tp = lo + h * xs
-        fv = dirichlet_rhs(curve, trace, tp, 16)
-        phi = prob.density_exact(curve, tp)
-        total += h * float(np.sum(ws * fv * phi * curve.speed(tp)))
-    ref = reference_energy(name, cache=REPO_ROOT / "ref_energies.json")
-    assert total == pytest.approx(ref, rel=1e-6)
+def test_pairing_certifies_the_shipped_entry(name, pairings):
+    # the reference every logged err_sq is measured against is the pairing
+    # of the data with the exact density, independent of any Galerkin run
+    energy, raised = pairings[name]
+    assert _meets(raised, energy, 1e-13)
+    shipped = json.loads((REPO_ROOT / "ref_energies.json").read_text("utf-8"))
+    entry = shipped[name]["energy"]
+    assert _meets(energy, entry, 1e-12)
+    assert not _meets(energy, entry * (1.0 + 1e-9), 1e-12)
+    # Galerkin energies on nested uniform meshes rise toward it from below
+    state = initial_state(PROBLEMS[name].make_curve())
+    f = PROBLEMS[name].rhs_factory(state.curve, 16)
+    energies = []
+    for _ in range(5):
+        curve = state.curve
+        b = galerkin_rhs(curve, f, 16)
+        c, _ = solve_linear(galerkin_matrix(curve, 16), b)
+        energies.append(float(c @ b))
+        state = uniform_refine(state)
+    assert np.all(np.diff(energies) > 0.0)
+    assert energies[-1] < energy
 
 
 def test_slit_tip_elements_shrink_monotonically():

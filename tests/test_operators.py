@@ -11,11 +11,13 @@ Closed forms used below, all for the kernel -log|x - y| / (2 pi):
   in particular K 1 = -1/2 on every closed curve.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from igabem import quadrature
+from igabem import operators, quadrature
 from igabem.adaptivity import initial_state, refine, uniform_refine
 from igabem.experiments import pacman_trace
 from igabem.geometry import pacman, slit, square
@@ -303,6 +305,53 @@ def test_collocation_rows_match_pointwise():
         B = collocation_matrix(curve)
         direct = single_layer_values(curve, c, kv.collocation_points())
         assert np.allclose(B @ c, direct, rtol=0, atol=1e-13), curve
+
+
+@pytest.mark.parametrize("targets_per_block", [1, 7])
+def test_potentials_do_not_depend_on_blocking(monkeypatch, targets_per_block):
+    # the far field and the containing element run in blocks of targets of
+    # two budgets, and the near pairs are collected block by block; each
+    # target's row must come out bit for bit the same whatever the blocks
+    rng = np.random.default_rng(11)
+    q = operators.DEFAULT_ORDER
+
+    def g(pts):
+        return pts[:, 0] ** 2 + np.sin(pts[:, 1])
+
+    def potentials(curve, params, c):
+        return (single_layer_values(curve, c, params), collocation_matrix(curve),
+                double_layer_values(curve, g, params))
+
+    for curve in (slit(), pacman(), _corner_graded(pacman()), circle(0.8)):
+        kv = curve.knots
+        params = np.concatenate([rng.uniform(kv.a, kv.b, 50), kv.breakpoints[1:-1]])
+        c = rng.standard_normal(kv.dim)
+        default = potentials(curve, params, c)
+        monkeypatch.setattr(operators, "_FAR_BLOCK",
+                            float(targets_per_block * kv.n_elements * q))
+        for got, want in zip(potentials(curve, params, c), default):
+            np.testing.assert_array_equal(got, want)
+        monkeypatch.undo()
+
+
+def test_log_dist_against_mpmath():
+    # 1/2 log(dx^2 + dy^2) against log |(dx, dy)| in 40 digits, over
+    # directions of every quadrant and distances from 1e-28 to 1e2
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    r = 10.0 ** rng.uniform(-28.0, 2.0, 4000)
+    angle = rng.uniform(0.0, 2.0 * np.pi, 4000)
+    dx, dy = r * np.cos(angle), r * np.sin(angle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = operators._log_dist(dx.copy(), dy.copy())
+        at_zero = operators._log_dist(np.zeros(1), np.zeros(1), 1e-300)
+    assert np.isfinite(at_zero).all()
+    with mpmath.workdps(40):
+        exact = np.array([float(mpmath.log(mpmath.hypot(mpmath.mpf(a), mpmath.mpf(b))))
+                          for a, b in zip(dx, dy)])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - exact) <= 2.0 * eps * np.maximum(1.0, np.abs(np.log(r))))
 
 
 def test_pointwise_pacman_against_scipy():

@@ -28,17 +28,21 @@ def _cmd_run(args) -> int:
             flush=True,
         )
 
-    record = run_adaptive(
-        args.problem,
-        method=args.method,
-        estimator=args.estimator,
-        theta=args.theta,
-        max_dofs=args.max_dofs,
-        order=args.quad_order,
-        uniform=args.uniform,
-        energy_cache=args.energy_cache,
-        progress=progress,
-    )
+    try:
+        record = run_adaptive(
+            args.problem,
+            method=args.method,
+            estimator=args.estimator,
+            theta=args.theta,
+            max_dofs=args.max_dofs,
+            order=args.quad_order,
+            uniform=args.uniform,
+            energy_cache=args.energy_cache,
+            progress=progress,
+        )
+    except ValueError as exc:  # inputs the run refuses, in one line
+        print(f"igabem run: {exc}", file=sys.stderr)
+        return 2
     err = np.sqrt(record.column("err_sq"))
     slope, rms = fit_rate(record.column("N"), err, with_residual=True)
     print("reference energy %.12g" % record.energy_ref)

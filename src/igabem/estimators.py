@@ -34,6 +34,7 @@ import numpy as np
 from .geometry import Curve
 from .operators import DEFAULT_ORDER, single_layer_values
 from .quadrature import gauss_unit, graded_unit
+from .splines import nearer_end
 from .splines import rational_basis  # noqa: F401  (wrapped here by perfbench/tracing.py)
 
 __all__ = [
@@ -131,7 +132,7 @@ def _patch_sums(per_element: np.ndarray, patches: np.ndarray) -> np.ndarray:
 
 def _side(res: ResidualData, e: np.ndarray, xs: np.ndarray):
     """Residual, points and speeds of elements e at local coordinates xs."""
-    fr = res.curve.local_frame(e[:, None], xs, 1)
+    fr = res.curve.at_nodes(e[:, None], *nearer_end(xs), absolute=True)[0]
     return (res.values[e] @ _bary_matrix(res.q_int, xs).T, fr[..., 0, :],
             np.hypot(fr[..., 1, 0], fr[..., 1, 1]))
 
@@ -203,7 +204,7 @@ def _element_derivative_integrals(res: ResidualData) -> np.ndarray:
     kv = curve.knots
     xg, wg = gauss_unit(_RULE)
     dv = res.deriv_nodes @ _bary_matrix(res.q_int, xg).T  # d/dx on unit coords
-    d1 = curve.local_frame(np.arange(kv.n_elements)[:, None], xg, 1)[..., 1, :]
+    d1 = curve.at_nodes(np.arange(kv.n_elements)[:, None], *nearer_end(xg))[0][..., 1, :]
     sp = np.hypot(d1[..., 0], d1[..., 1])
     # int (R'(t)/|gamma'|)^2 |gamma'| dt = (1/h) int (dR/dx)^2 / |gamma'| dx
     return (dv * dv / sp) @ wg / kv.widths
@@ -262,9 +263,9 @@ def partition_quality(curve: Curve, order: int = 16) -> PartitionCheck:
     e = np.arange(n_el)
     first = kv.element_table[0]
     # (element, window slot, node), so the node sums below run contiguously
-    basis = curve.local_basis(e[:, None], xg).transpose(0, 2, 1).copy()
-    d1 = curve.local_frame(e[:, None], xg, 1)[..., 1, :]
-    sp = np.hypot(d1[..., 0], d1[..., 1])[:, None, :]
+    frames, basis = curve.at_nodes(e[:, None], *nearer_end(xg))
+    basis = basis.transpose(0, 2, 1)
+    sp = np.hypot(frames[..., 1, 0], frames[..., 1, 1])[:, None, :]
 
     # element e's window holds basis first[e] + r; clamped vectors give
     # each basis q the contiguous support lo[q]..hi[q]

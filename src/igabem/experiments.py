@@ -294,10 +294,12 @@ def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
     order ``order``) with the exact density, at ``PAIRING_RULE``.  It is
     stored under the problem name with its ``degree`` and the
     ``relative_gap`` to the pairing at ``PAIRING_CHECK_RULE``; a gap above
-    ``PAIRING_GAP_WARN`` is logged.  A cached entry whose energy is not a
-    finite positive number, or whose ``degree`` differs from the problem's
-    curve, is reported and treated as a miss; a usable one is returned as
-    stored, without recomputing the pairing.
+    ``PAIRING_GAP_WARN`` is logged.  A cached entry that is not an object,
+    whose energy is not a finite positive number, or whose ``degree``
+    differs from the problem's curve, is reported and treated as a miss,
+    and so is a cache file that is not a JSON object, which is left as it
+    is; a usable entry is returned as stored, without recomputing the
+    pairing.
     """
     problem = get_problem(problem)
     if problem.energy_exact is not None:
@@ -305,21 +307,30 @@ def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
 
     degree = problem.make_curve().degree
     path = Path(cache) if cache is not None else None
-    data: dict = {}
+    data: dict | None = {}
     if path is not None and path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-        entry = data.get(problem.name)
-        if entry is not None:
-            energy = entry.get("energy")
-            if entry.get("degree") != degree:
-                why = f"degree {entry.get('degree')}, the curve has degree {degree}"
-            elif not (isinstance(energy, (int, float)) and np.isfinite(energy)
-                      and energy > 0.0):
-                why = f"energy {energy!r} is not a finite positive number"
-            else:
-                return float(energy)
-            logger.warning("ignoring cached reference energy for %s: %s",
-                           problem.name, why)
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8 text
+            data = exc
+        if not isinstance(data, dict):
+            logger.warning("ignoring reference energy cache %s, left as it is: "
+                           "not a JSON object (%.60s)", path, data)
+            data = None
+    entry = data.get(problem.name) if data is not None else None
+    if entry is not None:
+        energy = entry.get("energy") if isinstance(entry, dict) else None
+        if not isinstance(entry, dict):
+            why = f"entry {entry!r} is not an object"
+        elif entry.get("degree") != degree:
+            why = f"degree {entry.get('degree')}, the curve has degree {degree}"
+        elif not (isinstance(energy, (int, float)) and np.isfinite(energy)
+                  and energy > 0.0):
+            why = f"energy {energy!r} is not a finite positive number"
+        else:
+            return float(energy)
+        logger.warning("ignoring cached reference energy for %s: %s",
+                       problem.name, why)
 
     logger.info("computing reference energy for %s", problem.name)
     energy, check = (_pairing(problem, *rule, order)
@@ -329,7 +340,7 @@ def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
         logger.warning("reference energy of %s moves by %.3g relative between "
                        "quadrature rules %s and %s", problem.name, gap,
                        PAIRING_RULE, PAIRING_CHECK_RULE)
-    if path is not None:
+    if path is not None and data is not None:
         data[problem.name] = {"energy": energy, "degree": degree,
                               "relative_gap": gap}
         _write_json_atomic(path, data)
@@ -392,6 +403,8 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
                          f"{problem.methods}, not {method!r}")
     if estimator not in ("eta", "mu"):
         raise ValueError(f"estimator must be 'eta' or 'mu', not {estimator!r}")
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
 
     energy_ref = reference_energy(problem, cache=energy_cache, order=order)
     state = initial_state(problem.make_curve())

@@ -10,24 +10,22 @@ last control points and weights are equal.  Closed curves are parametrized
 counterclockwise; the outward unit normal is then the clockwise rotation of
 the unit tangent.
 
-``frame`` and its relatives take parameters; quadrature nodes go through
-``local_frame`` and ``local_basis`` as (element, local coordinate) pairs.
-Each element's Taylor coefficients are stored about both its ends with the
-control points measured from that end, so ``displacement`` gives gamma(t) -
-gamma(end) and ``chord`` divided differences without subtracting two
-rounded points.
+``frame`` and its relatives take parameters; quadrature nodes are
+(element, local coordinate) pairs.  Each element's Taylor coefficients are
+stored about both its ends with the control points measured from that end,
+so ``displacement`` gives gamma(t) - gamma(end) and ``chord`` divided
+differences without subtracting two rounded points.
 
-Two paths evaluate those coefficients.  Where every element takes the same
-local coordinates (quadrature rules, element grids), each element end's
-coefficients, scaled to the unit offset s = u - end, form one small table,
-and all nodes of an element come from one matrix product of that table
-with the powers of s, formed once per rule: ``local_frame`` and
-``local_basis`` take this path when u is shared by the elements e, and
-the graded rules of ``operators`` measure their nodes from a fixed end
-through ``_end_frames``.  Where the offset differs per node (targets given
-by parameter, the split at a target inside its element, corner-graded load
-rules, ``splines.rational_basis``) Horner's rule sums the derivatives at
-the nearer end node by node.
+Two paths evaluate those coefficients, and each caller names its own.  A
+node set shared by all elements (quadrature rules, element grids, rules
+graded toward a fixed end) goes through ``at_nodes``: each element end's
+coefficients, scaled to the unit offset s = u - end, form one small table
+(``_end_tables``), and all nodes of an element come from one matrix
+product of that table with the powers of s, formed once per rule, which
+gives the frames and the basis windows together.  Where the offset differs
+per node (targets given by parameter, the split at a target inside its
+element, ``splines.rational_basis``) Horner's rule sums the derivatives at
+the element end node by node (``displacement``, ``basis``).
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from math import factorial
 import numpy as np
 
 from .quadrature import gauss_unit
-from .splines import KnotVector, _taylor_sum, insert_knot, quotient_derivatives
+from .splines import KnotVector, _taylor_sum, insert_knot, nearer_end, quotient_derivatives
 
 __all__ = [
     "Curve",
@@ -182,64 +180,53 @@ class Curve:
         ts = kv.wrap(np.atleast_1d(np.asarray(ts, dtype=float)))
         return self._frames(*kv.locate(ts), nd)
 
-    def local_frame(self, e, u, nd: int = 0) -> np.ndarray:
-        """``frame`` at local coordinates u of elements e, broadcast over
-        both: shape (..., nd + 1, 2), derivatives by the parameter."""
-        if nd < 2 and _shared(e, u):
-            return self._end_frames(e, *_nearer_end(u), nd, absolute=True)
-        return self._frames(*self.knots.local(e, u), nd)
-
-    def local_basis(self, e, u) -> np.ndarray:
-        """Rational basis windows at local coordinates u of elements e,
-        shape (..., degree + 1); element e's window starts at basis
-        ``knots.element_table[0][e]``."""
-        if _shared(e, u):
-            wb = self._tabulate(e, *_nearer_end(u), slice(3, None), 0)[:, 0]
-            wb = _unflatten(wb.transpose(0, 2, 1), e, u)
-        else:
-            row, tau = self.knots.local(e, u)
-            wb = _taylor_sum(np.take(self._basis_table, row, axis=1), tau, 0)[0]
+    def basis(self, row, tau) -> np.ndarray:
+        """Rational basis windows at offsets ``tau`` from the element end
+        ``row`` (2 e + end), node by node: shape (..., degree + 1), element
+        e's window starting at basis ``knots.element_table[0][e]``."""
+        wb = _taylor_sum(np.take(self._basis_table, row, axis=1), tau, 0)[0]
         return wb / wb.sum(axis=-1, keepdims=True)
 
-    def _tabulate(self, e, s, end, cols, nd: int) -> np.ndarray:
-        """Columns ``cols`` of the end tables of elements e at unit offsets
-        s from element end ``end`` (one end, or one per offset), and for
-        nd = 1 their s-derivatives: an (elements, nd + 1, columns, nodes)
-        array, e and s flattened.  The offsets are shared by all elements,
-        so the powers of s are formed once and each element takes one
-        matrix product; a node's powers fill the block of its end and zeros
-        that of the other."""
-        s = np.ravel(s)
+    def at_nodes(self, e, s, end, absolute: bool = False):
+        """Frames and basis windows of elements e at unit offsets s from
+        element end ``end`` (one end, or one per offset), s shared by all
+        elements and e broadcast against it.
+
+        Each element's row of ``_end_tables`` is gathered once and taken
+        times the powers of s, formed once; a node's powers fill the block
+        of its end and zeros that of the other.  One product gives the frame
+        columns (D, W) = (N - gamma(end) W, W) and their s-derivatives,
+        another the basis columns.  Returns the frames, shape (..., 2, 2):
+        the displacement gamma - gamma(end), or with ``absolute`` the point,
+        then gamma' = (D' - (D / W) W') / (h W); and the basis windows,
+        shape (..., degree + 1), as ``basis`` gives them.
+        """
+        shape = np.shape(e)[:np.ndim(e) - np.ndim(s)] + np.shape(s)
+        e, s = np.ravel(e), np.ravel(s)
         p = self.degree
-        V = np.empty((nd + 1, p + 1, len(s)))
+        V = np.zeros((2, p + 1, len(s)))  # the powers of s, then their derivatives
         V[0, 0] = 1.0
         for k in range(1, p + 1):
             V[0, k] = V[0, k - 1] * s
-        if nd:
-            V[1, 0] = 0.0
-            V[1, 1:] = V[0, :-1] * np.arange(1, p + 1)[:, None]
-        T = self._end_tables[np.ravel(e)][:, None, cols]
+        V[1, 1:] = V[0, :-1] * np.arange(1, p + 1)[:, None]
         at_end = np.ravel(end) == 1
-        return np.matmul(T, np.concatenate([V * ~at_end, V * at_end], axis=1))
-
-    def _end_frames(self, e, s, end, nd: int = 1, absolute: bool = False) -> np.ndarray:
-        """Frames of elements e at unit offsets s from element end ``end``
-        (broadcast against s), s shared by all elements: the displacement
-        gamma - gamma(end), or with ``absolute`` the point, then for nd = 1
-        gamma' = (D' - (D / W) W') / (h W) from the product (D, W) =
-        (N - gamma(end) W, W) and its s-derivative.  Shape as
-        ``local_frame``."""
-        A = self._tabulate(e, s, end, slice(0, 3), nd)
+        V = np.concatenate([V * ~at_end, V * at_end], axis=1)
+        T = self._end_tables[e]
+        A = np.matmul(T[:, None, :3], V)
         W = A[:, 0, 2:]
-        out = np.empty((len(A), nd + 1, 2, A.shape[-1]))
-        g = np.divide(A[:, 0, :2], W, out=out[:, 0])
-        if nd:
-            h = self.knots.widths[np.ravel(e)][:, None, None]
-            np.divide(A[:, 1, :2] - g * A[:, 1, 2:], h * W, out=out[:, 1])
+        frames = np.empty((len(e), 2, 2, len(s)))
+        g = np.divide(A[:, 0, :2], W, out=frames[:, 0])
+        d1 = np.multiply(g, A[:, 1, 2:], out=frames[:, 1])
+        np.subtract(A[:, 1, :2], d1, out=d1)
+        d1 /= self.knots.widths[e][:, None, None] * W
+        del A, W  # the frame product goes before the basis product is made
         if absolute:
-            ends = self.end_points.reshape(-1, 2, 2)[np.ravel(e)].transpose(0, 2, 1)
-            g += np.where(np.ravel(end), ends[..., 1:], ends[..., :1])
-        return _unflatten(out.transpose(0, 3, 1, 2), e, s)
+            ends = self.end_points.reshape(-1, 2, 2)[e].transpose(0, 2, 1)
+            g += np.where(at_end, ends[..., 1:], ends[..., :1])
+        wb = np.matmul(T[:, 3:], V[0])
+        wb /= wb.sum(axis=1, keepdims=True)
+        return (frames.transpose(0, 3, 1, 2).reshape(shape + (2, 2)),
+                wb.transpose(0, 2, 1).reshape(shape + (p + 1,)))
 
     def chord(self, row, sa, sb, second: bool = False):
         """Divided differences of γ at offsets ``sa``, ``sb`` from the end
@@ -302,7 +289,7 @@ class Curve:
     def element_lengths(self) -> np.ndarray:
         xs, ws = gauss_unit(_LENGTH_RULE)
         kv = self.knots
-        d1 = self.local_frame(np.arange(kv.n_elements)[:, None], xs, 1)[..., 1, :]
+        d1 = self.at_nodes(np.arange(kv.n_elements)[:, None], *nearer_end(xs))[0][..., 1, :]
         return kv.widths * (np.hypot(d1[..., 0], d1[..., 1]) @ ws)
 
     # -- corners ---------------------------------------------------------------
@@ -334,28 +321,6 @@ class Curve:
         kv, hom = insert_knot(self.knots, self._hom, new_knots)
         w = hom[:, 2]
         return Curve(kv, hom[:, :2] / w[:, None], w)
-
-
-def _shared(e, u) -> bool:
-    """Whether the local coordinates u are shared by all elements e: u
-    spans only axes on which e has length 1."""
-    n = np.ndim(u)
-    return 0 < n < np.ndim(e) and all(k == 1 for k in np.shape(e)[-n:])
-
-
-def _nearer_end(u):
-    """Offsets s = u - end of local coordinates u from their nearer element
-    end, and that end, as ``KnotVector.local`` takes them."""
-    u = np.asarray(u, dtype=float)
-    end = (u >= 0.5).astype(int)
-    return u - end, end
-
-
-def _unflatten(a: np.ndarray, e, u) -> np.ndarray:
-    """An (elements, nodes, ...) array of flattened shared nodes u of
-    elements e, in the shape of e broadcast against u."""
-    lead = np.shape(e)[:np.ndim(e) - np.ndim(u)]
-    return a.reshape(lead + np.shape(u) + a.shape[2:])
 
 
 def _divide(c, a):

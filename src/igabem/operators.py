@@ -43,15 +43,15 @@ pairs is 1/2 log(dx^2 + dy^2), formed in place (``_log_dist``): cheaper
 than log(hypot) and as accurate, both within 0.6 eps max(1, |log r|) for
 r = |(dx, dy)| from 1e-28 to 1e2.
 
-Geometry and basis at quadrature nodes come from ``Curve`` by two paths.
-Nodes that every element shares (the Duffy rule of identical and touching
-pairs, the Gauss grids, a graded rule over all its elements, the plain
-elements of the load vector) take one table product per element end
-(``Curve.local_frame``, ``Curve.local_basis``, and ``Curve._end_frames``
-for the graded rules, whose nodes are measured from a fixed end).  Nodes
-whose local coordinates differ per node (the targets, the split at a
-target inside its element, the corner-graded load rules) take Horner's
-rule node by node (``Curve.displacement`` and the same two methods).
+Geometry and basis at quadrature nodes come from ``Curve`` by two paths,
+which each caller names.  Node sets that every element shares (the Duffy
+rule of identical and touching pairs, the Gauss grids, a graded rule over
+all its elements, measured from the end it grades toward, and the load
+vector's rules, one element at a time at a corner) go through
+``Curve.at_nodes``, one table product per element end that gives the
+frames and the basis windows together.  Only the split at a target inside
+its element differs per node; it takes Horner's rule node by node
+(``Curve.displacement``, ``Curve.basis``).
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ import numpy as np
 
 from .geometry import Curve
 from .quadrature import gauss_log, gauss_unit, graded_unit, separated_order
+from .splines import nearer_end
 from .splines import rational_basis  # noqa: F401  (wrapped here by perfbench/tracing.py)
 
 logger = logging.getLogger(__name__)
@@ -105,11 +106,14 @@ def _log_dist(dx: np.ndarray, dy: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return np.multiply(np.log(dx, out=dx), 0.5, out=dx)
 
 
+def _phi(frames, basis):
+    """Basis windows times speed, from ``Curve.at_nodes``."""
+    return basis * _norm(frames[..., 1, :])[..., None]
+
+
 def _phi_windows(curve: Curve, e, u):
-    """Rational basis windows times speed at local coordinates u of
-    elements e."""
-    d1 = curve.local_frame(e, u, 1)[..., 1, :]
-    return curve.local_basis(e, u) * _norm(d1)[..., None]
+    """``_phi`` at local coordinates u shared by elements e."""
+    return _phi(*curve.at_nodes(e, *nearer_end(u)))
 
 
 def _grid(curve: Curve, order: int):
@@ -117,9 +121,9 @@ def _grid(curve: Curve, order: int):
     there times speed, Gauss weight and width, (n_el, q, p + 1)."""
     kv = curve.knots
     xg, wg = gauss_unit(order)
-    e = np.arange(kv.n_elements)[:, None]
-    return (curve.local_frame(e, xg)[..., 0, :],
-            _phi_windows(curve, e, xg) * (wg * kv.widths[:, None])[..., None])
+    frames, basis = curve.at_nodes(np.arange(kv.n_elements)[:, None], *nearer_end(xg),
+                                   absolute=True)
+    return frames[..., 0, :], _phi(frames, basis) * (wg * kv.widths[:, None])[..., None]
 
 
 def _grade_levels(h: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -294,7 +298,7 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
               _phi_windows(curve, plain[:, None], xg).reshape(-1, curve.degree + 1))]
     for e in np.flatnonzero(at.any(axis=1)):
         t, w, u = _corner_graded_rule(*elems[e].tolist(), *at[e].tolist(), order)
-        rules.append((np.full(len(t), e), t, w, _phi_windows(curve, e, u)))
+        rules.append((np.full(len(t), e), t, w, _phi_windows(curve, np.array([[e]]), u)[0]))
     eq, tq, wq, phi = (np.concatenate(parts) for parts in zip(*rules))
     b = np.zeros(kv.dim)
     np.add.at(b, kv.element_table[0][eq][:, None] + np.arange(curve.degree + 1),
@@ -314,11 +318,11 @@ def _graded_pair_rules(curve: Curve, params: np.ndarray, x_pts: np.ndarray,
     A pair's rule grades toward the end z of its element nearer the target
     and measures both from z: the nodes at offsets h x, the target from its
     own element when z is one of that element's ends, else from points.
-    Yields (targets, elements, slot, u, weights, px, frames, origin) per
-    group: local coordinates ``u`` shared by the group, one target
-    displacement ``px`` per pair, and weights, node ``frames`` (row 0 the
-    displacement) and the point z, ``origin``, once per distinct element,
-    which pair k reads at ``slot[k]``.
+    Yields (targets, elements, slot, weights, px, frames, basis, origin)
+    per group: one target displacement ``px`` per pair, and weights, node
+    ``frames`` (row 0 the displacement), basis windows and the point z,
+    ``origin``, once per distinct element, which pair k reads at
+    ``slot[k]``.
     """
     kv = curve.knots
     elems, hs = kv.elements, kv.widths
@@ -346,8 +350,8 @@ def _graded_pair_rules(curve: Curve, params: np.ndarray, x_pts: np.ndarray,
         ue, slot = np.unique(pair_e[pick], return_inverse=True)
         xs, ws = graded_unit(order, levels)  # distances from z in widths
         e = ue[:, None]
-        yield (pair_i[pick], ue, slot, 1.0 - xs if end else xs, hs[e] * ws, px[pick],
-               curve._end_frames(e, -xs if end else xs, end),
+        yield (pair_i[pick], ue, slot, hs[e] * ws, px[pick],
+               *curve.at_nodes(e, -xs if end else xs, end),
                curve.end_points[2 * e + end])
 
 
@@ -378,9 +382,8 @@ class _SingleLayer:
         return _log_dist(px[:, None, 0] - frames[..., 0, 0],
                          px[:, None, 1] - frames[..., 0, 1], 1e-300)
 
-    def density(self, e, u, frames, origin=None):  # reads only speeds
-        phi = (self.curve.local_basis(e, u)
-               * _norm(frames[..., 1, :])[..., None])
+    def density(self, e, frames, basis, origin=None):  # reads only speeds
+        phi = _phi(frames, basis)
         if self.cw is None:
             return phi
         return (phi * self.cw[e]).sum(axis=-1, keepdims=True)
@@ -406,10 +409,11 @@ class _SingleLayer:
             chord = curve.chord(row[idx, None], tau[idx, None],
                                 hi * (ug - end[idx, None]))
             ei = hi * li
-            dens = self.density(e, ug, curve.displacement(*curve.knots.local(e, ug), 1))
-            yield idx, ei * (np.log(ei) + np.log(_norm(chord))) * wg, dens
-            yield idx, -ei * wl, self.density(
-                e, ul, curve.displacement(*curve.knots.local(e, ul), 1))
+            for kw, u in ((ei * (np.log(ei) + np.log(_norm(chord))) * wg, ug),
+                          (-ei * wl, ul)):
+                rows, taus = curve.knots.local(e, u)  # node by node
+                yield idx, kw, self.density(e, curve.displacement(rows, taus, 1),
+                                            curve.basis(rows, taus))
 
 
 class _DoubleLayer:
@@ -427,8 +431,8 @@ class _DoubleLayer:
         self.curve = curve
         self.order = order
         self.g_of_points = g_of_points
-        self.grid_frames = curve.local_frame(
-            np.arange(kv.n_elements)[:, None], xg, 1).reshape(-1, 2, 2)
+        self.grid_frames = curve.at_nodes(np.arange(kv.n_elements)[:, None], *nearer_end(xg),
+                                          absolute=True)[0].reshape(-1, 2, 2)
         gjac = np.asarray(g_of_points(self.grid_frames[:, 0])) * (hs * wg).ravel()
         self.grid = gjac.reshape(kv.n_elements, order, 1)
         self.cols = np.zeros((kv.n_elements, 1), dtype=int)
@@ -442,7 +446,7 @@ class _DoubleLayer:
         d1 = frames[..., 1, :]
         return (dx * d1[..., 1] - dy * d1[..., 0]) / (dx * dx + dy * dy + 1e-300)
 
-    def density(self, e, u, frames, origin):
+    def density(self, e, frames, basis, origin):
         vals = self.g_of_points((frames[..., 0, :] + origin).reshape(-1, 2))
         return np.asarray(vals).reshape(frames.shape[:-2] + (1,))
 
@@ -468,8 +472,9 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
     ``kernel`` supplies the kernel ``value`` on a Gauss grid
     (``grid_frames``, points and whatever derivatives ``value`` reads) and
     at other quadrature nodes, its density there (``grid`` (n_el, q, w)
-    times weights, ``density`` at other nodes from frames measured from
-    ``origin``, both in windows of w values), the output column
+    times weights, ``density`` at other nodes from their frames, measured
+    from ``origin``, and basis windows, both in windows of w values), the
+    output column
     ``cols[e, j]`` of slot j of element e's window among ``n_cols``, and
     the rule on the element containing the target.  Far elements take the
     grid, in blocks of targets; the other near elements take composite
@@ -526,9 +531,9 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
 
     pair_i, pair_e = (np.concatenate(p) for p in zip(*near_pairs))
     keep = pair_e != inside[pair_i]
-    for ii, ue, slot, u, tw, px, frames, origin in _graded_pair_rules(
+    for ii, ue, slot, tw, px, frames, basis, origin in _graded_pair_rules(
             curve, params, x_pts, inside, pair_i[keep], pair_e[keep], q):
-        dens = kernel.density(ue[:, None], u, frames, origin)
+        dens = kernel.density(ue[:, None], frames, basis, origin)
         kern = kernel.value(px, frames[slot])
         add(ii, ue[slot], tw[slot] * kern, dens[slot])
     return out

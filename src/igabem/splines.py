@@ -356,9 +356,8 @@ class KnotVector:
     def local(self, e, u):
         """``locate`` for local coordinates u of elements e, broadcast, with
         no search: row 2 e + end and tau = h (u - end), u - end being exact."""
-        u = np.asarray(u, dtype=float)
-        end = (u >= 0.5).astype(int)
-        return 2 * e + end, self.widths[e] * (u - end)
+        s, end = nearer_end(u)
+        return 2 * e + end, self.widths[e] * s
 
     # -- queries ------------------------------------------------------------
 
@@ -397,6 +396,14 @@ class KnotVector:
 # --------------------------------------------------------------------------
 # rational (NURBS) basis windows
 # --------------------------------------------------------------------------
+
+
+def nearer_end(u):
+    """Offsets s = u - end of local coordinates u from their nearer element
+    end, and that end (0 the start, 1 the end of the element)."""
+    u = np.asarray(u, dtype=float)
+    end = (u >= 0.5).astype(int)
+    return u - end, end
 
 
 def quotient_derivatives(num, den, shift=None) -> np.ndarray:

@@ -39,3 +39,17 @@ def test_rates_fails_cleanly_on_bad_file(tmp_path, capsys):
     assert main(["rates", str(bad)]) == 1
     assert "unexpected header" in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("argv, why", [
+    (["--problem", "square", "--method", "collocation"], "supports methods"),
+    (["--problem", "slit", "--theta", "1.5"], "theta must lie in (0, 1], got 1.5"),
+    (["--problem", "slit", "--quad-order", "0"], "rule order must be >= 1, got 0"),
+], ids=["square-collocation", "theta", "quad-order"])
+def test_run_refuses_bad_input_in_one_line(tmp_path, capsys, argv, why):
+    code = main(["run", *argv, "--max-dofs", "24",
+                 "--energy-cache", str(tmp_path / "ref.json")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("igabem run: ") and why in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""

@@ -14,10 +14,10 @@ goes further back and takes the stored knots, control points and weights
 as exact, so it also covers how the coefficients are formed.
 
 Nodes that every element shares take one table product per element end
-(``Curve._end_tables``); the parity checks below hold that path to the
-per-node Horner sums of ``frame``, ``rational_basis`` and ``displacement``
-at the same parameters, each tolerance 100 times the largest difference
-measured on these meshes.
+(``Curve.at_nodes`` on ``Curve._end_tables``); the parity checks below hold
+that path to the per-node Horner sums of ``frame``, ``rational_basis``,
+``displacement`` and ``Curve.basis`` at the same parameters, each tolerance
+100 times the largest difference measured on these meshes.
 """
 
 import mpmath as mp
@@ -28,7 +28,7 @@ from helpers import circle
 from igabem.geometry import pacman, slit, square
 from igabem.operators import _radial_rule, _singular_pairs
 from igabem.quadrature import gauss_unit, graded_unit
-from igabem.splines import rational_basis
+from igabem.splines import nearer_end, rational_basis
 
 WIDTHS = (1e-12, 1e-9, 1e-6, 1e-3, 1e-1)
 STARTS = (lambda h: 0.0, lambda h: 0.45, lambda h: 1.0 - h)
@@ -285,25 +285,31 @@ def test_table_product_matches_per_node_path(k):
         for el in np.unique(row >> 1):
             pick = (row >> 1) == el
             ue = (row[pick] & 1) + tau[pick] / kv.widths[el]
-            basis = curve.local_basis(np.array([[el]]), ue)[0]
-            speed = np.hypot(*curve.local_frame(np.array([[el]]), ue, 1)[0, :, 1].T)
+            frames, basis = curve.at_nodes(np.array([[el]]), *nearer_end(ue))
+            speed = np.hypot(*frames[0, :, 1].T)
             want = np.hypot(*d1[pick].T)
             np.testing.assert_array_equal(first[pick], kv.element_table[0][el])
-            np.testing.assert_allclose(basis, R[pick, 0], rtol=0, atol=BASIS_TOL)
+            np.testing.assert_allclose(basis[0], R[pick, 0], rtol=0, atol=BASIS_TOL)
             np.testing.assert_allclose(speed, want, rtol=SPEED_TOL, atol=0)
 
 
 @pytest.mark.parametrize("k", range(len(PARITY_CURVES)))
 def test_end_displacements_match_per_node_path(k):
     # the graded rules' nodes: unit offsets from one end, shared by every
-    # element, against Horner's rule at the parameter offsets h x
+    # element and reaching |s| = 1 at the other end, against Horner's rule
+    # at the parameter offsets h x from the same end; the basis windows
+    # against Horner's rule about each node's nearer end, as
+    # ``rational_basis`` takes it
     curve = PARITY_CURVES[k]
     kv = curve.knots
     xs, _ = graded_unit(16, 40)
+    xs = np.concatenate([xs, [0.5, 1.0]])
     e = np.arange(kv.n_elements)[:, None]
     for end, s in ((0, xs), (1, -xs)):
-        got = curve._end_frames(e, s, end)
+        got, basis = curve.at_nodes(e, s, end)
         want = curve.displacement(2 * e + end, kv.widths[e] * s, 1)
+        np.testing.assert_allclose(basis, curve.basis(*kv.local(e, end + s)),
+                                   rtol=0, atol=BASIS_TOL)
         for j, tol in ((0, DISPLACEMENT_TOL), (1, SPEED_TOL)):
             err = np.hypot(*np.moveaxis(got[..., j, :] - want[..., j, :], -1, 0))
             size = np.hypot(*np.moveaxis(want[..., j, :], -1, 0))
@@ -317,15 +323,14 @@ def test_refined_curve_builds_its_own_tables():
     assert "_end_tables" not in vars(curve)
     e = np.arange(curve.knots.n_elements)[:, None]
     xg, _ = gauss_unit(8)
-    curve.local_basis(e, xg)
+    curve.at_nodes(e, *nearer_end(xg))
     parent = curve._end_tables
     fine = curve.refined([0.05, 0.5, 0.93])
     assert "_end_tables" not in vars(fine)
     ef = np.arange(fine.knots.n_elements)[:, None]
-    basis = fine.local_basis(ef, xg)
+    _, basis = fine.at_nodes(ef, *nearer_end(xg))
     assert fine._end_tables is not parent
     assert fine._end_tables.shape[0] == fine.knots.n_elements
-    want = fine.local_basis(np.broadcast_to(ef, basis.shape[:2]),
-                            np.broadcast_to(xg, basis.shape[:2]))  # per node
+    want = fine.basis(*fine.knots.local(ef, xg))  # per node
     np.testing.assert_allclose(basis, want, rtol=0, atol=BASIS_TOL)
     assert not parent.flags.writeable and not fine._end_tables.flags.writeable

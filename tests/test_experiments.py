@@ -134,6 +134,19 @@ def test_square_collocation_is_rejected():
                      energy_cache=None)
 
 
+@pytest.mark.parametrize("theta", [1.5, 0.0, -0.25, float("nan")])
+@pytest.mark.parametrize("uniform", [False, True])
+def test_run_refuses_theta_before_assembly(theta, uniform, monkeypatch):
+    # uniform runs store theta in the record, so they refuse it as well
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled before refusing theta")
+
+    monkeypatch.setattr(experiments, "galerkin_matrix", no_assembly)
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
+        run_adaptive("slit", theta=theta, uniform=uniform, max_dofs=20,
+                     energy_cache=None)
+
+
 def test_reference_energy_exact_short_circuit(tmp_path):
     cache = tmp_path / "ref.json"
     val = reference_energy("slit", cache=cache)
@@ -194,6 +207,39 @@ def test_reference_energy_refuses_unusable_energy(tmp_path, caplog, energy):
     assert abs(val - np.pi / 4.0) <= 1e-14
     entry = json.loads(cache.read_text(encoding="utf-8"))["toy-slit"]
     assert entry["degree"] == 1 and entry["energy"] == val
+
+
+def test_reference_energy_recomputes_entry_that_is_not_an_object(tmp_path, caplog):
+    # a bare number where an entry belongs is reported and replaced; the
+    # other entries stay
+    cache = tmp_path / "ref.json"
+    other = {"energy": 0.5, "degree": 2, "relative_gap": 0.0}
+    cache.write_text(json.dumps({"toy-slit": 0.785, "other": other}),
+                     encoding="utf-8")
+    with caplog.at_level("WARNING", logger="igabem"):
+        val = reference_energy(_toy_slit(), cache=cache)
+    assert "ignoring cached reference energy for toy-slit" in caplog.text
+    assert "not an object" in caplog.text
+    assert abs(val - np.pi / 4.0) <= 1e-14
+    data = json.loads(cache.read_text(encoding="utf-8"))
+    assert data["toy-slit"]["energy"] == val and data["other"] == other
+
+
+@pytest.mark.parametrize("text, why", [
+    ("[1, 2]", "not a JSON object ([1, 2])"),
+    ('{"toy-slit": {"energy": 0.785, "deg', "not a JSON object (Unterminated string"),
+], ids=["list", "truncated"])
+def test_reference_energy_leaves_unreadable_cache_alone(tmp_path, caplog, text, why):
+    # a file that is not a JSON object is a miss, and it is not rewritten,
+    # so a bad hand edit loses no entry
+    cache = tmp_path / "ref.json"
+    cache.write_text(text, encoding="utf-8")
+    with caplog.at_level("WARNING", logger="igabem"):
+        val = reference_energy(_toy_slit(), cache=cache)
+    assert f"ignoring reference energy cache {cache}, left as it is" in caplog.text
+    assert why in caplog.text
+    assert abs(val - np.pi / 4.0) <= 1e-14
+    assert cache.read_text(encoding="utf-8") == text
 
 
 def test_reference_energy_writes_cache_atomically(tmp_path, monkeypatch):

@@ -410,12 +410,13 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
     state = initial_state(problem.make_curve())
     f = problem.rhs_factory(state.curve, order)
     rows: list[dict] = []
+    blocks: dict = {}  # the singular Galerkin blocks, carried across steps
 
     for it in range(MAX_ITERATIONS):
         t0 = time.perf_counter()
         curve = state.curve
         kv = curve.knots
-        A = galerkin_matrix(curve, order)
+        A = galerkin_matrix(curve, order, memo=blocks)
         b = galerkin_rhs(curve, f, order)
         if method == "galerkin":
             c, _ = solve_linear(A, b)

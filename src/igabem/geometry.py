@@ -156,6 +156,12 @@ class Curve:
         T.flags.writeable = False
         return T
 
+    @cached_property
+    def _grids(self) -> dict:
+        """Gauss grids by quadrature order, filled by ``operators._grid``;
+        the curve never changes, so neither do they."""
+        return {}
+
     # -- evaluation ----------------------------------------------------------
 
     def displacement(self, row, tau, nd: int = 0) -> np.ndarray:

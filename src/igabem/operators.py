@@ -12,6 +12,17 @@ take parameters.  Element pairs are integrated in two regimes:
   divided differences (``Curve.chord``).  An identical pair maps the
   triangle s > t by s - t = h x and adds its mirror image; a touching pair
   takes the two triangles anchored at the shared node.
+
+  Such a block reads no absolute position, only the quadrature order, the
+  degree, the element widths and each element's frame and basis tables at
+  its two ends, so it is looked up by the bytes of those inputs
+  (``_singular_keys``).  Elements with equal inputs share one block: on
+  the straight slit every element of a width does.  A ``memo`` dict
+  carries the blocks from one mesh to the next: an element that survives a
+  refinement keeps its tables, and one whose tables Boehm insertion
+  changed gets a new key, also at degree 2 and up where a moved knot
+  changes the basis window.  Each call computes the missing keys once and
+  leaves the memo holding the current mesh's keys alone.
 * separated pair: tensor Gauss at an order chosen per pair.  Each element
   gets a ball (centre the midpoint of its end points, radius reaching its
   Gauss points), and the gap between two balls relative to the larger
@@ -118,12 +129,19 @@ def _phi_windows(curve: Curve, e, u):
 
 def _grid(curve: Curve, order: int):
     """Gauss points on every element, (n_el, q, 2), and the basis windows
-    there times speed, Gauss weight and width, (n_el, q, p + 1)."""
-    kv = curve.knots
-    xg, wg = gauss_unit(order)
-    frames, basis = curve.at_nodes(np.arange(kv.n_elements)[:, None], *nearer_end(xg),
-                                   absolute=True)
-    return frames[..., 0, :], _phi(frames, basis) * (wg * kv.widths[:, None])[..., None]
+    there times speed, Gauss weight and width, (n_el, q, p + 1); read-only,
+    built once per curve and order."""
+    if order not in curve._grids:
+        kv = curve.knots
+        xg, wg = gauss_unit(order)
+        frames, basis = curve.at_nodes(np.arange(kv.n_elements)[:, None],
+                                       *nearer_end(xg), absolute=True)
+        grid = (np.ascontiguousarray(frames[..., 0, :]),
+                _phi(frames, basis) * (wg * kv.widths[:, None])[..., None])
+        for a in grid:
+            a.flags.writeable = False
+        curve._grids[order] = grid
+    return curve._grids[order]
 
 
 def _grade_levels(h: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -166,11 +184,13 @@ def _singular_blocks(curve: Curve, s, t, chord: np.ndarray,
     return np.einsum("kxy,kxya,kxyb->kab", w, phis, phit)
 
 
-def _singular_pairs(curve: Curve, order: int):
-    """Element matrices of every identical and touching pair of elements.
+def _duffy_blocks(curve: Curve, order: int, e, et, es):
+    """Element matrices of the identical pairs (e, e) and of the touching
+    pairs (es, et), element et ending where es starts, as two stacks.
 
-    Returns (s elements, t elements, blocks); the blocks pair the s basis
-    window against the t window and enter the matrix with their transposes.
+    Each block reads only its own elements' widths and ``Curve._frame_table``
+    and ``Curve._basis_table`` columns at their two ends, so a block's bits
+    do not depend on which other pairs share the batch.
     """
     kv = curve.knots
     x, _ = _radial_rule(order)
@@ -179,18 +199,19 @@ def _singular_pairs(curve: Curve, order: int):
 
     # identical pairs: the triangle s > t under s - t = h x, mirrored by the
     # transpose; the chord over x is h |gamma[s, t]| about the element start
-    e = np.arange(kv.n_elements)[:, None, None]
+    e = np.asarray(e)[:, None, None]
     h = kv.widths[e]
     v = (1.0 - x) * y
     chord = _norm(curve.chord(2 * e, h * (xq + v[:order]), h * v[:order]))
     B = _singular_blocks(curve, (e, x + v), (e, v), h * chord,
                          h * h * (1.0 - x), order)
 
-    # touching pairs: element et ends at the node where element es starts,
-    # the seam included.  The two triangles are anchored at that node; with
-    # s = h2 x a past it and t = h1 x b before it, the chord over x is
-    # h2 a gamma[node, s] + h1 b gamma[node, t], each side about the node
-    et, es = kv.patches[kv.touching].T[:, :, None, None]
+    # touching pairs, the seam included.  The two triangles are anchored at
+    # the shared node; with s = h2 x a past it and t = h1 x b before it, the
+    # chord over x is h2 a gamma[node, s] + h1 b gamma[node, t], each side
+    # about the node
+    et = np.asarray(et)[:, None, None]
+    es = np.asarray(es)[:, None, None]
     h1 = kv.widths[et]
     h2 = kv.widths[es]
 
@@ -203,12 +224,69 @@ def _singular_pairs(curve: Curve, order: int):
                           touching_chord(1.0, y), h1 * h2 * x, order)
          + _singular_blocks(curve, (es, x * y), (et, 1.0 - x),
                             touching_chord(y, 1.0), h1 * h2 * x, order))
-    return (np.concatenate([e.ravel(), es.ravel()]),
-            np.concatenate([e.ravel(), et.ravel()]), np.concatenate([B, M]))
+    return B, M
 
 
-def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Symmetric Galerkin matrix of the single-layer operator."""
+def _singular_keys(curve: Curve, order: int) -> list:
+    """The content key of every identical pair, then of every touching row
+    of ``KnotVector.patches`` in (es, et) order: the order, the degree, and
+    the bytes of each element's width and of its ``_frame_table`` and
+    ``_basis_table`` columns at both ends, the inputs ``_duffy_blocks``
+    reads."""
+    kv = curve.knots
+    n = kv.n_elements
+
+    def ends(table):  # row e: the columns at ends 2 e and 2 e + 1
+        return table.reshape(len(table), n, -1).transpose(1, 0, 2).reshape(n, -1)
+
+    rows = np.column_stack([kv.widths, ends(curve._frame_table),
+                            ends(curve._basis_table)])
+    own = [r.tobytes() for r in rows]
+    et, es = kv.patches[kv.touching].T
+    return ([(order, curve.degree, k) for k in own]
+            + [(order, curve.degree, own[s], own[t]) for s, t in zip(es, et)])
+
+
+def _singular_pairs(curve: Curve, order: int, memo: dict | None = None):
+    """Element matrices of every identical and touching pair of elements.
+
+    Blocks are looked up by content key (``_singular_keys``): pairs with
+    bit-identical inputs have bit-identical blocks, so each key missing from
+    ``memo`` is computed once, in one batch per regime, and ``memo`` is left
+    holding the blocks of this mesh's keys alone.  Returns (s elements,
+    t elements, blocks); the blocks pair the s basis window against the
+    t window and enter the matrix with their transposes.
+    """
+    kv = curve.knots
+    e = np.arange(kv.n_elements)
+    et, es = kv.patches[kv.touching].T
+    keys = _singular_keys(curve, order)
+    memo = {} if memo is None else memo
+    blocks = {k: memo[k] for k in keys if k in memo}
+    new = {}  # each missing key at its first pair
+    for i, k in enumerate(keys):
+        if k not in blocks:
+            new.setdefault(k, i)
+    first = np.fromiter(new.values(), dtype=int, count=len(new))
+    ident = first[first < len(e)]
+    touch = first[first >= len(e)] - len(e)
+    B, M = _duffy_blocks(curve, order, ident, et[touch], es[touch])
+    # copies, so no stored block keeps its whole batch alive
+    blocks.update(zip(new, (b.copy() for b in (*B, *M))))
+    memo.clear()
+    memo.update(blocks)
+    return (np.concatenate([e, es]), np.concatenate([e, et]),
+            np.stack([blocks[k] for k in keys]))
+
+
+def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER,
+                    memo: dict | None = None) -> np.ndarray:
+    """Symmetric Galerkin matrix of the single-layer operator.
+
+    ``memo`` carries the identical and touching blocks from one call to the
+    next (``_singular_pairs``); an adaptive run passes one dict on every
+    step, and the matrix is the same bits with or without it.
+    """
     kv = curve.knots
     n_el = kv.n_elements
     # below three elements some pair of a closed curve touches at both ends,
@@ -254,7 +332,7 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
             K = _log_dist(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
             add(ce, cf, np.matmul(wm[ce].transpose(0, 2, 1),
                                   np.matmul(K, wm[cf])))
-    add(*_singular_pairs(curve, order))
+    add(*_singular_pairs(curve, order, memo))
     return (A + A.T) / (-_TWO_PI)
 
 

@@ -134,6 +134,23 @@ def test_square_collocation_is_rejected():
                      energy_cache=None)
 
 
+def test_run_carries_one_block_memo(monkeypatch):
+    # the run owns the memo, not MeshState, passes the same one each step,
+    # and every step assembles the bits of a call without it
+    memos = []
+
+    def spy(curve, order, memo=None):
+        memos.append(memo)
+        A = galerkin_matrix(curve, order, memo=memo)
+        assert np.array_equal(A, galerkin_matrix(curve, order))
+        return A
+
+    monkeypatch.setattr(experiments, "galerkin_matrix", spy)
+    record = run_adaptive("square", max_dofs=20, energy_cache=None)
+    assert len(memos) == len(record.rows) > 2
+    assert all(m is memos[0] for m in memos) and isinstance(memos[0], dict)
+
+
 @pytest.mark.parametrize("theta", [1.5, 0.0, -0.25, float("nan")])
 @pytest.mark.parametrize("uniform", [False, True])
 def test_run_refuses_theta_before_assembly(theta, uniform, monkeypatch):

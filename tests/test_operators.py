@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from igabem import operators, quadrature
 from igabem.adaptivity import initial_state, refine, uniform_refine
 from igabem.experiments import pacman_trace
-from igabem.geometry import pacman, slit, square
+from igabem.geometry import Curve, pacman, slit, square
 from igabem.operators import (
     collocation_matrix,
     dirichlet_rhs,
@@ -29,7 +29,7 @@ from igabem.operators import (
     galerkin_rhs,
     single_layer_values,
 )
-from igabem.splines import rational_basis
+from igabem.splines import KnotVector, rational_basis
 
 from helpers import circle
 
@@ -502,3 +502,146 @@ def test_galerkin_rhs_mass_of_one():
     curve = pacman()
     b = galerkin_rhs(curve, lambda ts: np.ones_like(ts))
     assert b.sum() == pytest.approx(curve.element_lengths.sum(), rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# singular blocks by content key, carried across steps
+# --------------------------------------------------------------------------
+
+MEMO_CURVES = {"slit": slit, "square": square, "pacman": pacman,
+               "circle": lambda: circle(0.8)}
+
+
+def _random_steps(curve, steps, seed):
+    """The curve's initial state and ``steps`` refinements, each marking a
+    random quarter of the nodes and every corner and open end: bisections,
+    closures and (at degree 2) raised multiplicities."""
+    rng = np.random.default_rng(seed)
+    state = initial_state(curve)
+    yield state.curve
+    for _ in range(steps):
+        curve = state.curve
+        kv = curve.knots
+        singular = np.concatenate(
+            [curve.corner_params(), [] if curve.closed else [kv.a, kv.b]])
+        marked = np.isclose(kv.nodes[:, None], singular[None, :],
+                            rtol=0.0, atol=1e-12).any(axis=1)
+        marked |= rng.random(len(marked)) < 0.25
+        state = refine(state, np.flatnonzero(marked))
+        yield state.curve
+
+
+@pytest.mark.parametrize("name", list(MEMO_CURVES))
+def test_duffy_blocks_do_not_depend_on_the_batch(name):
+    # the memo gathers blocks computed in other batches and reuses them
+    # across meshes, which is only sound if a block's bits are its own
+    curve = list(_random_steps(MEMO_CURVES[name](), 4, seed=3))[-1]
+    kv = curve.knots
+    e = np.arange(kv.n_elements)
+    et, es = kv.patches[kv.touching].T
+    B, M = operators._duffy_blocks(curve, 16, e, et, es)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        ie = rng.choice(len(e), rng.integers(1, len(e) + 1))
+        it = rng.choice(len(et), rng.integers(1, len(et) + 1))
+        Bs, Ms = operators._duffy_blocks(curve, 16, e[ie], et[it], es[it])
+        assert np.array_equal(Bs, B[ie]) and np.array_equal(Ms, M[it])
+    for i, j in ((0, 0), (len(e) - 1, len(et) - 1)):  # batches of one
+        Bs, Ms = operators._duffy_blocks(curve, 16, e[[i]], et[[j]], es[[j]])
+        assert np.array_equal(Bs[0], B[i]) and np.array_equal(Ms[0], M[j])
+
+
+@pytest.mark.parametrize("name", ["slit", "square", "pacman"])
+def test_memo_carried_across_adaptive_steps(name):
+    memo = {}
+    for curve in _random_steps(MEMO_CURVES[name](), 8, seed=11):
+        A = galerkin_matrix(curve, memo=memo)
+        assert np.array_equal(A, galerkin_matrix(curve))
+        # the memo holds this mesh's distinct keys and nothing else
+        assert set(memo) == set(operators._singular_keys(curve, 16))
+
+
+def test_memo_carried_across_uniform_steps():
+    # every element of a width has the same tables on the straight slit:
+    # one identical and one touching block per step
+    state = initial_state(slit())
+    memo = {}
+    for _ in range(8):
+        state = uniform_refine(state)
+        A = galerkin_matrix(state.curve, memo=memo)
+        assert np.array_equal(A, galerkin_matrix(state.curve))
+        assert len(memo) == 2
+
+
+@pytest.mark.parametrize("change", ["control", "weight", "order"])
+def test_memo_keys_cover_every_input(change, monkeypatch):
+    curve = list(_random_steps(pacman(), 3, seed=2))[-1]
+    warm = {}
+    galerkin_matrix(curve, memo=warm)
+    order, changed = 16, set()
+    if change == "order":
+        order = 12
+    else:  # same knots, row 3 edited: the elements whose window holds it change
+        controls, weights = curve.controls.copy(), curve.weights.copy()
+        if change == "control":
+            controls[3] += 1e-3
+        else:
+            weights[3] *= 1.25
+        first = curve.knots.element_table[0]
+        changed = set(np.flatnonzero((first <= 3) & (3 <= first + curve.degree)).tolist())
+        curve = Curve(curve.knots, controls, weights)
+    fresh = galerkin_matrix(curve, order)
+    computed = []
+    duffy = operators._duffy_blocks
+
+    def spy(curve, order, e, et, es):
+        computed.append(len(e) + len(et))
+        return duffy(curve, order, e, et, es)
+
+    monkeypatch.setattr(operators, "_duffy_blocks", spy)
+    memo = dict(warm)
+    assert np.array_equal(galerkin_matrix(curve, order, memo=memo), fresh)
+    keys = operators._singular_keys(curve, order)
+    missing = set(keys) - set(warm)
+    assert computed == [len(missing)]
+    n_el = curve.knots.n_elements
+    et, es = curve.knots.patches[curve.knots.touching].T
+    for i, k in enumerate(keys):
+        pair = {i} if i < n_el else {int(et[i - n_el]), int(es[i - n_el])}
+        # a key is recomputed exactly when its elements changed
+        assert (k in missing) == (change == "order" or bool(pair & changed)), i
+    assert set(memo) == set(keys)
+
+
+def test_grid_is_built_once_per_curve_and_order():
+    curve = pacman()
+    points, wbasis = operators._grid(curve, 16)
+    assert operators._grid(curve, 16)[0] is points
+    assert not points.flags.writeable and not wbasis.flags.writeable
+    assert operators._grid(curve, 12)[0].shape == (curve.knots.n_elements, 12, 2)
+    refined = curve.refined([0.5])
+    assert operators._grid(refined, 16)[0].shape[0] == curve.knots.n_elements + 1
+
+
+def _straight_quadratic(breakpoints):
+    """The slit as a degree-2 B-spline with its controls at the Greville
+    abscissae, so gamma(t) = (2 t - 1, 0) whatever the knots."""
+    kv = KnotVector(2, breakpoints, (3,) + (1,) * (len(breakpoints) - 2) + (3,))
+    g = 0.5 * (kv.eval_knots[1:-2] + kv.eval_knots[2:-1])
+    return Curve(kv, np.column_stack([2.0 * g - 1.0, 0.0 * g]), np.ones(len(g)))
+
+
+def test_memo_key_sees_a_basis_window_change():
+    # moving the knot 1/4 to 3/16 changes the basis window of the element
+    # [1/2, 3/4] but, on this line, not one bit of its width or its frame
+    # table: only the basis table tells the two blocks apart
+    before = _straight_quadratic((0.0, 0.25, 0.5, 0.75, 1.0))
+    after = _straight_quadratic((0.0, 0.1875, 0.5, 0.75, 1.0))
+    cols = slice(4, 6)  # the two ends of element 2
+    assert np.array_equal(before._frame_table[:, cols], after._frame_table[:, cols])
+    assert not np.array_equal(before._basis_table[:, cols], after._basis_table[:, cols])
+    memo = {}
+    galerkin_matrix(before, memo=memo)
+    warm = set(memo)
+    assert np.array_equal(galerkin_matrix(after, memo=memo), galerkin_matrix(after))
+    assert operators._singular_keys(after, 16)[2] not in warm

@@ -199,7 +199,7 @@ def _duffy_blocks(curve: Curve, order: int, e, et, es):
 
     # identical pairs: the triangle s > t under s - t = h x, mirrored by the
     # transpose; the chord over x is h |gamma[s, t]| about the element start
-    e = np.asarray(e)[:, None, None]
+    e = e[:, None, None]
     h = kv.widths[e]
     v = (1.0 - x) * y
     chord = _norm(curve.chord(2 * e, h * (xq + v[:order]), h * v[:order]))
@@ -210,8 +210,7 @@ def _duffy_blocks(curve: Curve, order: int, e, et, es):
     # the shared node; with s = h2 x a past it and t = h1 x b before it, the
     # chord over x is h2 a gamma[node, s] + h1 b gamma[node, t], each side
     # about the node
-    et = np.asarray(et)[:, None, None]
-    es = np.asarray(es)[:, None, None]
+    et, es = et[:, None, None], es[:, None, None]
     h1 = kv.widths[et]
     h2 = kv.widths[es]
 

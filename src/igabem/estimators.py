@@ -2,7 +2,10 @@
 
 Both estimators work on the boundary residual r = f - V phi_h, sampled once
 per element at a Gauss grid and carried around as a per-element polynomial
-interpolant.  Indicators live on mesh nodes z and their patches omega(z),
+interpolant.  f takes the grid's parameters; V phi_h takes the samples as
+element-local targets, (element, Gauss coordinate), so that its near field
+is computed once per distinct element and neighbour content
+(``operators.single_layer_values`` with ``local``).  Indicators live on mesh nodes z and their patches omega(z),
 read from the knot vector's ``patches`` table (see ``splines``): the
 elements left and right of each node, -1 where an open end of the curve has
 no element on that side.  Both indicators are reductions over that table:
@@ -111,12 +114,15 @@ class ResidualData:
 def sample_residual(curve: Curve, coeffs: np.ndarray, f_of_params,
                     order: int = DEFAULT_ORDER) -> ResidualData:
     """Sample r = f - V phi_h on every element's interior Gauss grid of
-    max(p + 2, 6) points."""
+    max(p + 2, 6) points.  f takes the grid's parameters; V phi_h takes its
+    nodes as element-local targets, (element, Gauss coordinate)."""
+    q_int = max(curve.degree + 2, 6)
+    xg, _ = gauss_unit(q_int)
     return ResidualData.from_function(
         curve,
-        lambda ts: np.asarray(f_of_params(ts))
-        - single_layer_values(curve, coeffs, ts, order=order),
-        max(curve.degree + 2, 6),
+        lambda ts: np.asarray(f_of_params(ts)) - single_layer_values(
+            curve, coeffs, ts.reshape(-1, q_int), order=order, local=xg).ravel(),
+        q_int,
     )
 
 

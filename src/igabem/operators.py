@@ -32,9 +32,13 @@ take parameters.  Element pairs are integrated in two regimes:
 Pointwise potentials (collocation rows, residual samples of V phi_h, and the
 Dirichlet data (K + 1/2) g) go through one vectorised engine.  Per target it
 integrates far elements on a plain Gauss grid, and the other elements near
-the target on composite rules graded toward it.  The far field runs in
-blocks of _FAR_BLOCK / (n_el q) targets, and each block finds its own near
-(target, element) pairs, so no array spans all targets times all elements.
+the target on composite rules graded toward it.  Targets come in one of
+two forms, which each caller names: parameters, or (element, local
+coordinate) nodes at local coordinates shared by every element, the form
+of the residual samples (``single_layer_values(..., local=u)``).  The far
+field runs in blocks of _FAR_BLOCK / (n_el q) targets, and each block finds
+its own near (target, element) pairs, so no array spans all targets times
+all elements.
 The element containing the target takes the kernel's own rule: for V a
 split at the target with the log-weight rule on each side, for K plain
 Gauss, since K is smooth along an arc; both take the kernel from divided
@@ -48,6 +52,20 @@ displacements from that end, each exact to its last digits, and one kernel
 formula serves every node.  The engine returns the density contracted with
 coefficients, the raw basis windows (one column per basis function), or the
 integral of data g.
+
+Element-local targets make the near field content-keyed as well.  The
+block of an element's own split rule against its raw basis windows reads
+only the element's ``_element_rows`` entry, the order and the shared local
+coordinates; the block of a touching neighbour's rule graded toward the
+shared node also reads the neighbour's entry and which end is shared, the
+target's distance and displacement from that node coming from the
+element's own tables.  Whether such a neighbour is near a target follows
+from the same inputs, and the far field skips exactly those pairs.  Each
+distinct key is computed once per call and the blocks are contracted with
+each element's coefficients (``_sample_blocks``): on the uniform slit one
+own block and two neighbour blocks serve every element.  Neighbours that do
+not touch, and those whose rule grades away from the shared node (a closed
+curve of few elements), keep the rules by parameter.
 
 The log kernel of the pointwise single layer and of separated Galerkin
 pairs is 1/2 log(dx^2 + dy^2), formed in place (``_log_dist``): cheaper
@@ -226,12 +244,10 @@ def _duffy_blocks(curve: Curve, order: int, e, et, es):
     return B, M
 
 
-def _singular_keys(curve: Curve, order: int) -> list:
-    """The content key of every identical pair, then of every touching row
-    of ``KnotVector.patches`` in (es, et) order: the order, the degree, and
-    the bytes of each element's width and of its ``_frame_table`` and
-    ``_basis_table`` columns at both ends, the inputs ``_duffy_blocks``
-    reads."""
+def _element_rows(curve: Curve) -> list:
+    """Per element, the bytes of its width and of its ``_frame_table`` and
+    ``_basis_table`` columns at both ends: all that a block of the element
+    reads apart from its rule."""
     kv = curve.knots
     n = kv.n_elements
 
@@ -240,10 +256,27 @@ def _singular_keys(curve: Curve, order: int) -> list:
 
     rows = np.column_stack([kv.widths, ends(curve._frame_table),
                             ends(curve._basis_table)])
-    own = [r.tobytes() for r in rows]
+    return [r.tobytes() for r in rows]
+
+
+def _singular_keys(curve: Curve, order: int) -> list:
+    """The content key of every identical pair, then of every touching row
+    of ``KnotVector.patches`` in (es, et) order: the order, the degree, and
+    each element's ``_element_rows`` entry, the inputs ``_duffy_blocks``
+    reads."""
+    kv = curve.knots
+    own = _element_rows(curve)
     et, es = kv.patches[kv.touching].T
     return ([(order, curve.degree, k) for k in own]
             + [(order, curve.degree, own[s], own[t]) for s, t in zip(es, et)])
+
+
+def _distinct(keys: list):
+    """The index of each distinct key's first occurrence, in order of first
+    occurrence, and each key's position among them."""
+    first: dict = {}
+    slot = np.array([first.setdefault(k, len(first)) for k in keys], dtype=int)
+    return np.unique(slot, return_index=True)[1], slot
 
 
 def _singular_pairs(curve: Curve, order: int, memo: dict | None = None):
@@ -387,22 +420,15 @@ def galerkin_rhs(curve: Curve, f_of_params, order: int = DEFAULT_ORDER) -> np.nd
 # pointwise potentials (collocation rows, residual sampling, Dirichlet data)
 # --------------------------------------------------------------------------
 
-def _graded_pair_rules(curve: Curve, params: np.ndarray, x_pts: np.ndarray,
-                       inside: np.ndarray, pair_i: np.ndarray,
-                       pair_e: np.ndarray, order: int):
-    """Group (target, element) pairs sharing a graded-rule shape.
-
-    A pair's rule grades toward the end z of its element nearer the target
-    and measures both from z: the nodes at offsets h x, the target from its
-    own element when z is one of that element's ends, else from points.
-    Yields (targets, elements, slot, weights, px, frames, basis, origin)
-    per group: one target displacement ``px`` per pair, and weights, node
-    ``frames`` (row 0 the displacement), basis windows and the point z,
-    ``origin``, once per distinct element, which pair k reads at
-    ``slot[k]``.
-    """
+def _pair_geometry(curve: Curve, params: np.ndarray, x_pts: np.ndarray,
+                   inside: np.ndarray, pair_i: np.ndarray, pair_e: np.ndarray):
+    """Where the graded rule of each (target, element) pair grades: toward
+    the end z of the element nearer the target (0 its start, 1 its end).
+    Returns that end, the target's parameter distance from it and the
+    target's displacement from it, taken from the target's own element when
+    z is one of that element's ends, else from points."""
     kv = curve.knots
-    elems, hs = kv.elements, kv.widths
+    elems = kv.elements
     x = params[pair_i]
     d_lo = np.abs(curve.param_delta(x, elems[pair_e, 0]))
     d_hi = np.abs(curve.param_delta(x, elems[pair_e, 1]))
@@ -420,14 +446,31 @@ def _graded_pair_rules(curve: Curve, params: np.ndarray, x_pts: np.ndarray,
     own = own[shared]
     px[shared] = curve.displacement(
         own, x[shared] - kv.breakpoint_array[(own + 1) >> 1])[:, 0]
-    key = 2 * _grade_levels(hs[pair_e], np.minimum(d_lo, d_hi)) + toward
+    return toward, np.minimum(d_lo, d_hi), px
+
+
+def _graded_pair_rules(curve: Curve, pair_e: np.ndarray, toward: np.ndarray,
+                       d: np.ndarray, order: int):
+    """Group (target, element) pairs sharing a graded-rule shape.
+
+    Pair k's rule runs over element ``pair_e[k]``, graded toward its end
+    ``toward[k]`` at the level that the target's distance ``d[k]`` from that
+    end sets, with nodes at offsets h x from the end.  Yields (pick,
+    elements, slot, weights, frames, basis, origin) per group: the group's
+    mask over the pairs, and weights, node ``frames`` (row 0 the
+    displacement from the end), basis windows and the end point ``origin``
+    once per distinct element, which pair k of the group reads at
+    ``slot[k]``.
+    """
+    hs = curve.knots.widths
+    key = 2 * _grade_levels(hs[pair_e], d) + toward
     for k in np.unique(key):
         pick = key == k
         levels, end = divmod(int(k), 2)
         ue, slot = np.unique(pair_e[pick], return_inverse=True)
-        xs, ws = graded_unit(order, levels)  # distances from z in widths
+        xs, ws = graded_unit(order, levels)  # distances from the end in widths
         e = ue[:, None]
-        yield (pair_i[pick], ue, slot, hs[e] * ws, px[pick],
+        yield (pick, ue, slot, hs[e] * ws,
                *curve.at_nodes(e, -xs if end else xs, end),
                curve.end_points[2 * e + end])
 
@@ -543,7 +586,126 @@ class _DoubleLayer:
         yield np.arange(len(row)), kern, self.grid[inside]
 
 
-def _potential(curve: Curve, kernel, params) -> np.ndarray:
+def _sample_neighbours(curve: Curve) -> np.ndarray:
+    """The element across each end of every element, (n_el, 2), where its
+    rule for the element's targets grades toward the shared node; -1
+    elsewhere.
+
+    That holds on an open curve.  On a closed one the neighbour's other end
+    lies P - h' - d away round the curve from a target d from the shared
+    node, so it holds for every target of an element of width h when 2 h <
+    P - h'; otherwise (few elements) the pair keeps the graded rule by
+    parameter.
+    """
+    kv = curve.knots
+    e = np.arange(kv.n_elements)
+    nb = np.stack([kv.patches[e, 0], kv.patches[(e + 1) % len(kv.nodes), 1]], axis=1)
+    if curve.closed:
+        hs = kv.widths
+        nb[2.0 * hs[:, None] >= kv.period - hs[nb]] = -1
+    return nb
+
+
+def _sample_offsets(curve: Curve, u: np.ndarray, e: np.ndarray,
+                    side: np.ndarray, nb: np.ndarray):
+    """Offsets h (u - side) of the targets at local coordinates u of
+    elements e from their ends ``side``, and whether the neighbour ``nb``
+    across that end is near them: |offset| < NEAR_FACTOR h'.  Both read only
+    the widths, so the decision follows from a touching key."""
+    hs = curve.knots.widths
+    tau = hs[e][:, None] * (u - side[:, None])
+    return tau, np.abs(tau) < NEAR_FACTOR * hs[nb][:, None]
+
+
+def _sample_keys(curve: Curve, order: int, u: np.ndarray):
+    """The content keys of the near blocks of targets at the shared local
+    coordinates u: per element, the order, the bytes of u and the
+    element's ``_element_rows`` entry, whose length gives the degree; per
+    element end 2 e + side, the same with the side and the neighbour's
+    entry, or None where ``_sample_neighbours`` has none."""
+    rows = _element_rows(curve)
+    pre = (order, np.asarray(u, dtype=float).tobytes())
+    nb = _sample_neighbours(curve).ravel().tolist()
+    return ([pre + (r,) for r in rows],
+            [pre + (k & 1, rows[k >> 1], rows[f]) if f >= 0 else None
+             for k, f in enumerate(nb)])
+
+
+def _graded_rows(curve: Curve, order: int, pair_e: np.ndarray,
+                 toward: np.ndarray, d: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Each (target, element) pair's graded rule (``_graded_pair_rules``)
+    against the element's raw basis windows times speed, for a target at
+    displacement ``px`` from the end it grades toward: (n_pairs, p + 1)."""
+    rows = np.zeros((len(pair_e), curve.degree + 1))
+    for pick, ue, slot, tw, frames, basis, _ in _graded_pair_rules(
+            curve, pair_e, toward, d, order):
+        kern = _SingleLayer.value(px[pick], frames[slot])
+        rows[pick] = np.einsum("kn,knw->kw", tw[slot] * kern, _phi(frames, basis)[slot])
+    return rows
+
+
+def _sample_near_blocks(curve: Curve, order: int, u: np.ndarray,
+                        e: np.ndarray, ends: np.ndarray, pairs=None):
+    """Near blocks of targets at the shared local coordinates u, against
+    raw basis windows times speed (one column per basis function).
+
+    Element e's own block takes its split rule (``_SingleLayer.containing``)
+    at targets (e, u_j); the block of element end 2 e + side takes the rule
+    on the neighbour across that end graded toward the shared node, with
+    the target's distance and displacement from the node read from e's
+    tables at offset h (u_j - side), and zero rows for far targets.  Each
+    reads only its keys' inputs (``_sample_keys``), so a block's bits do not
+    depend on its batch.  Further graded ``pairs`` (element, end, distance,
+    displacement) share the end blocks' groups.  Returns the own blocks,
+    (len(e), len(u), p + 1), the end blocks, (len(ends), len(u), p + 1), and
+    the rows of ``pairs``.
+    """
+    kv = curve.knots
+    shape = (len(u), curve.degree + 1)
+    raw = _SingleLayer(curve, order)
+    row, tau = (a.ravel() for a in np.broadcast_arrays(*kv.local(e[:, None], u)))
+    own = np.zeros((len(row), shape[1]))
+    step = max(1, int(_FAR_BLOCK // (order * order)))
+    for s0 in range(0, len(row), step):
+        sl = slice(s0, s0 + step)
+        for idx, kw, vals in raw.containing(row[sl], tau[sl]):
+            own[s0 + idx] += np.einsum("kn,knw->kw", kw, vals)
+
+    te, side = ends >> 1, ends & 1
+    nb = _sample_neighbours(curve)[te, side]
+    tau, near = _sample_offsets(curve, u, te, side, nb)
+    pk, pj = np.nonzero(near)
+    px = curve.displacement(2 * te[pk] + side[pk], tau[pk, pj])[:, 0]
+    graded = (nb[pk], 1 - side[pk], np.abs(tau[pk, pj]), px)
+    if pairs is not None:
+        graded = [np.concatenate(ab) for ab in zip(graded, pairs)]
+    rows = _graded_rows(curve, order, *graded)
+    touch = np.zeros((len(ends),) + shape)
+    touch[pk, pj] = rows[:len(pk)]
+    return own.reshape((len(e),) + shape), touch, rows[len(pk):]
+
+
+def _sample_blocks(curve: Curve, order: int, u: np.ndarray, pairs=None):
+    """Every element's near blocks for targets at the shared local
+    coordinates u, each distinct key (``_sample_keys``) computed once on
+    its first element or end, and the rows of further graded ``pairs``
+    (``_sample_near_blocks``).  Returns the own blocks, (n_el, len(u),
+    p + 1), the end blocks, (n_el, 2, len(u), p + 1), zero where there is
+    no keyed neighbour, and the rows of ``pairs``."""
+    n = curve.knots.n_elements
+    own_keys, end_keys = _sample_keys(curve, order, u)
+    keyed = np.array([k for k, key in enumerate(end_keys) if key is not None],
+                     dtype=int)
+    e_first, e_slot = _distinct(own_keys)
+    k_first, k_slot = _distinct([end_keys[k] for k in keyed])
+    own, ends, rows = _sample_near_blocks(curve, order, u, e_first,
+                                          keyed[k_first], pairs)
+    touch = np.zeros((2 * n,) + own.shape[1:])
+    touch[keyed] = ends[k_slot]
+    return own[e_slot], touch.reshape((n, 2) + own.shape[1:]), rows
+
+
+def _potential(curve: Curve, kernel, params, local=None) -> np.ndarray:
     """Integrals of ``kernel`` against its density at the target parameters.
 
     ``kernel`` supplies the kernel ``value`` on a Gauss grid
@@ -556,16 +718,41 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
     the rule on the element containing the target.  Far elements take the
     grid, in blocks of targets; the other near elements take composite
     rules graded toward the target.  Returns an (n_targets, n_cols) array.
+
+    With ``local`` the targets are the nodes (e, local[j]) of every element
+    e, element by element, ``params`` holds their parameters, and
+    ``kernel`` is a ``_SingleLayer`` with coefficients.  Each target's own
+    element and its keyed neighbours (``_sample_blocks``) then take the
+    blocks of their keys, and the far field skips exactly the keyed pairs
+    that those blocks call near.  The other near pairs keep their rules by
+    parameter, run in the same graded groups as the neighbour blocks, and
+    all are contracted with the coefficients after integration.
     """
     kv = curve.knots
-    params = kv.wrap(np.atleast_1d(params))
-    m = len(params)
-    x_pts = curve.point(params)
-    # the element containing each target, right-continuous at breakpoints,
-    # with the target's nearer end and offset
-    row, tau = kv.locate(params)
-    inside = row >> 1
     n_el, q, w = kernel.grid.shape
+    if local is None:
+        params = kv.wrap(np.atleast_1d(params))
+        x_pts = curve.point(params)
+        # the element containing each target, right-continuous at
+        # breakpoints, with the target's nearer end and offset
+        row, tau = kv.locate(params)
+        inside = row >> 1
+        nb = np.full((len(params), 2), -1)  # no keyed neighbours
+        keyed_near = nb >= 0
+    else:
+        params = np.ravel(params)
+        e = np.arange(n_el)[:, None]
+        x_pts = curve.at_nodes(e, *nearer_end(local), absolute=True)[0]
+        x_pts = x_pts[..., 0, :].reshape(-1, 2)
+        inside = np.repeat(e.ravel(), len(local))
+        # per target: the keyed neighbour across each end and whether it is near
+        nb_el = _sample_neighbours(curve)
+        ends = np.arange(2 * n_el)
+        _, keyed_near = _sample_offsets(curve, local, ends >> 1, ends & 1, nb_el.ravel())
+        keyed_near &= nb_el.reshape(-1, 1) >= 0
+        keyed_near = keyed_near.reshape(n_el, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
+        nb = nb_el[inside]
+    m = len(params)
     out = np.zeros((m, kernel.n_cols))
     hs = kv.widths
     mids = kv.elements.mean(axis=1)
@@ -575,7 +762,8 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
                   np.einsum("kn,knw->kw", kw, vals))
 
     # far elements, block by block of targets; near are the containing
-    # element and those within NEAR_FACTOR sizes, kept as (target, element)
+    # element, the keyed neighbours that their keys call near, and the
+    # other elements within NEAR_FACTOR sizes, kept as (target, element)
     # pairs in row-major order (seeded empty for a call without targets)
     near_pairs = [(np.zeros(0, dtype=int),) * 2]
     step = max(1, int(_FAR_BLOCK // (n_el * q)))
@@ -584,6 +772,10 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
         gap = np.abs(curve.param_delta(params[sl, None], mids))
         near = np.maximum(gap - 0.5 * hs, 0.0) < NEAR_FACTOR * hs
         near[np.arange(len(near)), inside[sl]] = True
+        for side in (0, 1):
+            f = nb[sl, side]
+            k = np.flatnonzero(f >= 0)
+            near[k, f[k]] = keyed_near[s0 + k, side]
         ni, ne = np.nonzero(near)
         near_pairs.append((s0 + ni, ne))
         K = kernel.value(x_pts[sl], kernel.grid_frames)
@@ -598,6 +790,25 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
             for j in range(w):  # slot j of distinct elements: distinct columns
                 out[sl, kernel.cols[:, j]] += win[:, :, j]
 
+    pair_i, pair_e = (np.concatenate(p) for p in zip(*near_pairs))
+    keep = ((pair_e != inside[pair_i]) & (pair_e != nb[pair_i, 0])
+            & (pair_e != nb[pair_i, 1]))
+    pair_i, pair_e = pair_i[keep], pair_e[keep]
+    toward, d, px = _pair_geometry(curve, params, x_pts, inside, pair_i, pair_e)
+    if local is not None:
+        # the keyed blocks and the other near pairs' rows, in one set of
+        # graded groups, contracted with the coefficients
+        own, touch, rows = _sample_blocks(curve, q, local, (pair_e, toward, d, px))
+        cw = kernel.cw
+        V = np.einsum("ejw,ew->ej", own, cw)
+        for side in (0, 1):
+            f = nb_el[:, side]
+            k = np.flatnonzero(f >= 0)
+            V[k] += np.einsum("ejw,ew->ej", touch[k, side], cw[f[k]])
+        out[:, 0] += V.ravel()
+        np.add.at(out[:, 0], pair_i, np.einsum("kw,kw->k", rows, cw[pair_e]))
+        return out
+
     # the containing element's rule, in blocks of _FAR_BLOCK / q^2 targets:
     # its size per target does not grow with the mesh as the far field's does
     step = max(1, int(_FAR_BLOCK // (q * q)))
@@ -605,14 +816,11 @@ def _potential(curve: Curve, kernel, params) -> np.ndarray:
         sl = slice(s0, s0 + step)
         for idx, kw, vals in kernel.containing(row[sl], tau[sl]):
             add(s0 + idx, inside[sl][idx], kw, vals)
-
-    pair_i, pair_e = (np.concatenate(p) for p in zip(*near_pairs))
-    keep = pair_e != inside[pair_i]
-    for ii, ue, slot, tw, px, frames, basis, origin in _graded_pair_rules(
-            curve, params, x_pts, inside, pair_i[keep], pair_e[keep], q):
+    for pick, ue, slot, tw, frames, basis, origin in _graded_pair_rules(
+            curve, pair_e, toward, d, q):
         dens = kernel.density(ue[:, None], frames, basis, origin)
-        kern = kernel.value(px, frames[slot])
-        add(ii, ue[slot], tw[slot] * kern, dens[slot])
+        kern = kernel.value(px[pick], frames[slot])
+        add(pair_i[pick], ue[slot], tw[slot] * kern, dens[slot])
     return out
 
 
@@ -639,14 +847,26 @@ def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
 
 
 def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
-                        order: int = DEFAULT_ORDER) -> np.ndarray:
+                        order: int = DEFAULT_ORDER, local=None) -> np.ndarray:
     """Evaluate V phi_h on the curve at the given parameters.
 
     phi_h = sum coeffs[q] R_q, contracted on the quadrature grids, so no
-    (targets x dim) array is built.
+    (targets x dim) array is built.  With ``local``, local coordinates
+    shared by every element, the targets are the nodes (e, local[j]) and
+    ``params`` their parameters, shape (n_el, len(local)); the values come
+    back in that shape, and each element's near field is computed once per
+    distinct content key (``_sample_blocks``).
     """
     kernel = _SingleLayer(curve, order, np.asarray(coeffs, dtype=float))
-    return _potential(curve, kernel, params)[:, 0] / (-_TWO_PI)
+    if local is None:
+        return _potential(curve, kernel, params)[:, 0] / (-_TWO_PI)
+    local = np.asarray(local, dtype=float)
+    shape = (curve.knots.n_elements, len(local))
+    if np.shape(params) != shape:
+        raise ValueError(f"params of targets at shared local coordinates must "
+                         f"have shape {shape}, got {np.shape(params)}")
+    return (_potential(curve, kernel, params, local)[:, 0]
+            / (-_TWO_PI)).reshape(shape)
 
 
 def double_layer_values(curve: Curve, g_of_points, params: np.ndarray,

@@ -23,7 +23,7 @@ that path to the per-node Horner sums of ``frame``, ``rational_basis``,
 import mpmath as mp
 import numpy as np
 import pytest
-from helpers import circle
+from helpers import circle, parity_curves
 
 from igabem.geometry import pacman, slit, square
 from igabem.operators import _radial_rule, _singular_pairs
@@ -244,21 +244,7 @@ SPEED_TOL = 6.1e-14
 DISPLACEMENT_TOL = 5.9e-14
 
 
-def _parity_curves():
-    """The four geometries with seven random knots each, and pacman with an
-    element of width 1e-12 on either side of every breakpoint."""
-    rng = np.random.default_rng(7)
-    for make in (slit, square, pacman, lambda: circle(0.8)):
-        yield make().refined(np.sort(rng.uniform(0.0, 1.0, 7)))
-    h = 1e-12
-    curve0 = pacman()
-    bps = curve0.knots.breakpoints
-    for b in bps[:-1]:
-        for t0 in (b, (b - h) % 1.0):
-            yield curve0.refined([t for t in (t0, t0 + h) if t not in bps])
-
-
-PARITY_CURVES = list(_parity_curves())
+PARITY_CURVES = list(parity_curves())
 
 
 def _shared_nodes():

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from igabem.adaptivity import initial_state, uniform_refine
 from igabem.estimators import (
     ResidualData,
     faermann_indicators,
@@ -25,13 +26,14 @@ from igabem.estimators import (
     residual_indicators,
     sample_residual,
 )
+from igabem.experiments import run_adaptive
 from igabem.geometry import Curve, pacman, slit, square
 from igabem.operators import galerkin_matrix, galerkin_rhs
 from igabem.quadrature import gauss_unit
 from igabem.solve import solve_linear
 from igabem.splines import KnotVector
 
-from helpers import circle
+from helpers import circle, slit_single_layer
 
 
 def _scalar_geometry(curve):
@@ -160,6 +162,30 @@ def test_cubic_single_element_closed_forms():
     mu2 = residual_indicators(res, weight="parameter")
     assert eta2 == pytest.approx([37.0 / 30.0, 37.0 / 30.0], rel=1e-12)
     assert mu2 == pytest.approx([0.9, 0.9], rel=1e-12)
+
+
+def _slit_mesh(name):
+    if name == "adaptive":
+        return run_adaptive("slit", method="galerkin", estimator="mu",
+                            theta=0.75, max_dofs=60).final_state.curve
+    state = initial_state(slit())
+    while state.curve.knots.dim < int(name):
+        state = uniform_refine(state)
+    return state.curve
+
+
+@pytest.mark.parametrize("mesh", ["17", "65", "257", "adaptive"])
+def test_residual_samples_meet_the_slit_closed_form(mesh):
+    # r = f - V phi_h at every sample, for the Galerkin density of the slit
+    # data, against V phi_h of the piecewise-linear density in closed form
+    curve = _slit_mesh(mesh)
+    f = lambda t: 0.5 * (1.0 - 2.0 * t)  # noqa: E731
+    coeffs, _ = solve_linear(galerkin_matrix(curve), galerkin_rhs(curve, f))
+    res = sample_residual(curve, coeffs, f)
+    assert res.params.shape == (curve.knots.n_elements, 6)
+    v = slit_single_layer(curve, coeffs, res.params.ravel()).reshape(res.params.shape)
+    np.testing.assert_allclose(res.values, f(res.params) - v,
+                               rtol=0, atol=1e-13 * np.abs(v).max())
 
 
 # --------------------------------------------------------------------------

@@ -310,12 +310,23 @@ def test_perfbench_tracer_finds_every_traced_name(monkeypatch):
 
     originals = (experiments.refine, experiments.uniform_refine)
     tracer = tracing.Tracer()
+    curve = slit().refined([0.25, 0.5, 0.75])
     try:
         tracer.install()  # raises AttributeError on a missing name
         assert experiments.refine is not originals[0]
+        # the residual samples reach V phi_h as one traced call that counts
+        # every sample: n_el * q_int points
+        experiments.sample_residual(curve, np.ones(curve.knots.dim),
+                                    lambda t: np.zeros_like(t), 16)
     finally:
         tracer.uninstall()
     assert (experiments.refine, experiments.uniform_refine) == originals
+    spans = tracer.take()
+    names = [span[0] for span in spans]
+    assert names.count("operators.single_layer_values") == 1
+    single = spans[names.index("operators.single_layer_values")]
+    assert spans[single[1]][0] == "estimators.sample_residual"
+    assert single[4] == curve.knots.n_elements * 6
 
 
 def test_traces_at_geometry_landmarks():

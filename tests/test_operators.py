@@ -31,7 +31,7 @@ from igabem.operators import (
 )
 from igabem.splines import KnotVector, rational_basis
 
-from helpers import circle
+from helpers import circle, parity_curves
 
 TOTAL_SLIT_ENERGY = (3.0 - 2.0 * np.log(2.0)) / np.pi
 
@@ -645,3 +645,146 @@ def test_memo_key_sees_a_basis_window_change():
     warm = set(memo)
     assert np.array_equal(galerkin_matrix(after, memo=memo), galerkin_matrix(after))
     assert operators._singular_keys(after, 16)[2] not in warm
+
+
+# --------------------------------------------------------------------------
+# residual samples as element-local targets: near blocks by content key
+# --------------------------------------------------------------------------
+
+def _three_element_loop():
+    """A closed triangle of three unequal elements, where some element
+    ends have a neighbour whose rule grades toward its other end."""
+    kv = KnotVector(1, (0.0, 0.2, 0.5, 1.0), (2, 1, 1, 2), periodic=True)
+    controls = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8], [0.0, 0.0]])
+    return Curve(kv, controls, np.ones(4))
+
+
+def _uniform_slit(steps):
+    state = initial_state(slit())
+    for _ in range(steps):
+        state = uniform_refine(state)
+    return state.curve
+
+
+# the straight quadratic's elements [1/2, 3/4] and [3/4, 1] have the same
+# width and frame table; only their basis windows tell their blocks apart
+SAMPLE_CURVES = (list(parity_curves())
+                 + [_uniform_slit(6), _corner_graded(slit(), 2, 3), square(),
+                    pacman(), circle(0.8), _three_element_loop(),
+                    _straight_quadratic((0.0, 0.1875, 0.5, 0.75, 1.0))])
+
+
+def _samples(curve, q):
+    u, _ = quadrature.gauss_unit(q)
+    kv = curve.knots
+    return u, kv.elements[:, :1] + kv.widths[:, None] * u
+
+
+@pytest.mark.parametrize("k", range(len(SAMPLE_CURVES)))
+def test_element_local_targets_match_parameters(k):
+    # the keyed near blocks against the per-target rules at the same
+    # parameters, on meshes with elements down to 1e-12, closed curves of
+    # four and three elements and a uniform slit where all blocks coincide
+    curve = SAMPLE_CURVES[k]
+    c = np.random.default_rng(k).standard_normal(curve.knots.dim)
+    for q in (6, 7):
+        u, params = _samples(curve, q)
+        got = single_layer_values(curve, c, params, local=u)
+        want = single_layer_values(curve, c, params.ravel()).reshape(params.shape)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def test_element_local_targets_keep_unkeyed_neighbours():
+    # on the three-element loop some neighbours grade away from the shared
+    # node and keep the graded rule by parameter; a wrong shape is refused
+    curve = _three_element_loop()
+    nb = operators._sample_neighbours(curve)
+    assert (nb < 0).any() and (nb >= 0).any()
+    u, params = _samples(curve, 6)
+    with pytest.raises(ValueError, match="shape"):
+        single_layer_values(curve, np.ones(4), params.ravel(), local=u)
+
+
+@pytest.mark.parametrize("name", list(MEMO_CURVES))
+def test_sample_blocks_do_not_depend_on_the_batch(name):
+    # each distinct key is computed on its first element and gathered for
+    # the others, which is only sound if a block's bits are its own
+    curve = list(_random_steps(MEMO_CURVES[name](), 4, seed=3))[-1]
+    u, _ = quadrature.gauss_unit(6)
+    e = np.arange(curve.knots.n_elements)
+    ends = np.flatnonzero(operators._sample_neighbours(curve).ravel() >= 0)
+    own, touch, _ = operators._sample_near_blocks(curve, 16, u, e, ends)
+    assert np.abs(touch).max() > 0.0
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        ie = rng.choice(len(e), rng.integers(1, len(e) + 1))
+        it = rng.choice(len(ends), rng.integers(1, len(ends) + 1))
+        o, t, _ = operators._sample_near_blocks(curve, 16, u, e[ie], ends[it])
+        assert np.array_equal(o, own[ie]) and np.array_equal(t, touch[it])
+    for i, j in ((0, 0), (len(e) - 1, len(ends) - 1)):  # batches of one
+        o, t, _ = operators._sample_near_blocks(curve, 16, u, e[[i]], ends[[j]])
+        assert np.array_equal(o[0], own[i]) and np.array_equal(t[0], touch[j])
+
+
+def test_sample_blocks_on_uniform_slit():
+    # every element of the uniform slit has the same tables: one own block
+    # and one block per side, whatever the mesh size
+    for steps in (3, 6):
+        curve = _uniform_slit(steps)
+        own, ends = operators._sample_keys(curve, 16, quadrature.gauss_unit(6)[0])
+        assert len(set(own)) == 1
+        assert len(set(ends) - {None}) == 2
+
+
+@pytest.mark.parametrize("change", ["control", "weight", "q_int", "order"])
+def test_sample_keys_cover_every_input(change, monkeypatch):
+    curve = list(_random_steps(pacman(), 3, seed=2))[-1]
+    order, u = 16, quadrature.gauss_unit(6)[0]
+    own0, ends0 = operators._sample_keys(curve, order, u)
+    blocks0, _, _ = operators._sample_blocks(curve, order, u)
+    changed = set()
+    if change == "q_int":
+        u = quadrature.gauss_unit(7)[0]
+    elif change == "order":
+        order = 12
+    else:  # same knots, row 3 edited: the elements whose window holds it change
+        controls, weights = curve.controls.copy(), curve.weights.copy()
+        if change == "control":
+            controls[3] += 1e-3
+        else:
+            weights[3] *= 1.25
+        first = curve.knots.element_table[0]
+        changed = set(np.flatnonzero((first <= 3) & (3 <= first + curve.degree)).tolist())
+        curve = Curve(curve.knots, controls, weights)
+    every = change in ("q_int", "order")
+    own1, ends1 = operators._sample_keys(curve, order, u)
+    nb = operators._sample_neighbours(curve)
+    for e in range(curve.knots.n_elements):
+        # a key changes exactly when its elements changed
+        assert (own1[e] != own0[e]) == (every or e in changed), e
+        for side in (0, 1):
+            k, f = 2 * e + side, int(nb[e, side])
+            assert (ends1[k] is None) == (f < 0) == (ends0[k] is None)
+            if f >= 0:
+                assert (ends1[k] != ends0[k]) == (every or bool({e, f} & changed)), k
+
+    computed = []
+    near_blocks = operators._sample_near_blocks
+
+    def spy(curve, order, u, e, ends, pairs=None):
+        computed.append((len(e), len(ends)))
+        return near_blocks(curve, order, u, e, ends, pairs)
+
+    monkeypatch.setattr(operators, "_sample_near_blocks", spy)
+    own, touch, _ = operators._sample_blocks(curve, order, u)
+    # each distinct key once, and the gathered blocks equal a fresh
+    # evaluation of every element and end
+    assert computed == [(len(set(own1)), len(set(ends1) - {None}))]
+    keyed = np.flatnonzero(nb.ravel() >= 0)
+    fresh_own, fresh_touch, _ = near_blocks(curve, order, u,
+                                            np.arange(len(own1)), keyed)
+    assert np.array_equal(own, fresh_own)
+    assert np.array_equal(touch.reshape(-1, *own.shape[1:])[keyed], fresh_touch)
+    for e in set(range(len(own1))) - changed:
+        if not every:  # an unchanged element keeps its block bit for bit
+            assert np.array_equal(own[e], blocks0[e]), e

@@ -30,7 +30,8 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", default="results", help="output directory")
     parser.add_argument("--theta", type=float, default=0.75)
     parser.add_argument("--quick", action="store_true",
-                        help="cap every run at 120 unknowns for a fast pass")
+                        help="stop every run at its first step with 120 or more "
+                        "unknowns, for a fast pass")
     parser.add_argument("--energy-cache", default=REF_ENERGY_CACHE)
     args = parser.parse_args(argv)
 

@@ -499,13 +499,19 @@ def write_run_csv(path: str | Path, record: RunRecord) -> None:
 
 
 def read_run_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a run history back as column arrays, validating the header."""
+    """Read a run history back as column arrays, validating the header and
+    the field count of every row (a file cut short ends in a short row)."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RUN_CSV_HEADER.split(","):
             raise ValueError(f"unexpected header {header!r} in {path}")
-        rows = [row for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num} of {path} has {len(row)} "
+                                 f"fields against the header's {len(header)}")
+            rows.append(row)
     out: dict[str, np.ndarray] = {}
     for j, name in enumerate(header):
         dtype = int if name in _INT_COLUMNS else float

@@ -35,19 +35,20 @@ integrates far elements on a plain Gauss grid, and the other elements near
 the target on composite rules graded toward it.  Targets come in one of
 two forms, which each caller names: parameters, or (element, local
 coordinate) nodes at local coordinates shared by every element, the form
-of the residual samples (``single_layer_values(..., local=u)``).  The far
-field runs in blocks of _FAR_BLOCK / (n_el q) targets, and each block finds
-its own near (target, element) pairs, so no array spans all targets times
-all elements.
-The element containing the target takes the kernel's own rule: for V a
-split at the target with the log-weight rule on each side, for K plain
-Gauss, since K is smooth along an arc; both take the kernel from divided
-differences.  That rule does not grow with the mesh, so it runs after the
-far field in blocks of its own, _FAR_BLOCK / q^2 targets.  Each target's
-row sums its far field, then its own element, then its graded pairs, in
-this order whatever the blocks, so the blocking changes no bit of the
-result.  A graded rule measures its nodes and the target from the element
-end it grades toward, so gamma(x) - gamma(t) is a difference of two
+of the residual samples (``single_layer_values(..., local=u)``).  The forms
+only name targets: each near-field rule runs in one loop that both call.
+The far field runs in blocks of _FAR_BLOCK / (n_el q) targets, and each
+block finds its own near (target, element) pairs, so no array spans all
+targets times all elements.  The element containing the target takes the
+kernel's own rule (``_containing_rows``): for V a split at the target with
+the log-weight rule on each side, for K plain Gauss, since K is smooth
+along an arc; both take the kernel from divided differences.  That rule
+does not grow with the mesh, so it runs after the far field in blocks of
+its own, _FAR_BLOCK / q^2 targets.  Each target's row sums its far field,
+then its own element, then its graded pairs, in this order whatever the
+blocks, so the blocking changes no bit of the result.  A graded rule
+(``_graded_rows``) measures its nodes and the target from the element end
+it grades toward, so gamma(x) - gamma(t) is a difference of two
 displacements from that end, each exact to its last digits, and one kernel
 formula serves every node.  The engine returns the density contracted with
 coefficients, the raw basis windows (one column per basis function), or the
@@ -60,12 +61,14 @@ coordinates; the block of a touching neighbour's rule graded toward the
 shared node also reads the neighbour's entry and which end is shared, the
 target's distance and displacement from that node coming from the
 element's own tables.  Whether such a neighbour is near a target follows
-from the same inputs, and the far field skips exactly those pairs.  Each
-distinct key is computed once per call and the blocks are contracted with
-each element's coefficients (``_sample_blocks``): on the uniform slit one
-own block and two neighbour blocks serve every element.  Neighbours that do
-not touch, and those whose rule grades away from the shared node (a closed
-curve of few elements), keep the rules by parameter.
+from the same inputs, one table for every element end
+(``_sample_offsets``), and the far field skips exactly those pairs.  Own
+and end keys share one table; each distinct key is computed once per call,
+and the blocks are contracted with each element's coefficients
+(``_sample_blocks``): on the uniform slit one own block and two neighbour
+blocks serve every element.  Neighbours that do not touch, and those whose
+rule grades away from the shared node (a closed curve of few elements),
+keep the rules by parameter.
 
 The log kernel of the pointwise single layer and of separated Galerkin
 pairs is 1/2 log(dx^2 + dy^2), formed in place (``_log_dist``): cheaper
@@ -293,22 +296,18 @@ def _singular_pairs(curve: Curve, order: int, memo: dict | None = None):
     e = np.arange(kv.n_elements)
     et, es = kv.patches[kv.touching].T
     keys = _singular_keys(curve, order)
+    first, slot = _distinct(keys)
     memo = {} if memo is None else memo
-    blocks = {k: memo[k] for k in keys if k in memo}
-    new = {}  # each missing key at its first pair
-    for i, k in enumerate(keys):
-        if k not in blocks:
-            new.setdefault(k, i)
-    first = np.fromiter(new.values(), dtype=int, count=len(new))
-    ident = first[first < len(e)]
-    touch = first[first >= len(e)] - len(e)
-    B, M = _duffy_blocks(curve, order, ident, et[touch], es[touch])
+    new = np.array([i for i in first if keys[i] not in memo], dtype=int)
+    touch = new[new >= len(e)] - len(e)
+    B, M = _duffy_blocks(curve, order, new[new < len(e)], et[touch], es[touch])
     # copies, so no stored block keeps its whole batch alive
-    blocks.update(zip(new, (b.copy() for b in (*B, *M))))
+    memo.update(zip([keys[i] for i in new], (b.copy() for b in (*B, *M))))
+    blocks = {keys[i]: memo[keys[i]] for i in first}
     memo.clear()
     memo.update(blocks)
     return (np.concatenate([e, es]), np.concatenate([e, et]),
-            np.stack([blocks[k] for k in keys]))
+            np.stack(list(blocks.values()))[slot])
 
 
 def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER,
@@ -449,18 +448,28 @@ def _pair_geometry(curve: Curve, params: np.ndarray, x_pts: np.ndarray,
     return toward, np.minimum(d_lo, d_hi), px
 
 
-def _graded_pair_rules(curve: Curve, pair_e: np.ndarray, toward: np.ndarray,
-                       d: np.ndarray, order: int):
-    """Group (target, element) pairs sharing a graded-rule shape.
+def _containing_rows(kernel, row, tau):
+    """The kernel's rule on the element containing each target (``row``,
+    ``tau`` as from ``KnotVector.locate``), in blocks of _FAR_BLOCK / q^2
+    targets: its size per target does not grow with the mesh as the far
+    field's does.  Yields each part's targets and rows against
+    ``kernel.density``, in the order the parts are summed."""
+    step = max(1, int(_FAR_BLOCK // (kernel.order * kernel.order)))
+    for s0 in range(0, len(row), step):
+        for idx, kw, vals in kernel.containing(row[s0:s0 + step], tau[s0:s0 + step]):
+            yield s0 + idx, np.einsum("kn,knw->kw", kw, vals)
+
+
+def _graded_rows(curve: Curve, kernel, pair_e: np.ndarray, toward: np.ndarray,
+                 d: np.ndarray, px: np.ndarray):
+    """Rows of (target, element) pairs on rules graded toward the target.
 
     Pair k's rule runs over element ``pair_e[k]``, graded toward its end
     ``toward[k]`` at the level that the target's distance ``d[k]`` from that
-    end sets, with nodes at offsets h x from the end.  Yields (pick,
-    elements, slot, weights, frames, basis, origin) per group: the group's
-    mask over the pairs, and weights, node ``frames`` (row 0 the
-    displacement from the end), basis windows and the end point ``origin``
-    once per distinct element, which pair k of the group reads at
-    ``slot[k]``.
+    end sets, with nodes at offsets h x from the end, and the target at
+    displacement ``px[k]`` from that end.  Frames, basis windows and the
+    density are formed once per distinct element of a group.  Yields each
+    group's mask over the pairs and its rows against ``kernel.density``.
     """
     hs = curve.knots.widths
     key = 2 * _grade_levels(hs[pair_e], d) + toward
@@ -468,11 +477,12 @@ def _graded_pair_rules(curve: Curve, pair_e: np.ndarray, toward: np.ndarray,
         pick = key == k
         levels, end = divmod(int(k), 2)
         ue, slot = np.unique(pair_e[pick], return_inverse=True)
-        xs, ws = graded_unit(order, levels)  # distances from the end in widths
+        xs, ws = graded_unit(kernel.order, levels)  # distances from the end in widths
         e = ue[:, None]
-        yield (pick, ue, slot, hs[e] * ws,
-               *curve.at_nodes(e, -xs if end else xs, end),
-               curve.end_points[2 * e + end])
+        frames, basis = curve.at_nodes(e, -xs if end else xs, end)
+        dens = kernel.density(e, frames, basis, curve.end_points[2 * e + end])
+        kern = kernel.value(px[pick], frames[slot])
+        yield pick, np.einsum("kn,knw->kw", (hs[e] * ws)[slot] * kern, dens[slot])
 
 
 class _SingleLayer:
@@ -606,15 +616,17 @@ def _sample_neighbours(curve: Curve) -> np.ndarray:
     return nb
 
 
-def _sample_offsets(curve: Curve, u: np.ndarray, e: np.ndarray,
-                    side: np.ndarray, nb: np.ndarray):
-    """Offsets h (u - side) of the targets at local coordinates u of
-    elements e from their ends ``side``, and whether the neighbour ``nb``
-    across that end is near them: |offset| < NEAR_FACTOR h'.  Both read only
-    the widths, so the decision follows from a touching key."""
+def _sample_offsets(curve: Curve, u: np.ndarray):
+    """The keyed neighbours (``_sample_neighbours``), (n_el, 2), and for the
+    targets at local coordinates u of every element, (n_el, 2, len(u)),
+    their offsets h (u - side) from each end and whether the keyed neighbour
+    across that end is near them: |offset| < NEAR_FACTOR h'.  Both read
+    only the widths, so the decision follows from a touching key."""
     hs = curve.knots.widths
-    tau = hs[e][:, None] * (u - side[:, None])
-    return tau, np.abs(tau) < NEAR_FACTOR * hs[nb][:, None]
+    nb = _sample_neighbours(curve)
+    offset = hs[:, None, None] * (u - np.arange(2)[:, None])
+    near = (np.abs(offset) < NEAR_FACTOR * hs[nb][..., None]) & (nb >= 0)[..., None]
+    return nb, offset, near
 
 
 def _sample_keys(curve: Curve, order: int, u: np.ndarray):
@@ -631,55 +643,41 @@ def _sample_keys(curve: Curve, order: int, u: np.ndarray):
              for k, f in enumerate(nb)])
 
 
-def _graded_rows(curve: Curve, order: int, pair_e: np.ndarray,
-                 toward: np.ndarray, d: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Each (target, element) pair's graded rule (``_graded_pair_rules``)
-    against the element's raw basis windows times speed, for a target at
-    displacement ``px`` from the end it grades toward: (n_pairs, p + 1)."""
-    rows = np.zeros((len(pair_e), curve.degree + 1))
-    for pick, ue, slot, tw, frames, basis, _ in _graded_pair_rules(
-            curve, pair_e, toward, d, order):
-        kern = _SingleLayer.value(px[pick], frames[slot])
-        rows[pick] = np.einsum("kn,knw->kw", tw[slot] * kern, _phi(frames, basis)[slot])
-    return rows
-
-
 def _sample_near_blocks(curve: Curve, order: int, u: np.ndarray,
                         e: np.ndarray, ends: np.ndarray, pairs=None):
     """Near blocks of targets at the shared local coordinates u, against
     raw basis windows times speed (one column per basis function).
 
-    Element e's own block takes its split rule (``_SingleLayer.containing``)
-    at targets (e, u_j); the block of element end 2 e + side takes the rule
-    on the neighbour across that end graded toward the shared node, with
-    the target's distance and displacement from the node read from e's
-    tables at offset h (u_j - side), and zero rows for far targets.  Each
-    reads only its keys' inputs (``_sample_keys``), so a block's bits do not
-    depend on its batch.  Further graded ``pairs`` (element, end, distance,
-    displacement) share the end blocks' groups.  Returns the own blocks,
-    (len(e), len(u), p + 1), the end blocks, (len(ends), len(u), p + 1), and
-    the rows of ``pairs``.
+    Element e's own block takes its split rule (``_containing_rows``) at
+    targets (e, u_j); the block of element end 2 e + side takes the rule
+    on the neighbour across that end graded toward the shared node
+    (``_graded_rows``), with the target's distance and displacement from
+    the node read from e's tables at its offset (``_sample_offsets``), and
+    zero rows for far targets.  Each reads only its keys' inputs
+    (``_sample_keys``), so a block's bits do not depend on its batch.
+    Further graded ``pairs`` (element, end, distance, displacement) share
+    the end blocks' groups.  Returns the own blocks, (len(e), len(u),
+    p + 1), the end blocks, (len(ends), len(u), p + 1), and the rows of
+    ``pairs``.
     """
-    kv = curve.knots
     shape = (len(u), curve.degree + 1)
     raw = _SingleLayer(curve, order)
-    row, tau = (a.ravel() for a in np.broadcast_arrays(*kv.local(e[:, None], u)))
+    row, tau = (a.ravel() for a in np.broadcast_arrays(*curve.knots.local(e[:, None], u)))
     own = np.zeros((len(row), shape[1]))
-    step = max(1, int(_FAR_BLOCK // (order * order)))
-    for s0 in range(0, len(row), step):
-        sl = slice(s0, s0 + step)
-        for idx, kw, vals in raw.containing(row[sl], tau[sl]):
-            own[s0 + idx] += np.einsum("kn,knw->kw", kw, vals)
+    for idx, rows in _containing_rows(raw, row, tau):
+        own[idx] += rows
 
+    nb, offset, near = _sample_offsets(curve, u)
     te, side = ends >> 1, ends & 1
-    nb = _sample_neighbours(curve)[te, side]
-    tau, near = _sample_offsets(curve, u, te, side, nb)
-    pk, pj = np.nonzero(near)
-    px = curve.displacement(2 * te[pk] + side[pk], tau[pk, pj])[:, 0]
-    graded = (nb[pk], 1 - side[pk], np.abs(tau[pk, pj]), px)
+    pk, pj = np.nonzero(near[te, side])
+    h = offset[te[pk], side[pk], pj]
+    px = curve.displacement(ends[pk], h)[:, 0]
+    graded = (nb[te[pk], side[pk]], 1 - side[pk], np.abs(h), px)
     if pairs is not None:
         graded = [np.concatenate(ab) for ab in zip(graded, pairs)]
-    rows = _graded_rows(curve, order, *graded)
+    rows = np.zeros((len(graded[0]), shape[1]))
+    for pick, r in _graded_rows(curve, raw, *graded):
+        rows[pick] = r
     touch = np.zeros((len(ends),) + shape)
     touch[pk, pj] = rows[:len(pk)]
     return own.reshape((len(e),) + shape), touch, rows[len(pk):]
@@ -689,20 +687,18 @@ def _sample_blocks(curve: Curve, order: int, u: np.ndarray, pairs=None):
     """Every element's near blocks for targets at the shared local
     coordinates u, each distinct key (``_sample_keys``) computed once on
     its first element or end, and the rows of further graded ``pairs``
-    (``_sample_near_blocks``).  Returns the own blocks, (n_el, len(u),
-    p + 1), the end blocks, (n_el, 2, len(u), p + 1), zero where there is
-    no keyed neighbour, and the rows of ``pairs``."""
+    (``_sample_near_blocks``).  An own key and an end key differ in length,
+    so one table serves both.  Returns one stack, (n_el + n_keyed,
+    len(u), p + 1): every element's own block, then the block of each
+    element end 2 e + side with a keyed neighbour, in order of 2 e + side;
+    and the rows of ``pairs``."""
     n = curve.knots.n_elements
     own_keys, end_keys = _sample_keys(curve, order, u)
-    keyed = np.array([k for k, key in enumerate(end_keys) if key is not None],
-                     dtype=int)
-    e_first, e_slot = _distinct(own_keys)
-    k_first, k_slot = _distinct([end_keys[k] for k in keyed])
-    own, ends, rows = _sample_near_blocks(curve, order, u, e_first,
-                                          keyed[k_first], pairs)
-    touch = np.zeros((2 * n,) + own.shape[1:])
-    touch[keyed] = ends[k_slot]
-    return own[e_slot], touch.reshape((n, 2) + own.shape[1:]), rows
+    keyed = np.flatnonzero([k is not None for k in end_keys])
+    first, slot = _distinct(own_keys + [end_keys[k] for k in keyed])
+    own, ends, rows = _sample_near_blocks(curve, order, u, first[first < n],
+                                          keyed[first[first >= n] - n], pairs)
+    return np.concatenate([own, ends])[slot], rows
 
 
 def _potential(curve: Curve, kernel, params, local=None) -> np.ndarray:
@@ -717,14 +713,17 @@ def _potential(curve: Curve, kernel, params, local=None) -> np.ndarray:
     ``cols[e, j]`` of slot j of element e's window among ``n_cols``, and
     the rule on the element containing the target.  Far elements take the
     grid, in blocks of targets; the other near elements take composite
-    rules graded toward the target.  Returns an (n_targets, n_cols) array.
+    rules graded toward the target.  Each rule runs in one loop whatever
+    the form of the targets (``_containing_rows``, ``_graded_rows``).
+    Returns an (n_targets, n_cols) array.
 
     With ``local`` the targets are the nodes (e, local[j]) of every element
     e, element by element, ``params`` holds their parameters, and
     ``kernel`` is a ``_SingleLayer`` with coefficients.  Each target's own
-    element and its keyed neighbours (``_sample_blocks``) then take the
-    blocks of their keys, and the far field skips exactly the keyed pairs
-    that those blocks call near.  The other near pairs keep their rules by
+    element and its keyed neighbours then take the blocks of their keys,
+    one table of them (``_sample_blocks``), and the far field skips exactly
+    the keyed pairs that the table of near neighbours calls near
+    (``_sample_offsets``).  The other near pairs keep their rules by
     parameter, run in the same graded groups as the neighbour blocks, and
     all are contracted with the coefficients after integration.
     """
@@ -746,20 +745,14 @@ def _potential(curve: Curve, kernel, params, local=None) -> np.ndarray:
         x_pts = x_pts[..., 0, :].reshape(-1, 2)
         inside = np.repeat(e.ravel(), len(local))
         # per target: the keyed neighbour across each end and whether it is near
-        nb_el = _sample_neighbours(curve)
-        ends = np.arange(2 * n_el)
-        _, keyed_near = _sample_offsets(curve, local, ends >> 1, ends & 1, nb_el.ravel())
-        keyed_near &= nb_el.reshape(-1, 1) >= 0
-        keyed_near = keyed_near.reshape(n_el, 2, -1).transpose(0, 2, 1).reshape(-1, 2)
+        nb_el, _, near_el = _sample_offsets(curve, local)
         nb = nb_el[inside]
+        j = np.arange(len(params)) % len(local)
+        keyed_near = near_el[inside[:, None], [0, 1], j[:, None]]
     m = len(params)
     out = np.zeros((m, kernel.n_cols))
     hs = kv.widths
     mids = kv.elements.mean(axis=1)
-
-    def add(ii, ee, kw, vals):
-        np.add.at(out, (ii[:, None], kernel.cols[ee]),
-                  np.einsum("kn,knw->kw", kw, vals))
 
     # far elements, block by block of targets; near are the containing
     # element, the keyed neighbours that their keys call near, and the
@@ -772,14 +765,11 @@ def _potential(curve: Curve, kernel, params, local=None) -> np.ndarray:
         gap = np.abs(curve.param_delta(params[sl, None], mids))
         near = np.maximum(gap - 0.5 * hs, 0.0) < NEAR_FACTOR * hs
         near[np.arange(len(near)), inside[sl]] = True
-        for side in (0, 1):
-            f = nb[sl, side]
-            k = np.flatnonzero(f >= 0)
-            near[k, f[k]] = keyed_near[s0 + k, side]
+        k, side = np.nonzero(nb[sl] >= 0)  # a target's two keyed neighbours differ
+        near[k, nb[s0 + k, side]] = keyed_near[s0 + k, side]
         ni, ne = np.nonzero(near)
         near_pairs.append((s0 + ni, ne))
-        K = kernel.value(x_pts[sl], kernel.grid_frames)
-        K = K.reshape(-1, n_el, q)
+        K = kernel.value(x_pts[sl], kernel.grid_frames).reshape(-1, n_el, q)
         K[near] = 0.0
         if w == 1:
             # multiply and sum per row: a matrix-vector product would
@@ -791,36 +781,26 @@ def _potential(curve: Curve, kernel, params, local=None) -> np.ndarray:
                 out[sl, kernel.cols[:, j]] += win[:, :, j]
 
     pair_i, pair_e = (np.concatenate(p) for p in zip(*near_pairs))
-    keep = ((pair_e != inside[pair_i]) & (pair_e != nb[pair_i, 0])
-            & (pair_e != nb[pair_i, 1]))
+    keep = (pair_e != inside[pair_i]) & (pair_e[:, None] != nb[pair_i]).all(axis=1)
     pair_i, pair_e = pair_i[keep], pair_e[keep]
     toward, d, px = _pair_geometry(curve, params, x_pts, inside, pair_i, pair_e)
     if local is not None:
-        # the keyed blocks and the other near pairs' rows, in one set of
-        # graded groups, contracted with the coefficients
-        own, touch, rows = _sample_blocks(curve, q, local, (pair_e, toward, d, px))
-        cw = kernel.cw
-        V = np.einsum("ejw,ew->ej", own, cw)
-        for side in (0, 1):
-            f = nb_el[:, side]
-            k = np.flatnonzero(f >= 0)
-            V[k] += np.einsum("ejw,ew->ej", touch[k, side], cw[f[k]])
+        # the keyed blocks, each with the element of its targets and that of
+        # its coefficients, summed per target own, side 0, side 1; then the
+        # other near pairs' rows, which ran in the same graded groups
+        blocks, rows = _sample_blocks(curve, q, local, (pair_e, toward, d, px))
+        te, side = np.nonzero(nb_el >= 0)  # the keyed ends, in the stack's order
+        to, f = np.hstack([[e.ravel()] * 2, [te, nb_el[te, side]]])
+        V = np.zeros((n_el, len(local)))
+        np.add.at(V, to, np.einsum("bjw,bw->bj", blocks, kernel.cw[f]))
         out[:, 0] += V.ravel()
-        np.add.at(out[:, 0], pair_i, np.einsum("kw,kw->k", rows, cw[pair_e]))
+        np.add.at(out[:, 0], pair_i, np.einsum("kw,kw->k", rows, kernel.cw[pair_e]))
         return out
 
-    # the containing element's rule, in blocks of _FAR_BLOCK / q^2 targets:
-    # its size per target does not grow with the mesh as the far field's does
-    step = max(1, int(_FAR_BLOCK // (q * q)))
-    for s0 in range(0, m, step):
-        sl = slice(s0, s0 + step)
-        for idx, kw, vals in kernel.containing(row[sl], tau[sl]):
-            add(s0 + idx, inside[sl][idx], kw, vals)
-    for pick, ue, slot, tw, frames, basis, origin in _graded_pair_rules(
-            curve, pair_e, toward, d, q):
-        dens = kernel.density(ue[:, None], frames, basis, origin)
-        kern = kernel.value(px[pick], frames[slot])
-        add(pair_i[pick], ue[slot], tw[slot] * kern, dens[slot])
+    for ii, r in _containing_rows(kernel, row, tau):
+        np.add.at(out, (ii[:, None], kernel.cols[inside[ii]]), r)
+    for pick, r in _graded_rows(curve, kernel, pair_e, toward, d, px):
+        np.add.at(out, (pair_i[pick][:, None], kernel.cols[pair_e[pick]]), r)
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from igabem.cli import build_parser, main
-from igabem.experiments import read_run_csv
+from igabem.experiments import RUN_CSV_HEADER, read_run_csv
 
 
 def test_parser_rejects_unknown_problem(capsys):
@@ -38,6 +38,25 @@ def test_rates_fails_cleanly_on_bad_file(tmp_path, capsys):
     bad.write_text("nope\n", encoding="utf-8")
     assert main(["rates", str(bad)]) == 1
     assert "unexpected header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", ["short", "long"])
+def test_rates_refuses_a_row_of_the_wrong_length(tmp_path, capsys, cut):
+    # a run CSV cut short in its last row, or with a field too many there,
+    # is refused in one line naming the file and the line; the good file
+    # given in the same call is still reported
+    rows = ["%d,%d,%d,%r,%r,%r,1,1,5" % (i, n, n - 1, 1 / n, 2 / n, 1 / n ** 2)
+            for i, n in enumerate((3, 5, 9, 17))]
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("\n".join([RUN_CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    last = rows[-1].rsplit(",", 3)[0] if cut == "short" else rows[-1] + ",7"
+    bad.write_text("\n".join([RUN_CSV_HEADER, *rows[:-1], last]), encoding="utf-8")
+    assert main(["rates", str(bad), str(good)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(f"{bad}: ") and "line 5 " in captured.err
+    assert str(good) in captured.out and "err" in captured.out
+    assert str(bad) not in captured.out
 
 
 @pytest.mark.parametrize("argv, why", [

@@ -311,7 +311,8 @@ def test_collocation_rows_match_pointwise():
 def test_potentials_do_not_depend_on_blocking(monkeypatch, targets_per_block):
     # the far field and the containing element run in blocks of targets of
     # two budgets, and the near pairs are collected block by block; each
-    # target's row must come out bit for bit the same whatever the blocks
+    # target's row must come out bit for bit the same whatever the blocks,
+    # for parameter targets and for element-local ones
     rng = np.random.default_rng(11)
     q = operators.DEFAULT_ORDER
 
@@ -319,8 +320,10 @@ def test_potentials_do_not_depend_on_blocking(monkeypatch, targets_per_block):
         return pts[:, 0] ** 2 + np.sin(pts[:, 1])
 
     def potentials(curve, params, c):
+        u, local_params = _samples(curve, 6)
         return (single_layer_values(curve, c, params), collocation_matrix(curve),
-                double_layer_values(curve, g, params))
+                double_layer_values(curve, g, params),
+                single_layer_values(curve, c, local_params, local=u))
 
     for curve in (slit(), pacman(), _corner_graded(pacman()), circle(0.8)):
         kv = curve.knots
@@ -741,7 +744,7 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
     curve = list(_random_steps(pacman(), 3, seed=2))[-1]
     order, u = 16, quadrature.gauss_unit(6)[0]
     own0, ends0 = operators._sample_keys(curve, order, u)
-    blocks0, _, _ = operators._sample_blocks(curve, order, u)
+    blocks0, _ = operators._sample_blocks(curve, order, u)
     changed = set()
     if change == "q_int":
         u = quadrature.gauss_unit(7)[0]
@@ -776,15 +779,16 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
         return near_blocks(curve, order, u, e, ends, pairs)
 
     monkeypatch.setattr(operators, "_sample_near_blocks", spy)
-    own, touch, _ = operators._sample_blocks(curve, order, u)
-    # each distinct key once, and the gathered blocks equal a fresh
-    # evaluation of every element and end
+    blocks, _ = operators._sample_blocks(curve, order, u)
+    # each distinct key once, and the gathered stack equals a fresh
+    # evaluation of every element, then of every keyed end in order
     assert computed == [(len(set(own1)), len(set(ends1) - {None}))]
     keyed = np.flatnonzero(nb.ravel() >= 0)
     fresh_own, fresh_touch, _ = near_blocks(curve, order, u,
                                             np.arange(len(own1)), keyed)
+    own = blocks[:len(own1)]
     assert np.array_equal(own, fresh_own)
-    assert np.array_equal(touch.reshape(-1, *own.shape[1:])[keyed], fresh_touch)
+    assert np.array_equal(blocks[len(own1):], fresh_touch)
     for e in set(range(len(own1))) - changed:
         if not every:  # an unchanged element keeps its block bit for bit
             assert np.array_equal(own[e], blocks0[e]), e

@@ -67,6 +67,10 @@ def _cmd_rates(args) -> int:
             status = 1
             continue
         ns = cols["N"]
+        if len(ns) < 2:  # no slope through fewer than two rows
+            print(f"{path}: {len(ns)} rows, a rate needs at least two", file=sys.stderr)
+            status = 1
+            continue
         print(path)
         for label, vals in (("err", np.sqrt(cols["err_sq"])),
                             ("eta", cols["eta"]), ("mu", cols["mu"])):

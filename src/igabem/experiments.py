@@ -410,7 +410,10 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
     state = initial_state(problem.make_curve())
     f = problem.rhs_factory(state.curve, order)
     rows: list[dict] = []
-    blocks: dict = {}  # the singular Galerkin blocks, carried across steps
+    # the singular Galerkin blocks and the residual samples' near blocks,
+    # carried across steps
+    blocks: dict = {}
+    near: dict = {}
 
     for it in range(MAX_ITERATIONS):
         t0 = time.perf_counter()
@@ -434,7 +437,7 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
                            "at N=%d, stopping", kv.dim)
             break
 
-        res = sample_residual(curve, c, f, order)
+        res = sample_residual(curve, c, f, order, memo=near)
         eta_sq = faermann_indicators(res)
         mu_sq = residual_indicators(res)
         eta = float(np.sqrt(eta_sq.sum()))

@@ -158,8 +158,10 @@ class Curve:
 
     @cached_property
     def _grids(self) -> dict:
-        """Gauss grids by quadrature order, filled by ``operators._grid``;
-        the curve never changes, so neither do they."""
+        """Gauss grids by quadrature order, filled by ``operators._grid``,
+        and double-layer kernels by data and order, filled by
+        ``operators.double_layer_values``; the curve never changes, so
+        neither do they."""
         return {}
 
     # -- evaluation ----------------------------------------------------------

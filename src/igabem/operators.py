@@ -63,12 +63,22 @@ target's distance and displacement from that node coming from the
 element's own tables.  Whether such a neighbour is near a target follows
 from the same inputs, one table for every element end
 (``_sample_offsets``), and the far field skips exactly those pairs.  Own
-and end keys share one table; each distinct key is computed once per call,
-and the blocks are contracted with each element's coefficients
+and end keys share one table; each distinct key is computed once, and the
+blocks are contracted with each element's coefficients
 (``_sample_blocks``): on the uniform slit one own block and two neighbour
-blocks serve every element.  Neighbours that do not touch, and those whose
-rule grades away from the shared node (a closed curve of few elements),
-keep the rules by parameter.
+blocks serve every element.  A ``memo`` dict carries these blocks from one
+mesh to the next under the singular blocks' contract, so a refinement step
+computes only the keys of the elements it changed and of their
+neighbours.  Neighbours that do not touch, and those whose rule grades
+away from the shared node (a closed curve of few elements), keep the
+rules by parameter and run at every call.
+
+The Dirichlet data evaluates (K + 1/2) g on one curve, call after call.
+The double-layer kernel of one g and order is therefore kept on the curve
+with its Gauss grids, and serves every call there: its grid and g on it
+are formed once, and so are the node frames and g values of each
+(element, levels, end) of a graded group, all that such a group reads
+apart from its targets.  Single-layer kernels form their groups anew.
 
 The log kernel of the pointwise single layer and of separated Galerkin
 pairs is 1/2 log(dx^2 + dy^2), formed in place (``_log_dist``): cheaper
@@ -282,15 +292,28 @@ def _distinct(keys: list):
     return np.unique(slot, return_index=True)[1], slot
 
 
+def _remember(memo: dict, keys: list, first, new, computed, what: str) -> np.ndarray:
+    """Store copies of the ``computed`` blocks of the keys at ``new`` in
+    ``memo``, so that no stored block keeps its whole batch alive, and
+    leave it holding the keys at ``first`` alone.  Returns their blocks,
+    stacked in that order, and logs how many were computed and reused."""
+    memo.update(zip([keys[i] for i in new], (b.copy() for b in computed)))
+    blocks = {keys[i]: memo[keys[i]] for i in first}
+    memo.clear()
+    memo.update(blocks)
+    logger.debug("%s blocks: %d computed, %d reused", what, len(new), len(first) - len(new))
+    return np.stack(list(blocks.values()))
+
+
 def _singular_pairs(curve: Curve, order: int, memo: dict | None = None):
     """Element matrices of every identical and touching pair of elements.
 
     Blocks are looked up by content key (``_singular_keys``): pairs with
     bit-identical inputs have bit-identical blocks, so each key missing from
     ``memo`` is computed once, in one batch per regime, and ``memo`` is left
-    holding the blocks of this mesh's keys alone.  Returns (s elements,
-    t elements, blocks); the blocks pair the s basis window against the
-    t window and enter the matrix with their transposes.
+    holding the blocks of this mesh's keys alone (``_remember``).  Returns
+    (s elements, t elements, blocks); the blocks pair the s basis window
+    against the t window and enter the matrix with their transposes.
     """
     kv = curve.knots
     e = np.arange(kv.n_elements)
@@ -301,13 +324,8 @@ def _singular_pairs(curve: Curve, order: int, memo: dict | None = None):
     new = np.array([i for i in first if keys[i] not in memo], dtype=int)
     touch = new[new >= len(e)] - len(e)
     B, M = _duffy_blocks(curve, order, new[new < len(e)], et[touch], es[touch])
-    # copies, so no stored block keeps its whole batch alive
-    memo.update(zip([keys[i] for i in new], (b.copy() for b in (*B, *M))))
-    blocks = {keys[i]: memo[keys[i]] for i in first}
-    memo.clear()
-    memo.update(blocks)
-    return (np.concatenate([e, es]), np.concatenate([e, et]),
-            np.stack(list(blocks.values()))[slot])
+    blocks = _remember(memo, keys, first, new, (*B, *M), "singular")
+    return np.concatenate([e, es]), np.concatenate([e, et]), blocks[slot]
 
 
 def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER,
@@ -452,8 +470,8 @@ def _containing_rows(kernel, row, tau):
     """The kernel's rule on the element containing each target (``row``,
     ``tau`` as from ``KnotVector.locate``), in blocks of _FAR_BLOCK / q^2
     targets: its size per target does not grow with the mesh as the far
-    field's does.  Yields each part's targets and rows against
-    ``kernel.density``, in the order the parts are summed."""
+    field's does.  Yields each part's targets and rows against the
+    kernel's density, in the order the parts are summed."""
     step = max(1, int(_FAR_BLOCK // (kernel.order * kernel.order)))
     for s0 in range(0, len(row), step):
         for idx, kw, vals in kernel.containing(row[s0:s0 + step], tau[s0:s0 + step]):
@@ -467,9 +485,9 @@ def _graded_rows(curve: Curve, kernel, pair_e: np.ndarray, toward: np.ndarray,
     Pair k's rule runs over element ``pair_e[k]``, graded toward its end
     ``toward[k]`` at the level that the target's distance ``d[k]`` from that
     end sets, with nodes at offsets h x from the end, and the target at
-    displacement ``px[k]`` from that end.  Frames, basis windows and the
-    density are formed once per distinct element of a group.  Yields each
-    group's mask over the pairs and its rows against ``kernel.density``.
+    displacement ``px[k]`` from that end.  The kernel gives the frames and
+    the density once per distinct element of a group (``graded``).  Yields
+    each group's mask over the pairs and its rows against that density.
     """
     hs = curve.knots.widths
     key = 2 * _grade_levels(hs[pair_e], d) + toward
@@ -478,11 +496,9 @@ def _graded_rows(curve: Curve, kernel, pair_e: np.ndarray, toward: np.ndarray,
         levels, end = divmod(int(k), 2)
         ue, slot = np.unique(pair_e[pick], return_inverse=True)
         xs, ws = graded_unit(kernel.order, levels)  # distances from the end in widths
-        e = ue[:, None]
-        frames, basis = curve.at_nodes(e, -xs if end else xs, end)
-        dens = kernel.density(e, frames, basis, curve.end_points[2 * e + end])
+        frames, dens = kernel.graded(ue, levels, end, -xs if end else xs)
         kern = kernel.value(px[pick], frames[slot])
-        yield pick, np.einsum("kn,knw->kw", (hs[e] * ws)[slot] * kern, dens[slot])
+        yield pick, np.einsum("kn,knw->kw", (hs[ue, None] * ws)[slot] * kern, dens[slot])
 
 
 class _SingleLayer:
@@ -512,11 +528,17 @@ class _SingleLayer:
         return _log_dist(px[:, None, 0] - frames[..., 0, 0],
                          px[:, None, 1] - frames[..., 0, 1], 1e-300)
 
-    def density(self, e, frames, basis, origin=None):  # reads only speeds
+    def density(self, e, frames, basis):  # reads only speeds
         phi = _phi(frames, basis)
         if self.cw is None:
             return phi
         return (phi * self.cw[e]).sum(axis=-1, keepdims=True)
+
+    def graded(self, e, levels, end, s):
+        """Frames and density of elements e at unit offsets s from their
+        end ``end``, the nodes of a graded group of ``levels``."""
+        frames, basis = self.curve.at_nodes(e[:, None], s, end)
+        return frames, self.density(e[:, None], frames, basis)
 
     def containing(self, row, tau):
         """Split the element at the target: log|x - t| goes into the
@@ -550,6 +572,10 @@ class _DoubleLayer:
     """Double-layer kernel against data g at boundary points, in one column.
 
     The kernel carries the speed.  Far elements use a Gauss grid of its own.
+    One kernel serves every call on its curve with the same g and order
+    (``double_layer_values``), so it keeps the node frames and g values of
+    each (element, levels, end) of a graded group in ``tables``, and counts
+    the lookups it served from them in ``reused``.
     """
 
     n_cols = 1
@@ -566,6 +592,8 @@ class _DoubleLayer:
         gjac = np.asarray(g_of_points(self.grid_frames[:, 0])) * (hs * wg).ravel()
         self.grid = gjac.reshape(kv.n_elements, order, 1)
         self.cols = np.zeros((kv.n_elements, 1), dtype=int)
+        self.tables: dict = {}
+        self.reused = 0
 
     @staticmethod
     def value(px, frames):
@@ -576,9 +604,20 @@ class _DoubleLayer:
         d1 = frames[..., 1, :]
         return (dx * d1[..., 1] - dy * d1[..., 0]) / (dx * dx + dy * dy + 1e-300)
 
-    def density(self, e, frames, basis, origin):
-        vals = self.g_of_points((frames[..., 0, :] + origin).reshape(-1, 2))
-        return np.asarray(vals).reshape(frames.shape[:-2] + (1,))
+    def graded(self, e, levels, end, s):
+        """Frames and g of elements e at unit offsets s from their end
+        ``end``, the nodes of a graded group of ``levels``; the elements not
+        in ``tables`` are formed in one batch and kept."""
+        new = [k for k in e.tolist() if (k, levels, end) not in self.tables]
+        if new:
+            en = np.array(new)[:, None]
+            frames = self.curve.at_nodes(en, s, end)[0]
+            pts = frames[..., 0, :] + self.curve.end_points[2 * en + end]
+            g = np.asarray(self.g_of_points(pts.reshape(-1, 2))).reshape(pts.shape[:-1] + (1,))
+            self.tables.update(((k, levels, end), t) for k, t in zip(new, zip(frames, g)))
+        self.reused += len(e) - len(new)
+        frames, g = zip(*(self.tables[k, levels, end] for k in e.tolist()))
+        return np.stack(frames), np.stack(g)
 
     def containing(self, row, tau):
         """The kernel is smooth inside the element containing the target, so
@@ -683,35 +722,40 @@ def _sample_near_blocks(curve: Curve, order: int, u: np.ndarray,
     return own.reshape((len(e),) + shape), touch, rows[len(pk):]
 
 
-def _sample_blocks(curve: Curve, order: int, u: np.ndarray, pairs=None):
+def _sample_blocks(curve: Curve, order: int, u: np.ndarray, pairs=None,
+                   memo: dict | None = None):
     """Every element's near blocks for targets at the shared local
-    coordinates u, each distinct key (``_sample_keys``) computed once on
-    its first element or end, and the rows of further graded ``pairs``
-    (``_sample_near_blocks``).  An own key and an end key differ in length,
-    so one table serves both.  Returns one stack, (n_el + n_keyed,
-    len(u), p + 1): every element's own block, then the block of each
-    element end 2 e + side with a keyed neighbour, in order of 2 e + side;
-    and the rows of ``pairs``."""
+    coordinates u, and the rows of further graded ``pairs``
+    (``_sample_near_blocks``).  Each distinct key (``_sample_keys``)
+    missing from ``memo`` is computed once, on its first element or end,
+    in one batch with ``pairs``, and ``memo`` is left holding the blocks of
+    this mesh's keys alone (``_remember``).  An own key and an end key
+    differ in length, so one table serves both.  Returns one stack,
+    (n_el + n_keyed, len(u), p + 1): every element's own block, then the
+    block of each element end 2 e + side with a keyed neighbour, in order
+    of 2 e + side; and the rows of ``pairs``."""
     n = curve.knots.n_elements
     own_keys, end_keys = _sample_keys(curve, order, u)
     keyed = np.flatnonzero([k is not None for k in end_keys])
-    first, slot = _distinct(own_keys + [end_keys[k] for k in keyed])
-    own, ends, rows = _sample_near_blocks(curve, order, u, first[first < n],
-                                          keyed[first[first >= n] - n], pairs)
-    return np.concatenate([own, ends])[slot], rows
+    keys = own_keys + [end_keys[k] for k in keyed]
+    first, slot = _distinct(keys)
+    memo = {} if memo is None else memo
+    new = np.array([i for i in first if keys[i] not in memo], dtype=int)
+    own, ends, rows = _sample_near_blocks(curve, order, u, new[new < n],
+                                          keyed[new[new >= n] - n], pairs)
+    return _remember(memo, keys, first, new, (*own, *ends), "sample")[slot], rows
 
 
-def _potential(curve: Curve, kernel, params, local=None) -> np.ndarray:
+def _potential(curve: Curve, kernel, params, local=None, memo=None) -> np.ndarray:
     """Integrals of ``kernel`` against its density at the target parameters.
 
     ``kernel`` supplies the kernel ``value`` on a Gauss grid
     (``grid_frames``, points and whatever derivatives ``value`` reads) and
     at other quadrature nodes, its density there (``grid`` (n_el, q, w)
-    times weights, ``density`` at other nodes from their frames, measured
-    from ``origin``, and basis windows, both in windows of w values), the
-    output column
-    ``cols[e, j]`` of slot j of element e's window among ``n_cols``, and
-    the rule on the element containing the target.  Far elements take the
+    times weights, and ``graded``, the frames and the density of a graded
+    group's nodes, in windows of w values), the output column ``cols[e,
+    j]`` of slot j of element e's window among ``n_cols``, and the rule on
+    the element containing the target.  Far elements take the
     grid, in blocks of targets; the other near elements take composite
     rules graded toward the target.  Each rule runs in one loop whatever
     the form of the targets (``_containing_rows``, ``_graded_rows``).
@@ -788,7 +832,7 @@ def _potential(curve: Curve, kernel, params, local=None) -> np.ndarray:
         # the keyed blocks, each with the element of its targets and that of
         # its coefficients, summed per target own, side 0, side 1; then the
         # other near pairs' rows, which ran in the same graded groups
-        blocks, rows = _sample_blocks(curve, q, local, (pair_e, toward, d, px))
+        blocks, rows = _sample_blocks(curve, q, local, (pair_e, toward, d, px), memo)
         te, side = np.nonzero(nb_el >= 0)  # the keyed ends, in the stack's order
         to, f = np.hstack([[e.ravel()] * 2, [te, nb_el[te, side]]])
         V = np.zeros((n_el, len(local)))
@@ -827,7 +871,8 @@ def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
 
 
 def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
-                        order: int = DEFAULT_ORDER, local=None) -> np.ndarray:
+                        order: int = DEFAULT_ORDER, local=None,
+                        memo: dict | None = None) -> np.ndarray:
     """Evaluate V phi_h on the curve at the given parameters.
 
     phi_h = sum coeffs[q] R_q, contracted on the quadrature grids, so no
@@ -835,7 +880,9 @@ def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
     shared by every element, the targets are the nodes (e, local[j]) and
     ``params`` their parameters, shape (n_el, len(local)); the values come
     back in that shape, and each element's near field is computed once per
-    distinct content key (``_sample_blocks``).
+    distinct content key (``_sample_blocks``).  A ``memo`` dict carries
+    those blocks to the next call, on the next mesh of a refinement; the
+    values are the same bits with or without it.
     """
     kernel = _SingleLayer(curve, order, np.asarray(coeffs, dtype=float))
     if local is None:
@@ -845,7 +892,7 @@ def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
     if np.shape(params) != shape:
         raise ValueError(f"params of targets at shared local coordinates must "
                          f"have shape {shape}, got {np.shape(params)}")
-    return (_potential(curve, kernel, params, local)[:, 0]
+    return (_potential(curve, kernel, params, local, memo)[:, 0]
             / (-_TWO_PI)).reshape(shape)
 
 
@@ -858,9 +905,20 @@ def double_layer_values(curve: Curve, g_of_points, params: np.ndarray,
     corners, so near elements get graded composite rules.  A target may sit
     on a corner only if g decays there fast enough to keep the integrand
     bounded (as it does for data vanishing along straight edges).
+
+    The kernel of g at this order is kept on the curve, so a later call
+    with the same g (the same object, taken to be a fixed function) and
+    order reads its Gauss grid and the frames and g values of every graded
+    group met before; the values are the same bits as on a fresh curve.
     """
-    kernel = _DoubleLayer(curve, order, g_of_points)
-    return _potential(curve, kernel, params)[:, 0] / _TWO_PI
+    kernel = curve._grids.get((g_of_points, order))
+    if kernel is None:
+        kernel = curve._grids[g_of_points, order] = _DoubleLayer(curve, order, g_of_points)
+    n, reused = len(kernel.tables), kernel.reused
+    values = _potential(curve, kernel, params)[:, 0] / _TWO_PI
+    logger.debug("double-layer tables: %d computed, %d reused",
+                 len(kernel.tables) - n, kernel.reused - reused)
+    return values
 
 
 def dirichlet_rhs(curve: Curve, g_of_points, params,

@@ -59,6 +59,23 @@ def test_rates_refuses_a_row_of_the_wrong_length(tmp_path, capsys, cut):
     assert str(bad) not in captured.out
 
 
+@pytest.mark.parametrize("n_rows", [0, 1])
+def test_rates_refuses_fewer_than_two_rows(tmp_path, capsys, n_rows):
+    # a header-only file, or one row, has no slope: it is refused in one
+    # line naming the file, and the good file of the same call is reported
+    rows = ["%d,%d,%d,%r,%r,%r,1,1,5" % (i, n, n - 1, 1 / n, 2 / n, 1 / n ** 2)
+            for i, n in enumerate((3, 5, 9, 17))]
+    good, short = tmp_path / "good.csv", tmp_path / "short.csv"
+    good.write_text("\n".join([RUN_CSV_HEADER, *rows]) + "\n", encoding="utf-8")
+    short.write_text("\n".join([RUN_CSV_HEADER, *rows[:n_rows]]) + "\n", encoding="utf-8")
+    assert main(["rates", str(short), str(good)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith(f"{short}: ") and "at least two" in captured.err
+    assert str(good) in captured.out and "err" in captured.out
+    assert str(short) not in captured.out and "nan" not in captured.out
+
+
 @pytest.mark.parametrize("argv, why", [
     (["--problem", "square", "--method", "collocation"], "supports methods"),
     (["--problem", "slit", "--theta", "1.5"], "theta must lie in (0, 1], got 1.5"),

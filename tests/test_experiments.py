@@ -1,6 +1,8 @@
 """End-to-end tests for the benchmark driver, CSV output, and references."""
 
 import json
+import logging
+import re
 import warnings
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 from igabem import experiments
 from igabem.adaptivity import initial_state, refine, uniform_refine
+from igabem.estimators import sample_residual
 from igabem.experiments import (
     PROBLEMS,
     Problem,
@@ -135,9 +138,10 @@ def test_square_collocation_is_rejected():
 
 
 def test_run_carries_one_block_memo(monkeypatch):
-    # the run owns the memo, not MeshState, passes the same one each step,
-    # and every step assembles the bits of a call without it
-    memos = []
+    # the run owns the memos, not MeshState: one for the singular blocks and
+    # one for the residual samples' near blocks, each passed on every step,
+    # and every step assembles and samples the bits of a call without them
+    memos, sample_memos = [], []
 
     def spy(curve, order, memo=None):
         memos.append(memo)
@@ -145,10 +149,36 @@ def test_run_carries_one_block_memo(monkeypatch):
         assert np.array_equal(A, galerkin_matrix(curve, order))
         return A
 
+    def sample_spy(curve, coeffs, f, order, memo=None):
+        sample_memos.append(memo)
+        res = sample_residual(curve, coeffs, f, order, memo=memo)
+        assert np.array_equal(res.values, sample_residual(curve, coeffs, f, order).values)
+        return res
+
     monkeypatch.setattr(experiments, "galerkin_matrix", spy)
+    monkeypatch.setattr(experiments, "sample_residual", sample_spy)
     record = run_adaptive("square", max_dofs=20, energy_cache=None)
-    assert len(memos) == len(record.rows) > 2
-    assert all(m is memos[0] for m in memos) and isinstance(memos[0], dict)
+    for ms in (memos, sample_memos):
+        assert len(ms) == len(record.rows) > 2
+        assert all(m is ms[0] for m in ms) and isinstance(ms[0], dict)
+    assert sample_memos[0] is not memos[0]
+
+
+def test_run_logs_block_traffic(caplog):
+    # the uniform slit halves every width, so no block recurs: after the
+    # one-element start, each step computes one identical and one touching
+    # singular block, and one own and two neighbour sample blocks
+    caplog.set_level(logging.DEBUG, logger="igabem.operators")
+    record = run_adaptive("slit", uniform=True, max_dofs=33, energy_cache=None)
+
+    def traffic(what):
+        return [tuple(map(int, re.findall(r"\d+", r.getMessage())))
+                for r in caplog.records if r.getMessage().startswith(what)]
+
+    later = len(record.rows) - 1
+    assert later >= 4
+    assert traffic("singular blocks") == [(1, 0)] + [(2, 0)] * later
+    assert traffic("sample blocks") == [(1, 0)] + [(3, 0)] * later
 
 
 @pytest.mark.parametrize("theta", [1.5, 0.0, -0.25, float("nan")])

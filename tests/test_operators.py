@@ -11,6 +11,7 @@ Closed forms used below, all for the kernel -log|x - y| / (2 pi):
   in particular K 1 = -1/2 on every closed curve.
 """
 
+import logging
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from scipy.integrate import quad
 
 from igabem import operators, quadrature
 from igabem.adaptivity import initial_state, refine, uniform_refine
-from igabem.experiments import pacman_trace
+from igabem.experiments import pacman_trace, square_trace
 from igabem.geometry import Curve, pacman, slit, square
 from igabem.operators import (
     collocation_matrix,
@@ -792,3 +793,58 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
     for e in set(range(len(own1))) - changed:
         if not every:  # an unchanged element keeps its block bit for bit
             assert np.array_equal(own[e], blocks0[e]), e
+
+
+@pytest.mark.parametrize("name", ["slit", "square", "pacman"])
+def test_sample_memo_carried_across_adaptive_steps(name):
+    memo = {}
+    rng = np.random.default_rng(13)
+    for curve in _random_steps(MEMO_CURVES[name](), 8, seed=11):
+        u, params = _samples(curve, 6)
+        c = rng.standard_normal(curve.knots.dim)
+        got = single_layer_values(curve, c, params, local=u, memo=memo)
+        assert np.array_equal(got, single_layer_values(curve, c, params, local=u))
+        # the memo holds this mesh's distinct keys and nothing else
+        own, ends = operators._sample_keys(curve, 16, u)
+        assert set(memo) == set(own) | set(ends) - {None}
+
+
+def _dirichlet_targets(curve, rng):
+    """Corners, parameters 1e-9 either side of them, element midpoints and
+    random parameters."""
+    corners = curve.corner_params()
+    return np.concatenate([corners, (corners + 1e-9) % 1.0, (corners - 1e-9) % 1.0,
+                           curve.knots.elements.mean(axis=1), rng.uniform(0.0, 1.0, 40)])
+
+
+@pytest.mark.parametrize("make, trace", [(pacman, pacman_trace), (square, square_trace)],
+                         ids=["pacman", "square"])
+def test_double_layer_tables_kept_on_the_curve(make, trace, caplog):
+    # each call on one curve reads the tables that the calls before it kept
+    # there, and gives the bits of the same call on a fresh curve
+    curve, rng = make(), np.random.default_rng(17)
+    ts = _dirichlet_targets(curve, rng)
+    calls = [ts[:30], rng.permutation(ts), ts[10:][::-1], rng.choice(ts, 25)]
+    for call in calls:
+        for fn in (double_layer_values, dirichlet_rhs):
+            np.testing.assert_array_equal(fn(curve, trace, call), fn(make(), trace, call))
+    # every graded group of this call was met before: no table is computed
+    caplog.set_level(logging.DEBUG, logger="igabem.operators")
+    double_layer_values(curve, trace, calls[1])
+    assert [r.getMessage().split(",")[0] for r in caplog.records] == [
+        "double-layer tables: 0 computed"]
+
+
+def test_double_layer_tables_follow_data_and_order():
+    # a second g, or a second order, on a curve whose tables are warm is
+    # never served the first one's tables
+    curve, rng = pacman(), np.random.default_rng(19)
+    ts = _dirichlet_targets(curve, rng)
+    double_layer_values(curve, pacman_trace, ts)
+
+    def shifted(pts):
+        return 2.0 * pacman_trace(pts) + 1.0
+
+    for g, order in ((shifted, 16), (pacman_trace, 12)):
+        np.testing.assert_array_equal(double_layer_values(curve, g, ts, order),
+                                      double_layer_values(pacman(), g, ts, order))

@@ -43,11 +43,15 @@ def _cmd_run(args) -> int:
     except ValueError as exc:  # inputs the run refuses, in one line
         print(f"igabem run: {exc}", file=sys.stderr)
         return 2
-    err = np.sqrt(record.column("err_sq"))
-    slope, rms = fit_rate(record.column("N"), err, with_residual=True)
     print("reference energy %.12g" % record.energy_ref)
-    print("error rate %.3f (tail fit rms %.3f) over %d iterations"
-          % (slope, rms, len(record.rows)))
+    if len(record.rows) < 2:  # no slope through fewer than two rows
+        print("no error rate: a rate needs at least two iterations, the run made %d"
+              % len(record.rows))
+    else:
+        slope, rms = fit_rate(record.column("N"), np.sqrt(record.column("err_sq")),
+                              with_residual=True)
+        print("error rate %.3f (tail fit rms %.3f) over %d iterations"
+              % (slope, rms, len(record.rows)))
     if args.out:
         write_run_csv(args.out, record)
         print("wrote", args.out)

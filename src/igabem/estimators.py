@@ -162,13 +162,18 @@ def _seminorm(a, b, wa: np.ndarray, wb: np.ndarray, diag=None) -> np.ndarray:
         dr = ra[k, :, None] - rb[k, None, :]
         dx = pa[k, :, None, 0] - pb[k, None, :, 0]
         dy = pa[k, :, None, 1] - pb[k, None, :, 1]
-        dist2 = dx * dx + dy * dy
+        # |x_i - x_j|^2 in dx, then the integrand in dr, both in place
+        dx *= dx
+        dy *= dy
+        dx += dy
         if diag is not None:
-            dist2[:, i, i] = 1.0
-        integrand = dr * dr * (sa[k, :, None] * sb[k, None, :]) / dist2
+            dx[:, i, i] = 1.0
+        dr *= dr
+        dr *= sa[k, :, None] * sb[k, None, :]
+        dr /= dx
         if diag is not None:
-            integrand[:, i, i] = diag[k]
-        out[k] = np.einsum("kij,i,j->k", integrand, wa, wb)
+            dr[:, i, i] = diag[k]
+        out[k] = np.einsum("kij,i,j->k", dr, wa, wb)
     return out
 
 

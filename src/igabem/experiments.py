@@ -410,10 +410,12 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
     state = initial_state(problem.make_curve())
     f = problem.rhs_factory(state.curve, order)
     rows: list[dict] = []
-    # the singular Galerkin blocks and the residual samples' near blocks,
-    # carried across steps
+    # the singular Galerkin blocks, the residual samples' near blocks and
+    # the collocation rows' near blocks, carried across steps; one dict
+    # each, since each call leaves its memo holding its own keys alone
     blocks: dict = {}
     near: dict = {}
+    colloc: dict = {}
 
     for it in range(MAX_ITERATIONS):
         t0 = time.perf_counter()
@@ -425,7 +427,7 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
             c, _ = solve_linear(A, b)
             err_sq = energy_error_galerkin(energy_ref, c, b)
         else:
-            B = collocation_matrix(curve, order)
+            B = collocation_matrix(curve, order, memo=colloc)
             c, _ = solve_linear(B, f(kv.collocation_points()))
             err_sq = energy_error_collocation(energy_ref, c, A, b)
         if not np.all(np.isfinite(c)):

@@ -158,7 +158,7 @@ class Curve:
 
     @cached_property
     def _grids(self) -> dict:
-        """Gauss grids by quadrature order, filled by ``operators._grid``,
+        """Gauss grids by quadrature order, filled by ``operators._grids``,
         and double-layer kernels by data and order, filled by
         ``operators.double_layer_values``; the curve never changes, so
         neither do they."""

@@ -54,24 +54,29 @@ formula serves every node.  The engine returns the density contracted with
 coefficients, the raw basis windows (one column per basis function), or the
 integral of data g.
 
-Element-local targets make the near field content-keyed as well.  The
-block of an element's own split rule against its raw basis windows reads
-only the element's ``_element_rows`` entry, the order and the shared local
-coordinates; the block of a touching neighbour's rule graded toward the
-shared node also reads the neighbour's entry and which end is shared, the
-target's distance and displacement from that node coming from the
+The single layer's near field is content-keyed in both target forms.  Its
+targets come in rows, one element's shared local coordinates or one
+parameter (``_local_targets``, ``_param_targets``), each target with its
+nearer end and offset from it and its offsets from both ends of its
+element.  The block of a row's own split rule against the raw basis
+windows reads only the element's ``_element_rows`` entry, the order, and
+those ends and offsets; the block of a touching neighbour's rule graded
+toward the shared node also reads the neighbour's entry and the targets'
+offsets from that node, their displacement from it coming from the
 element's own tables.  Whether such a neighbour is near a target follows
-from the same inputs, one table for every element end
-(``_sample_offsets``), and the far field skips exactly those pairs.  Own
-and end keys share one table; each distinct key is computed once, and the
-blocks are contracted with each element's coefficients
-(``_sample_blocks``): on the uniform slit one own block and two neighbour
-blocks serve every element.  A ``memo`` dict carries these blocks from one
-mesh to the next under the singular blocks' contract, so a refinement step
-computes only the keys of the elements it changed and of their
-neighbours.  Neighbours that do not touch, and those whose rule grades
-away from the shared node (a closed curve of few elements), keep the
-rules by parameter and run at every call.
+from the same inputs (``_keyed_near``), and the far field skips
+exactly those pairs.  Own and end keys share one table; each distinct key
+is computed once, and the blocks are scattered into the windows' columns
+or contracted with the coefficients (``_sample_blocks``): on the uniform
+slit one own block and two neighbour blocks serve every element's samples.
+A ``memo`` dict carries these blocks from one mesh to the next under the
+singular blocks' contract, so a refinement step computes only the keys of
+the elements it changed and of their neighbours; over an adaptive slit
+collocation run about 80% of the collocation rows' keys recur from the
+step before.  Neighbours that do not touch, and those whose rule grades
+away from the shared node (a closed curve of few elements), keep the rules
+by parameter and run at every call, as does every near rule of the double
+layer, which reads g at absolute points.
 
 The Dirichlet data evaluates (K + 1/2) g on one curve, call after call.
 The double-layer kernel of one g and order is therefore kept on the curve
@@ -158,21 +163,32 @@ def _phi_windows(curve: Curve, e, u):
     return _phi(*curve.at_nodes(e, *nearer_end(u)))
 
 
-def _grid(curve: Curve, order: int):
-    """Gauss points on every element, (n_el, q, 2), and the basis windows
-    there times speed, Gauss weight and width, (n_el, q, p + 1); read-only,
-    built once per curve and order."""
-    if order not in curve._grids:
+def _grids(curve: Curve, orders) -> list:
+    """The Gauss grid of each order: points on every element, (n_el, q, 2),
+    and the basis windows there times speed, Gauss weight and width, (n_el,
+    q, p + 1); read-only, built once per curve and order.  The orders not
+    built yet share one ``Curve.at_nodes`` call over all their nodes."""
+    missing = [m for m in dict.fromkeys(orders) if m not in curve._grids]
+    if missing:
         kv = curve.knots
-        xg, wg = gauss_unit(order)
+        rules = [gauss_unit(m) for m in missing]
         frames, basis = curve.at_nodes(np.arange(kv.n_elements)[:, None],
-                                       *nearer_end(xg), absolute=True)
-        grid = (np.ascontiguousarray(frames[..., 0, :]),
-                _phi(frames, basis) * (wg * kv.widths[:, None])[..., None])
-        for a in grid:
-            a.flags.writeable = False
-        curve._grids[order] = grid
-    return curve._grids[order]
+                                       *nearer_end(np.concatenate([x for x, _ in rules])),
+                                       absolute=True)
+        cuts = np.cumsum(missing)[:-1]
+        for m, (_, wg), fm, bm in zip(missing, rules, np.split(frames, cuts, axis=1),
+                                      np.split(basis, cuts, axis=1)):
+            grid = (np.ascontiguousarray(fm[..., 0, :]),
+                    _phi(fm, bm) * (wg * kv.widths[:, None])[..., None])
+            for a in grid:
+                a.flags.writeable = False
+            curve._grids[m] = grid
+    return [curve._grids[m] for m in orders]
+
+
+def _grid(curve: Curve, order: int):
+    """The Gauss grid of one order (``_grids``)."""
+    return _grids(curve, [order])[0]
 
 
 def _grade_levels(h: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -343,7 +359,7 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER,
     # the singularity at the other
     if curve.closed and n_el < 3:
         raise ValueError("closed curves need at least three elements for assembly")
-    points, wbasis = _grid(curve, order)
+    points = _grid(curve, order)[0]
     first = kv.element_table[0]
     offsets = np.arange(kv.degree + 1)
     # every pair is added once, the upper triangle's; A + A.T completes it
@@ -370,8 +386,8 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER,
     gap = np.hypot(*(centre[e] - centre[f]).T) - radius[e] - radius[f]
     pair_order = separated_order(
         1.0 + np.maximum(gap, 0.0) / np.maximum(radius[e], radius[f]), order)
-    for m in np.unique(pair_order):
-        pm, wm = (points, wbasis) if m == order else _grid(curve, int(m))
+    orders = np.unique(pair_order).tolist()
+    for m, (pm, wm) in zip(orders, _grids(curve, orders)):
         pick = pair_order == m
         ge, gf = e[pick], f[pick]
         step = max(1, int(_FAR_BLOCK // (m * m)))
@@ -505,8 +521,13 @@ class _SingleLayer:
     """Kernel log|gamma(x) - gamma(t)| against sum coeffs[q] R_q |gamma'| in
     one column or, without ``coeffs``, against each R_q |gamma'| in column q.
 
-    Far elements use the ``_grid`` of the given order.
+    Far elements use the ``_grid`` of the given order.  The near field is
+    keyed (``_sample_blocks``): its rules run against the raw basis windows
+    times speed, which ``cw``, the coefficients of each element's window,
+    contracts afterwards.
     """
+
+    keyed = True
 
     def __init__(self, curve: Curve, order: int, coeffs: np.ndarray | None = None):
         self.curve = curve
@@ -518,27 +539,21 @@ class _SingleLayer:
             self.grid, self.cols = wbasis, cols
             self.n_cols = curve.knots.dim
             self.cw = None
-        else:
+        else:  # one column, summed on the grid and after the near blocks
             self.cw = coeffs[cols]
             self.grid = np.einsum("eqb,eb->eq", wbasis, self.cw)[..., None]
-            self.cols, self.n_cols = np.zeros((len(cols), 1), dtype=int), 1
+            self.n_cols = 1
 
     @staticmethod
     def value(px, frames):
         return _log_dist(px[:, None, 0] - frames[..., 0, 0],
                          px[:, None, 1] - frames[..., 0, 1], 1e-300)
 
-    def density(self, e, frames, basis):  # reads only speeds
-        phi = _phi(frames, basis)
-        if self.cw is None:
-            return phi
-        return (phi * self.cw[e]).sum(axis=-1, keepdims=True)
-
     def graded(self, e, levels, end, s):
-        """Frames and density of elements e at unit offsets s from their
+        """Frames and raw windows of elements e at unit offsets s from their
         end ``end``, the nodes of a graded group of ``levels``."""
         frames, basis = self.curve.at_nodes(e[:, None], s, end)
-        return frames, self.density(e[:, None], frames, basis)
+        return frames, _phi(frames, basis)
 
     def containing(self, row, tau):
         """Split the element at the target: log|x - t| goes into the
@@ -564,8 +579,8 @@ class _SingleLayer:
             for kw, u in ((ei * (np.log(ei) + np.log(_norm(chord))) * wg, ug),
                           (-ei * wl, ul)):
                 rows, taus = curve.knots.local(e, u)  # node by node
-                yield idx, kw, self.density(e, curve.displacement(rows, taus, 1),
-                                            curve.basis(rows, taus))
+                yield idx, kw, _phi(curve.displacement(rows, taus, 1),
+                                    curve.basis(rows, taus))
 
 
 class _DoubleLayer:
@@ -579,6 +594,7 @@ class _DoubleLayer:
     """
 
     n_cols = 1
+    keyed = False
 
     def __init__(self, curve: Curve, order: int, g_of_points):
         kv = curve.knots
@@ -655,63 +671,89 @@ def _sample_neighbours(curve: Curve) -> np.ndarray:
     return nb
 
 
-def _sample_offsets(curve: Curve, u: np.ndarray):
-    """The keyed neighbours (``_sample_neighbours``), (n_el, 2), and for the
-    targets at local coordinates u of every element, (n_el, 2, len(u)),
-    their offsets h (u - side) from each end and whether the keyed neighbour
-    across that end is near them: |offset| < NEAR_FACTOR h'.  Both read
-    only the widths, so the decision follows from a touching key."""
-    hs = curve.knots.widths
-    nb = _sample_neighbours(curve)
-    offset = hs[:, None, None] * (u - np.arange(2)[:, None])
-    near = (np.abs(offset) < NEAR_FACTOR * hs[nb][..., None]) & (nb >= 0)[..., None]
-    return nb, offset, near
+def _local_targets(curve: Curve, u: np.ndarray):
+    """Targets at the local coordinates u shared by every element, one row
+    of len(u) per element, in the form the keyed near field reads: each
+    target's nearer end ``row`` (2 e + end) and offset ``tau`` from it, as
+    from ``KnotVector.local``, and its offsets h (u - side) from both ends
+    of its element, (n_el, 2, len(u))."""
+    kv = curve.knots
+    e = np.arange(kv.n_elements)[:, None]
+    row, tau = np.broadcast_arrays(*kv.local(e, u))
+    return row, tau, kv.widths[e, None] * (u - np.arange(2)[:, None])
 
 
-def _sample_keys(curve: Curve, order: int, u: np.ndarray):
-    """The content keys of the near blocks of targets at the shared local
-    coordinates u: per element, the order, the bytes of u and the
-    element's ``_element_rows`` entry, whose length gives the degree; per
-    element end 2 e + side, the same with the side and the neighbour's
-    entry, or None where ``_sample_neighbours`` has none."""
+def _param_targets(curve: Curve, params: np.ndarray):
+    """Targets at parameters in [a, b), one row each, in the form of
+    ``_local_targets``: the nearer end and offset from
+    ``KnotVector.locate``, and the offsets t - t_end from both ends of the
+    containing element, the ones ``_pair_geometry`` takes."""
+    kv = curve.knots
+    row, tau = kv.locate(params)
+    offset = params[:, None] - kv.breakpoint_array[(row >> 1)[:, None] + np.arange(2)]
+    return row[:, None], tau[:, None], offset[..., None]
+
+
+def _keyed_near(curve: Curve, row: np.ndarray, offset: np.ndarray):
+    """For target rows ``row`` with ``offset`` from their element's ends
+    (``_local_targets``, ``_param_targets``): the keyed neighbours of each
+    row's element (``_sample_neighbours``), (n, 2), and whether the one
+    across an end is near each target, (n, 2, m): |offset| < NEAR_FACTOR
+    h'.  This reads only offsets and widths, so the decision follows from
+    a touching key."""
+    nb = _sample_neighbours(curve)[row[:, 0] >> 1]
+    near = np.abs(offset) < NEAR_FACTOR * curve.knots.widths[nb][..., None]
+    return nb, near & (nb >= 0)[..., None]
+
+
+def _sample_keys(curve: Curve, order: int, targets):
+    """The content keys of the near blocks of the target rows ``targets``
+    (``_local_targets``, ``_param_targets``): per row, the order, the bytes
+    of its targets' nearer ends and offsets from them, and its element's
+    ``_element_rows`` entry, whose length gives the degree; per row end
+    2 k + side, the order, the side, the bytes of the targets' offsets from
+    that end, the element's entry and the neighbour's, or None where
+    ``_sample_neighbours`` has none."""
+    row, tau, offset = targets
     rows = _element_rows(curve)
-    pre = (order, np.asarray(u, dtype=float).tobytes())
-    nb = _sample_neighbours(curve).ravel().tolist()
-    return ([pre + (r,) for r in rows],
-            [pre + (k & 1, rows[k >> 1], rows[f]) if f >= 0 else None
-             for k, f in enumerate(nb)])
+    e = (row[:, 0] >> 1).tolist()
+    nb = _sample_neighbours(curve)[e].tolist()
+    return ([(order, r.tobytes(), t.tobytes(), rows[k]) for k, r, t in zip(e, row & 1, tau)],
+            [(order, side, offset[k, side].tobytes(), rows[e[k]], rows[f]) if f >= 0 else None
+             for k, pair in enumerate(nb) for side, f in enumerate(pair)])
 
 
-def _sample_near_blocks(curve: Curve, order: int, u: np.ndarray,
-                        e: np.ndarray, ends: np.ndarray, pairs=None):
-    """Near blocks of targets at the shared local coordinates u, against
+def _sample_near_blocks(curve: Curve, order: int, targets, own: np.ndarray,
+                        ends: np.ndarray, pairs=None):
+    """Near blocks of the target rows ``targets`` (m targets each), against
     raw basis windows times speed (one column per basis function).
 
-    Element e's own block takes its split rule (``_containing_rows``) at
-    targets (e, u_j); the block of element end 2 e + side takes the rule
-    on the neighbour across that end graded toward the shared node
-    (``_graded_rows``), with the target's distance and displacement from
-    the node read from e's tables at its offset (``_sample_offsets``), and
-    zero rows for far targets.  Each reads only its keys' inputs
-    (``_sample_keys``), so a block's bits do not depend on its batch.
-    Further graded ``pairs`` (element, end, distance, displacement) share
-    the end blocks' groups.  Returns the own blocks, (len(e), len(u),
-    p + 1), the end blocks, (len(ends), len(u), p + 1), and the rows of
-    ``pairs``.
+    Row k's own block takes its element's split rule (``_containing_rows``)
+    at its targets, for k in ``own``; the block of row end 2 k + side, in
+    ``ends``, takes the rule on the neighbour across that end of the
+    element, graded toward the shared node (``_graded_rows``), with the
+    targets' distance and displacement from the node read from the
+    element's tables at their offset (``_keyed_near``), and zero rows
+    for far targets.  Each reads only its keys' inputs (``_sample_keys``),
+    so a block's bits do not depend on its batch.  Further graded ``pairs``
+    (element, end, distance, displacement) share the end blocks' groups.
+    Returns the own blocks, (len(own), m, p + 1), the end blocks,
+    (len(ends), m, p + 1), and the rows of ``pairs``.
     """
-    shape = (len(u), curve.degree + 1)
+    row, tau, offset = targets
+    shape = (row.shape[1], curve.degree + 1)
     raw = _SingleLayer(curve, order)
-    row, tau = (a.ravel() for a in np.broadcast_arrays(*curve.knots.local(e[:, None], u)))
-    own = np.zeros((len(row), shape[1]))
-    for idx, rows in _containing_rows(raw, row, tau):
-        own[idx] += rows
+    own_rows = np.zeros((len(own) * shape[0], shape[1]))
+    for idx, r in _containing_rows(raw, row[own].ravel(), tau[own].ravel()):
+        own_rows[idx] += r
 
-    nb, offset, near = _sample_offsets(curve, u)
-    te, side = ends >> 1, ends & 1
-    pk, pj = np.nonzero(near[te, side])
-    h = offset[te[pk], side[pk], pj]
-    px = curve.displacement(ends[pk], h)[:, 0]
-    graded = (nb[te[pk], side[pk]], 1 - side[pk], np.abs(h), px)
+    nb, near = _keyed_near(curve, row, offset)
+    k, side = ends >> 1, ends & 1
+    pk, pj = np.nonzero(near[k, side])
+    k, side = k[pk], side[pk]
+    h = offset[k, side, pj]
+    px = curve.displacement(2 * (row[k, 0] >> 1) + side, h)[:, 0]
+    graded = (nb[k, side], 1 - side, np.abs(h), px)
     if pairs is not None:
         graded = [np.concatenate(ab) for ab in zip(graded, pairs)]
     rows = np.zeros((len(graded[0]), shape[1]))
@@ -719,34 +761,35 @@ def _sample_near_blocks(curve: Curve, order: int, u: np.ndarray,
         rows[pick] = r
     touch = np.zeros((len(ends),) + shape)
     touch[pk, pj] = rows[:len(pk)]
-    return own.reshape((len(e),) + shape), touch, rows[len(pk):]
+    return own_rows.reshape((len(own),) + shape), touch, rows[len(pk):]
 
 
-def _sample_blocks(curve: Curve, order: int, u: np.ndarray, pairs=None,
-                   memo: dict | None = None):
-    """Every element's near blocks for targets at the shared local
-    coordinates u, and the rows of further graded ``pairs``
-    (``_sample_near_blocks``).  Each distinct key (``_sample_keys``)
-    missing from ``memo`` is computed once, on its first element or end,
-    in one batch with ``pairs``, and ``memo`` is left holding the blocks of
-    this mesh's keys alone (``_remember``).  An own key and an end key
-    differ in length, so one table serves both.  Returns one stack,
-    (n_el + n_keyed, len(u), p + 1): every element's own block, then the
-    block of each element end 2 e + side with a keyed neighbour, in order
-    of 2 e + side; and the rows of ``pairs``."""
-    n = curve.knots.n_elements
-    own_keys, end_keys = _sample_keys(curve, order, u)
+def _sample_blocks(curve: Curve, order: int, targets, pairs=None,
+                   memo: dict | None = None, what: str = "sample"):
+    """Every near block of the target rows ``targets``, and the rows of
+    further graded ``pairs`` (``_sample_near_blocks``).  Each distinct key
+    (``_sample_keys``) missing from ``memo`` is computed once, on its first
+    row or row end, in one batch with ``pairs``, and ``memo`` is left
+    holding the blocks of these targets' keys alone (``_remember``, which
+    logs the traffic as ``what``).  An own key and an end key differ in
+    length, so one table serves both.  Returns one stack, (n + n_keyed, m,
+    p + 1): every row's own block, then the block of each row end
+    2 k + side with a keyed neighbour, in order of 2 k + side; and the rows
+    of ``pairs``."""
+    n = len(targets[0])
+    own_keys, end_keys = _sample_keys(curve, order, targets)
     keyed = np.flatnonzero([k is not None for k in end_keys])
     keys = own_keys + [end_keys[k] for k in keyed]
     first, slot = _distinct(keys)
     memo = {} if memo is None else memo
     new = np.array([i for i in first if keys[i] not in memo], dtype=int)
-    own, ends, rows = _sample_near_blocks(curve, order, u, new[new < n],
+    own, ends, rows = _sample_near_blocks(curve, order, targets, new[new < n],
                                           keyed[new[new >= n] - n], pairs)
-    return _remember(memo, keys, first, new, (*own, *ends), "sample")[slot], rows
+    return _remember(memo, keys, first, new, (*own, *ends), what)[slot], rows
 
 
-def _potential(curve: Curve, kernel, params, local=None, memo=None) -> np.ndarray:
+def _potential(curve: Curve, kernel, params, local=None, memo=None,
+               what: str = "sample") -> np.ndarray:
     """Integrals of ``kernel`` against its density at the target parameters.
 
     ``kernel`` supplies the kernel ``value`` on a Gauss grid
@@ -762,38 +805,45 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None) -> np.ndarra
     Returns an (n_targets, n_cols) array.
 
     With ``local`` the targets are the nodes (e, local[j]) of every element
-    e, element by element, ``params`` holds their parameters, and
-    ``kernel`` is a ``_SingleLayer`` with coefficients.  Each target's own
-    element and its keyed neighbours then take the blocks of their keys,
-    one table of them (``_sample_blocks``), and the far field skips exactly
-    the keyed pairs that the table of near neighbours calls near
-    (``_sample_offsets``).  The other near pairs keep their rules by
-    parameter, run in the same graded groups as the neighbour blocks, and
-    all are contracted with the coefficients after integration.
+    e, element by element, and ``params`` holds their parameters; without,
+    they are the parameters, one row each.  A ``keyed`` kernel, the single
+    layer, takes each target row's own element and its keyed neighbours
+    from the blocks of their keys, one table of them (``_sample_blocks``),
+    carried across calls in ``memo`` and logged as ``what``; the far field
+    skips exactly the keyed pairs that the table of near neighbours calls
+    near (``_keyed_near``).  Its other near pairs keep their rules by
+    parameter and run in the same graded groups as the neighbour blocks.
+    All are integrated against raw basis windows, then scattered into the
+    columns or contracted with the coefficients, per target in the order
+    own, side 0, side 1, after the far field and before the other pairs.
+    The double layer reads g at absolute points, so it keeps every near
+    rule by parameter.
     """
     kv = curve.knots
     n_el, q, w = kernel.grid.shape
     if local is None:
         params = kv.wrap(np.atleast_1d(params))
         x_pts = curve.point(params)
-        # the element containing each target, right-continuous at
-        # breakpoints, with the target's nearer end and offset
-        row, tau = kv.locate(params)
-        inside = row >> 1
-        nb = np.full((len(params), 2), -1)  # no keyed neighbours
-        keyed_near = nb >= 0
+        targets = _param_targets(curve, params)
     else:
         params = np.ravel(params)
         e = np.arange(n_el)[:, None]
         x_pts = curve.at_nodes(e, *nearer_end(local), absolute=True)[0]
         x_pts = x_pts[..., 0, :].reshape(-1, 2)
-        inside = np.repeat(e.ravel(), len(local))
-        # per target: the keyed neighbour across each end and whether it is near
-        nb_el, _, near_el = _sample_offsets(curve, local)
-        nb = nb_el[inside]
-        j = np.arange(len(params)) % len(local)
-        keyed_near = near_el[inside[:, None], [0, 1], j[:, None]]
+        targets = _local_targets(curve, local)
+    # the element containing each target, right-continuous at breakpoints,
+    # with the target's nearer end and offset
+    row, tau, _ = targets
+    inside = row.ravel() >> 1
     m = len(params)
+    if kernel.keyed:
+        # per target: the keyed neighbour across each end and whether it is near
+        nb_rows, near_rows = _keyed_near(curve, row, targets[2])
+        nb = nb_rows.repeat(row.shape[1], axis=0)
+        keyed_near = near_rows.transpose(0, 2, 1).reshape(m, 2)
+    else:
+        nb = np.full((m, 2), -1)  # no keyed neighbours
+        keyed_near = nb >= 0
     out = np.zeros((m, kernel.n_cols))
     hs = kv.widths
     mids = kv.elements.mean(axis=1)
@@ -828,28 +878,40 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None) -> np.ndarra
     keep = (pair_e != inside[pair_i]) & (pair_e[:, None] != nb[pair_i]).all(axis=1)
     pair_i, pair_e = pair_i[keep], pair_e[keep]
     toward, d, px = _pair_geometry(curve, params, x_pts, inside, pair_i, pair_e)
-    if local is not None:
-        # the keyed blocks, each with the element of its targets and that of
-        # its coefficients, summed per target own, side 0, side 1; then the
-        # other near pairs' rows, which ran in the same graded groups
-        blocks, rows = _sample_blocks(curve, q, local, (pair_e, toward, d, px), memo)
-        te, side = np.nonzero(nb_el >= 0)  # the keyed ends, in the stack's order
-        to, f = np.hstack([[e.ravel()] * 2, [te, nb_el[te, side]]])
-        V = np.zeros((n_el, len(local)))
-        np.add.at(V, to, np.einsum("bjw,bw->bj", blocks, kernel.cw[f]))
-        out[:, 0] += V.ravel()
-        np.add.at(out[:, 0], pair_i, np.einsum("kw,kw->k", rows, kernel.cw[pair_e]))
+    if not kernel.keyed:
+        for ii, r in _containing_rows(kernel, row.ravel(), tau.ravel()):
+            np.add.at(out, (ii[:, None], kernel.cols[inside[ii]]), r)
+        for pick, r in _graded_rows(curve, kernel, pair_e, toward, d, px):
+            np.add.at(out, (pair_i[pick][:, None], kernel.cols[pair_e[pick]]), r)
         return out
 
-    for ii, r in _containing_rows(kernel, row, tau):
-        np.add.at(out, (ii[:, None], kernel.cols[inside[ii]]), r)
-    for pick, r in _graded_rows(curve, kernel, pair_e, toward, d, px):
-        np.add.at(out, (pair_i[pick][:, None], kernel.cols[pair_e[pick]]), r)
+    # the keyed blocks, each with the row of its targets and the element of
+    # its windows, own blocks first, then the keyed ends in order; then the
+    # other near pairs' rows, which ran in the same graded groups
+    blocks, rows = _sample_blocks(curve, q, targets, (pair_e, toward, d, px), memo, what)
+    k, side = np.nonzero(nb_rows >= 0)
+    to = np.concatenate([np.arange(len(row)), k])
+    f = np.concatenate([row[:, 0] >> 1, nb_rows[k, side]])
+    if kernel.cw is None:  # scattered into the columns of the windows
+        t = to[:, None] * row.shape[1] + np.arange(row.shape[1])
+        np.add.at(out, (t[..., None], kernel.cols[f][:, None, :]), blocks)
+        np.add.at(out, (pair_i[:, None], kernel.cols[pair_e]), rows)
+        return out
+    V = np.zeros(row.shape)
+    np.add.at(V, to, np.einsum("bjw,bw->bj", blocks, kernel.cw[f]))
+    out[:, 0] += V.ravel()
+    np.add.at(out[:, 0], pair_i, np.einsum("kw,kw->k", rows, kernel.cw[pair_e]))
     return out
 
 
-def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
+def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER,
+                       memo: dict | None = None) -> np.ndarray:
     """Square collocation system: row i evaluates V at collocation point i.
+
+    Each point's own element and touching neighbours take content-keyed
+    blocks (``_potential``); ``memo`` carries them from one call to the
+    next, as on the meshes of an adaptive run, and the matrix is the same
+    bits with or without it.
 
     Raises ValueError when a collocation point falls on a geometric corner:
     the jump factor of the boundary identity depends on the interior angle
@@ -867,7 +929,8 @@ def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
                 "the jump factor depends on the interior angle; refine or "
                 "reparametrize so collocation points avoid corners"
             )
-    return _potential(curve, _SingleLayer(curve, order), pts) / (-_TWO_PI)
+    return _potential(curve, _SingleLayer(curve, order), pts, memo=memo,
+                      what="collocation") / (-_TWO_PI)
 
 
 def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
@@ -876,17 +939,19 @@ def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
     """Evaluate V phi_h on the curve at the given parameters.
 
     phi_h = sum coeffs[q] R_q, contracted on the quadrature grids, so no
-    (targets x dim) array is built.  With ``local``, local coordinates
-    shared by every element, the targets are the nodes (e, local[j]) and
-    ``params`` their parameters, shape (n_el, len(local)); the values come
-    back in that shape, and each element's near field is computed once per
-    distinct content key (``_sample_blocks``).  A ``memo`` dict carries
-    those blocks to the next call, on the next mesh of a refinement; the
-    values are the same bits with or without it.
+    (targets x dim) array is built; the near field is integrated against
+    the raw basis windows, once per distinct content key
+    (``_sample_blocks``), and contracted with the coefficients after.
+    With ``local``, local coordinates shared by every element, the targets
+    are the nodes (e, local[j]) and ``params`` their parameters, shape
+    (n_el, len(local)); the values come back in that shape.  A ``memo``
+    dict carries the near blocks to the next call, on the next mesh of a
+    refinement; the values are the same bits with or without it.
     """
     kernel = _SingleLayer(curve, order, np.asarray(coeffs, dtype=float))
     if local is None:
-        return _potential(curve, kernel, params)[:, 0] / (-_TWO_PI)
+        return _potential(curve, kernel, params, memo=memo,
+                          what="single-layer")[:, 0] / (-_TWO_PI)
     local = np.asarray(local, dtype=float)
     shape = (curve.knots.n_elements, len(local))
     if np.shape(params) != shape:

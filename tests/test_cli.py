@@ -33,6 +33,21 @@ def test_run_writes_csv_and_rates_reads_it(tmp_path, capsys):
     assert "err" in capsys.readouterr().out
 
 
+def test_run_of_one_iteration_reports_no_rate(tmp_path, capsys):
+    # a run that stops after its first iteration is valid but has no slope:
+    # it says so in one line instead of printing nan, exits 0 and still
+    # writes its files
+    out, knots = tmp_path / "one.csv", tmp_path / "one_knots.csv"
+    code = main(["run", "--problem", "slit", "--max-dofs", "1", "--out", str(out),
+                 "--knots-out", str(knots), "--energy-cache", str(tmp_path / "ref.json")])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "nan" not in text
+    assert "no error rate: a rate needs at least two iterations, the run made 1\n" in text
+    assert len(read_run_csv(out)["N"]) == 1
+    assert knots.read_text(encoding="utf-8").startswith("t,multiplicity")
+
+
 def test_rates_fails_cleanly_on_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n", encoding="utf-8")

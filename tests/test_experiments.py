@@ -138,10 +138,11 @@ def test_square_collocation_is_rejected():
 
 
 def test_run_carries_one_block_memo(monkeypatch):
-    # the run owns the memos, not MeshState: one for the singular blocks and
-    # one for the residual samples' near blocks, each passed on every step,
-    # and every step assembles and samples the bits of a call without them
-    memos, sample_memos = [], []
+    # the run owns the memos, not MeshState: one for the singular blocks,
+    # one for the residual samples' near blocks and one for the collocation
+    # rows' near blocks, each passed on every step, and every step
+    # assembles and samples the bits of a call without them
+    memos, sample_memos, colloc_memos = [], [], []
 
     def spy(curve, order, memo=None):
         memos.append(memo)
@@ -155,21 +156,39 @@ def test_run_carries_one_block_memo(monkeypatch):
         assert np.array_equal(res.values, sample_residual(curve, coeffs, f, order).values)
         return res
 
+    def colloc_spy(curve, order, memo=None):
+        colloc_memos.append(memo)
+        B = collocation_matrix(curve, order, memo=memo)
+        assert np.array_equal(B, collocation_matrix(curve, order))
+        return B
+
     monkeypatch.setattr(experiments, "galerkin_matrix", spy)
     monkeypatch.setattr(experiments, "sample_residual", sample_spy)
-    record = run_adaptive("square", max_dofs=20, energy_cache=None)
-    for ms in (memos, sample_memos):
-        assert len(ms) == len(record.rows) > 2
-        assert all(m is ms[0] for m in ms) and isinstance(ms[0], dict)
-    assert sample_memos[0] is not memos[0]
+    monkeypatch.setattr(experiments, "collocation_matrix", colloc_spy)
+    rows = []
+    for problem, method in (("square", "galerkin"), ("slit", "collocation")):
+        del memos[:], sample_memos[:]
+        record = run_adaptive(problem, method=method, max_dofs=20, energy_cache=None)
+        for ms in (memos, sample_memos):
+            assert len(ms) == len(record.rows) > 2
+            assert all(m is ms[0] for m in ms) and isinstance(ms[0], dict)
+        assert sample_memos[0] is not memos[0]
+        rows.append(len(record.rows))
+    assert len(colloc_memos) == rows[1]
+    assert all(m is colloc_memos[0] for m in colloc_memos)
+    assert isinstance(colloc_memos[0], dict)
+    assert colloc_memos[0] is not memos[0] and colloc_memos[0] is not sample_memos[0]
 
 
 def test_run_logs_block_traffic(caplog):
     # the uniform slit halves every width, so no block recurs: after the
     # one-element start, each step computes one identical and one touching
-    # singular block, and one own and two neighbour sample blocks
+    # singular block, and one own and two neighbour sample blocks; the
+    # collocation points (first, interior nodes, last) take three own and,
+    # from four elements on, four neighbour blocks
     caplog.set_level(logging.DEBUG, logger="igabem.operators")
-    record = run_adaptive("slit", uniform=True, max_dofs=33, energy_cache=None)
+    record = run_adaptive("slit", method="collocation", uniform=True, max_dofs=33,
+                          energy_cache=None)
 
     def traffic(what):
         return [tuple(map(int, re.findall(r"\d+", r.getMessage())))
@@ -179,6 +198,7 @@ def test_run_logs_block_traffic(caplog):
     assert later >= 4
     assert traffic("singular blocks") == [(1, 0)] + [(2, 0)] * later
     assert traffic("sample blocks") == [(1, 0)] + [(3, 0)] * later
+    assert traffic("collocation blocks") == [(2, 0), (6, 0)] + [(7, 0)] * (later - 1)
 
 
 @pytest.mark.parametrize("theta", [1.5, 0.0, -0.25, float("nan")])

@@ -714,19 +714,19 @@ def test_sample_blocks_do_not_depend_on_the_batch(name):
     # each distinct key is computed on its first element and gathered for
     # the others, which is only sound if a block's bits are its own
     curve = list(_random_steps(MEMO_CURVES[name](), 4, seed=3))[-1]
-    u, _ = quadrature.gauss_unit(6)
+    targets = operators._local_targets(curve, quadrature.gauss_unit(6)[0])
     e = np.arange(curve.knots.n_elements)
     ends = np.flatnonzero(operators._sample_neighbours(curve).ravel() >= 0)
-    own, touch, _ = operators._sample_near_blocks(curve, 16, u, e, ends)
+    own, touch, _ = operators._sample_near_blocks(curve, 16, targets, e, ends)
     assert np.abs(touch).max() > 0.0
     rng = np.random.default_rng(5)
     for _ in range(4):
         ie = rng.choice(len(e), rng.integers(1, len(e) + 1))
         it = rng.choice(len(ends), rng.integers(1, len(ends) + 1))
-        o, t, _ = operators._sample_near_blocks(curve, 16, u, e[ie], ends[it])
+        o, t, _ = operators._sample_near_blocks(curve, 16, targets, e[ie], ends[it])
         assert np.array_equal(o, own[ie]) and np.array_equal(t, touch[it])
     for i, j in ((0, 0), (len(e) - 1, len(ends) - 1)):  # batches of one
-        o, t, _ = operators._sample_near_blocks(curve, 16, u, e[[i]], ends[[j]])
+        o, t, _ = operators._sample_near_blocks(curve, 16, targets, e[[i]], ends[[j]])
         assert np.array_equal(o[0], own[i]) and np.array_equal(t[0], touch[j])
 
 
@@ -735,7 +735,8 @@ def test_sample_blocks_on_uniform_slit():
     # and one block per side, whatever the mesh size
     for steps in (3, 6):
         curve = _uniform_slit(steps)
-        own, ends = operators._sample_keys(curve, 16, quadrature.gauss_unit(6)[0])
+        targets = operators._local_targets(curve, quadrature.gauss_unit(6)[0])
+        own, ends = operators._sample_keys(curve, 16, targets)
         assert len(set(own)) == 1
         assert len(set(ends) - {None}) == 2
 
@@ -744,8 +745,9 @@ def test_sample_blocks_on_uniform_slit():
 def test_sample_keys_cover_every_input(change, monkeypatch):
     curve = list(_random_steps(pacman(), 3, seed=2))[-1]
     order, u = 16, quadrature.gauss_unit(6)[0]
-    own0, ends0 = operators._sample_keys(curve, order, u)
-    blocks0, _ = operators._sample_blocks(curve, order, u)
+    targets = operators._local_targets(curve, u)
+    own0, ends0 = operators._sample_keys(curve, order, targets)
+    blocks0, _ = operators._sample_blocks(curve, order, targets)
     changed = set()
     if change == "q_int":
         u = quadrature.gauss_unit(7)[0]
@@ -761,7 +763,8 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
         changed = set(np.flatnonzero((first <= 3) & (3 <= first + curve.degree)).tolist())
         curve = Curve(curve.knots, controls, weights)
     every = change in ("q_int", "order")
-    own1, ends1 = operators._sample_keys(curve, order, u)
+    targets = operators._local_targets(curve, u)
+    own1, ends1 = operators._sample_keys(curve, order, targets)
     nb = operators._sample_neighbours(curve)
     for e in range(curve.knots.n_elements):
         # a key changes exactly when its elements changed
@@ -775,17 +778,17 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
     computed = []
     near_blocks = operators._sample_near_blocks
 
-    def spy(curve, order, u, e, ends, pairs=None):
+    def spy(curve, order, targets, e, ends, pairs=None):
         computed.append((len(e), len(ends)))
-        return near_blocks(curve, order, u, e, ends, pairs)
+        return near_blocks(curve, order, targets, e, ends, pairs)
 
     monkeypatch.setattr(operators, "_sample_near_blocks", spy)
-    blocks, _ = operators._sample_blocks(curve, order, u)
+    blocks, _ = operators._sample_blocks(curve, order, targets)
     # each distinct key once, and the gathered stack equals a fresh
     # evaluation of every element, then of every keyed end in order
     assert computed == [(len(set(own1)), len(set(ends1) - {None}))]
     keyed = np.flatnonzero(nb.ravel() >= 0)
-    fresh_own, fresh_touch, _ = near_blocks(curve, order, u,
+    fresh_own, fresh_touch, _ = near_blocks(curve, order, targets,
                                             np.arange(len(own1)), keyed)
     own = blocks[:len(own1)]
     assert np.array_equal(own, fresh_own)
@@ -805,8 +808,59 @@ def test_sample_memo_carried_across_adaptive_steps(name):
         got = single_layer_values(curve, c, params, local=u, memo=memo)
         assert np.array_equal(got, single_layer_values(curve, c, params, local=u))
         # the memo holds this mesh's distinct keys and nothing else
-        own, ends = operators._sample_keys(curve, 16, u)
+        own, ends = operators._sample_keys(curve, 16, operators._local_targets(curve, u))
         assert set(memo) == set(own) | set(ends) - {None}
+
+
+def _collocation_steps(name, steps, seed):
+    """``_random_steps`` of a curve, less the meshes whose collocation
+    points hit a corner, which ``collocation_matrix`` refuses."""
+    for curve in _random_steps(MEMO_CURVES[name](), steps, seed):
+        gaps = curve.param_delta(curve.knots.collocation_points()[:, None],
+                                 curve.corner_params()[None, :])
+        if not (np.abs(gaps) < 1e-12).any():
+            yield curve
+
+
+@pytest.mark.parametrize("name", ["slit", "pacman", "circle"])
+def test_collocation_memo_carried_across_adaptive_steps(name):
+    # the collocation rows' own and neighbour blocks are keyed by content:
+    # with a memo carried from mesh to mesh the matrix is the bits of a call
+    # without it, and the memo holds this mesh's distinct keys alone
+    memo, meshes = {}, 0
+    for curve in _collocation_steps(name, 8, seed=11):
+        B = collocation_matrix(curve, memo=memo)
+        assert np.array_equal(B, collocation_matrix(curve))
+        targets = operators._param_targets(curve, curve.knots.collocation_points())
+        own, ends = operators._sample_keys(curve, 16, targets)
+        assert set(memo) == set(own) | set(ends) - {None}
+        meshes += 1
+    assert meshes >= 6
+
+
+@pytest.mark.parametrize("name", ["slit", "pacman", "circle"])
+def test_keyed_near_decision_matches_parameter_mask(name):
+    # a keyed neighbour is near a parameter target when its offset from the
+    # shared node is below NEAR_FACTOR widths of the neighbour; the far
+    # field's mask by parameter distance to the element says the same, but
+    # at a tie |offset| = NEAR_FACTOR h', which the pacman's collocation
+    # points meet, where each test rounds its own way (both rules are
+    # accurate to rounding at that distance)
+    rng, seen = np.random.default_rng(3), set()
+    for curve in _collocation_steps(name, 8, seed=11):
+        kv = curve.knots
+        params = np.concatenate([kv.collocation_points(), kv.breakpoints[:-1],
+                                 rng.uniform(kv.a, kv.b, 100)])
+        row, _, offset = operators._param_targets(curve, params)
+        nb, near = operators._keyed_near(curve, row, offset)
+        hs = kv.widths[nb]
+        tie = np.abs(np.abs(offset[..., 0]) / hs - operators.NEAR_FACTOR) < 1e-12
+        keyed = (nb >= 0) & ~tie
+        gap = np.abs(curve.param_delta(params[:, None], kv.elements[nb].mean(axis=2)))
+        by_parameter = np.maximum(gap - 0.5 * hs, 0.0) < operators.NEAR_FACTOR * hs
+        np.testing.assert_array_equal(near[..., 0][keyed], by_parameter[keyed])
+        seen |= set(near[..., 0][keyed].tolist())
+    assert seen == {False, True}
 
 
 def _dirichlet_targets(curve, rng):

@@ -85,10 +85,14 @@ are formed once, and so are the node frames and g values of each
 (element, levels, end) of a graded group, all that such a group reads
 apart from its targets.  Single-layer kernels form their groups anew.
 
-The log kernel of the pointwise single layer and of separated Galerkin
-pairs is 1/2 log(dx^2 + dy^2), formed in place (``_log_dist``): cheaper
-than log(hypot) and as accurate, both within 0.6 eps max(1, |log r|) for
-r = |(dx, dy)| from 1e-28 to 1e2.
+The log kernel of separated Galerkin pairs and of the pointwise single
+layer's graded rules is 1/2 log(dx^2 + dy^2), formed in place
+(``_log_dist``): cheaper than log(hypot) and as accurate, both within
+0.6 eps max(1, |log r|) for r = |(dx, dy)| from 1e-28 to 1e2.  The
+pointwise single layer's far field sums log(dx^2 + dy^2) from the grid's
+contiguous x and y rows, with neither the 1/2 nor the floor, and halves
+the sums once: scaling by a power of two is exact, so every sum keeps the
+bits of one over 1/2 log r^2, in fewer passes over the entries.
 
 Geometry and basis at quadrature nodes come from ``Curve`` by two paths,
 which each caller names.  Node sets that every element shares (the Duffy
@@ -144,7 +148,8 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 def _log_dist(dx: np.ndarray, dy: np.ndarray, floor: float = 0.0) -> np.ndarray:
     """log |(dx, dy)| as 1/2 log(dx^2 + dy^2 + floor), in place in ``dx``;
-    both arguments are overwritten."""
+    both arguments are overwritten.  The single layer's far field takes
+    neither the 1/2 nor the floor (``_SingleLayer.far``)."""
     dx *= dx
     dy *= dy
     dx += dy
@@ -165,9 +170,10 @@ def _phi_windows(curve: Curve, e, u):
 
 def _grids(curve: Curve, orders) -> list:
     """The Gauss grid of each order: points on every element, (n_el, q, 2),
-    and the basis windows there times speed, Gauss weight and width, (n_el,
-    q, p + 1); read-only, built once per curve and order.  The orders not
-    built yet share one ``Curve.at_nodes`` call over all their nodes."""
+    the basis windows there times speed, Gauss weight and width, (n_el, q,
+    p + 1), and the points' x and y as two contiguous rows, (2, n_el q);
+    read-only, built once per curve and order.  The orders not built yet
+    share one ``Curve.at_nodes`` call over all their nodes."""
     missing = [m for m in dict.fromkeys(orders) if m not in curve._grids]
     if missing:
         kv = curve.knots
@@ -178,8 +184,9 @@ def _grids(curve: Curve, orders) -> list:
         cuts = np.cumsum(missing)[:-1]
         for m, (_, wg), fm, bm in zip(missing, rules, np.split(frames, cuts, axis=1),
                                       np.split(basis, cuts, axis=1)):
-            grid = (np.ascontiguousarray(fm[..., 0, :]),
-                    _phi(fm, bm) * (wg * kv.widths[:, None])[..., None])
+            points = np.ascontiguousarray(fm[..., 0, :])
+            grid = (points, _phi(fm, bm) * (wg * kv.widths[:, None])[..., None],
+                    np.ascontiguousarray(points.reshape(-1, 2).T))
             for a in grid:
                 a.flags.writeable = False
             curve._grids[m] = grid
@@ -387,7 +394,7 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER,
     pair_order = separated_order(
         1.0 + np.maximum(gap, 0.0) / np.maximum(radius[e], radius[f]), order)
     orders = np.unique(pair_order).tolist()
-    for m, (pm, wm) in zip(orders, _grids(curve, orders)):
+    for m, (pm, wm, _) in zip(orders, _grids(curve, orders)):
         pick = pair_order == m
         ge, gf = e[pick], f[pick]
         step = max(1, int(_FAR_BLOCK // (m * m)))
@@ -521,19 +528,20 @@ class _SingleLayer:
     """Kernel log|gamma(x) - gamma(t)| against sum coeffs[q] R_q |gamma'| in
     one column or, without ``coeffs``, against each R_q |gamma'| in column q.
 
-    Far elements use the ``_grid`` of the given order.  The near field is
-    keyed (``_sample_blocks``): its rules run against the raw basis windows
-    times speed, which ``cw``, the coefficients of each element's window,
-    contracts afterwards.
+    Far elements use the ``_grid`` of the given order, whose kernel ``far``
+    leaves unhalved: ``far_scale`` halves the far sums once.  The near field
+    is keyed (``_sample_blocks``): its rules run against the raw basis
+    windows times speed, which ``cw``, the coefficients of each element's
+    window, contracts afterwards.
     """
 
     keyed = True
+    far_scale = 0.5
 
     def __init__(self, curve: Curve, order: int, coeffs: np.ndarray | None = None):
         self.curve = curve
         self.order = order
-        points, wbasis = _grid(curve, order)
-        self.grid_frames = points.reshape(-1, 1, 2)
+        _, wbasis, self.grid_xy = _grid(curve, order)
         cols = curve.knots.element_table[0][:, None] + np.arange(curve.degree + 1)[None, :]
         if coeffs is None:
             self.grid, self.cols = wbasis, cols
@@ -543,6 +551,20 @@ class _SingleLayer:
             self.cw = coeffs[cols]
             self.grid = np.einsum("eqb,eb->eq", wbasis, self.cw)[..., None]
             self.n_cols = 1
+
+    def far(self, pts):
+        """log r^2 from points pts to every grid node, (len(pts), n_el q).
+
+        No floor: a far node lies at r^2 above about 1e-24, where adding
+        1e-300 changes no bit, and r = 0 only where a target sits on a node
+        of its own element, an entry the far field zeroes as near."""
+        dx = pts[:, 0, None] - self.grid_xy[0]
+        dy = pts[:, 1, None] - self.grid_xy[1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        with np.errstate(divide="ignore"):
+            return np.log(dx, out=dx)
 
     @staticmethod
     def value(px, frames):
@@ -595,6 +617,7 @@ class _DoubleLayer:
 
     n_cols = 1
     keyed = False
+    far_scale = 1.0
 
     def __init__(self, curve: Curve, order: int, g_of_points):
         kv = curve.knots
@@ -610,6 +633,10 @@ class _DoubleLayer:
         self.cols = np.zeros((kv.n_elements, 1), dtype=int)
         self.tables: dict = {}
         self.reused = 0
+
+    def far(self, pts):
+        """The kernel from points pts to every grid node."""
+        return self.value(pts, self.grid_frames)
 
     @staticmethod
     def value(px, frames):
@@ -694,37 +721,38 @@ def _param_targets(curve: Curve, params: np.ndarray):
     return row[:, None], tau[:, None], offset[..., None]
 
 
-def _keyed_near(curve: Curve, row: np.ndarray, offset: np.ndarray):
+def _keyed_near(curve: Curve, neighbours: np.ndarray, row: np.ndarray,
+                offset: np.ndarray):
     """For target rows ``row`` with ``offset`` from their element's ends
     (``_local_targets``, ``_param_targets``): the keyed neighbours of each
-    row's element (``_sample_neighbours``), (n, 2), and whether the one
-    across an end is near each target, (n, 2, m): |offset| < NEAR_FACTOR
-    h'.  This reads only offsets and widths, so the decision follows from
-    a touching key."""
-    nb = _sample_neighbours(curve)[row[:, 0] >> 1]
+    row's element among ``neighbours`` (``_sample_neighbours``), (n, 2), and
+    whether the one across an end is near each target, (n, 2, m): |offset|
+    < NEAR_FACTOR h'.  This reads only offsets and widths, so the decision
+    follows from a touching key."""
+    nb = neighbours[row[:, 0] >> 1]
     near = np.abs(offset) < NEAR_FACTOR * curve.knots.widths[nb][..., None]
     return nb, near & (nb >= 0)[..., None]
 
 
-def _sample_keys(curve: Curve, order: int, targets):
+def _sample_keys(curve: Curve, order: int, targets, neighbours: np.ndarray):
     """The content keys of the near blocks of the target rows ``targets``
     (``_local_targets``, ``_param_targets``): per row, the order, the bytes
     of its targets' nearer ends and offsets from them, and its element's
     ``_element_rows`` entry, whose length gives the degree; per row end
     2 k + side, the order, the side, the bytes of the targets' offsets from
     that end, the element's entry and the neighbour's, or None where
-    ``_sample_neighbours`` has none."""
+    ``neighbours`` (``_sample_neighbours``) has none."""
     row, tau, offset = targets
     rows = _element_rows(curve)
     e = (row[:, 0] >> 1).tolist()
-    nb = _sample_neighbours(curve)[e].tolist()
+    nb = neighbours[e].tolist()
     return ([(order, r.tobytes(), t.tobytes(), rows[k]) for k, r, t in zip(e, row & 1, tau)],
             [(order, side, offset[k, side].tobytes(), rows[e[k]], rows[f]) if f >= 0 else None
              for k, pair in enumerate(nb) for side, f in enumerate(pair)])
 
 
-def _sample_near_blocks(curve: Curve, order: int, targets, own: np.ndarray,
-                        ends: np.ndarray, pairs=None):
+def _sample_near_blocks(curve: Curve, order: int, targets, neighbours: np.ndarray,
+                        own: np.ndarray, ends: np.ndarray, pairs=None):
     """Near blocks of the target rows ``targets`` (m targets each), against
     raw basis windows times speed (one column per basis function).
 
@@ -733,7 +761,8 @@ def _sample_near_blocks(curve: Curve, order: int, targets, own: np.ndarray,
     ``ends``, takes the rule on the neighbour across that end of the
     element, graded toward the shared node (``_graded_rows``), with the
     targets' distance and displacement from the node read from the
-    element's tables at their offset (``_keyed_near``), and zero rows
+    element's tables at their offset (``_keyed_near`` of ``neighbours``,
+    ``_sample_neighbours``), and zero rows
     for far targets.  Each reads only its keys' inputs (``_sample_keys``),
     so a block's bits do not depend on its batch.  Further graded ``pairs``
     (element, end, distance, displacement) share the end blocks' groups.
@@ -747,7 +776,7 @@ def _sample_near_blocks(curve: Curve, order: int, targets, own: np.ndarray,
     for idx, r in _containing_rows(raw, row[own].ravel(), tau[own].ravel()):
         own_rows[idx] += r
 
-    nb, near = _keyed_near(curve, row, offset)
+    nb, near = _keyed_near(curve, neighbours, row, offset)
     k, side = ends >> 1, ends & 1
     pk, pj = np.nonzero(near[k, side])
     k, side = k[pk], side[pk]
@@ -764,10 +793,11 @@ def _sample_near_blocks(curve: Curve, order: int, targets, own: np.ndarray,
     return own_rows.reshape((len(own),) + shape), touch, rows[len(pk):]
 
 
-def _sample_blocks(curve: Curve, order: int, targets, pairs=None,
-                   memo: dict | None = None, what: str = "sample"):
+def _sample_blocks(curve: Curve, order: int, targets, neighbours: np.ndarray,
+                   pairs=None, memo: dict | None = None, what: str = "sample"):
     """Every near block of the target rows ``targets``, and the rows of
-    further graded ``pairs`` (``_sample_near_blocks``).  Each distinct key
+    further graded ``pairs`` (``_sample_near_blocks``), with the keyed
+    ``neighbours`` of ``_sample_neighbours``.  Each distinct key
     (``_sample_keys``) missing from ``memo`` is computed once, on its first
     row or row end, in one batch with ``pairs``, and ``memo`` is left
     holding the blocks of these targets' keys alone (``_remember``, which
@@ -777,14 +807,14 @@ def _sample_blocks(curve: Curve, order: int, targets, pairs=None,
     2 k + side with a keyed neighbour, in order of 2 k + side; and the rows
     of ``pairs``."""
     n = len(targets[0])
-    own_keys, end_keys = _sample_keys(curve, order, targets)
+    own_keys, end_keys = _sample_keys(curve, order, targets, neighbours)
     keyed = np.flatnonzero([k is not None for k in end_keys])
     keys = own_keys + [end_keys[k] for k in keyed]
     first, slot = _distinct(keys)
     memo = {} if memo is None else memo
     new = np.array([i for i in first if keys[i] not in memo], dtype=int)
-    own, ends, rows = _sample_near_blocks(curve, order, targets, new[new < n],
-                                          keyed[new[new >= n] - n], pairs)
+    own, ends, rows = _sample_near_blocks(curve, order, targets, neighbours,
+                                          new[new < n], keyed[new[new >= n] - n], pairs)
     return _remember(memo, keys, first, new, (*own, *ends), what)[slot], rows
 
 
@@ -792,16 +822,17 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None,
                what: str = "sample") -> np.ndarray:
     """Integrals of ``kernel`` against its density at the target parameters.
 
-    ``kernel`` supplies the kernel ``value`` on a Gauss grid
-    (``grid_frames``, points and whatever derivatives ``value`` reads) and
-    at other quadrature nodes, its density there (``grid`` (n_el, q, w)
-    times weights, and ``graded``, the frames and the density of a graded
-    group's nodes, in windows of w values), the output column ``cols[e,
-    j]`` of slot j of element e's window among ``n_cols``, and the rule on
-    the element containing the target.  Far elements take the
-    grid, in blocks of targets; the other near elements take composite
-    rules graded toward the target.  Each rule runs in one loop whatever
-    the form of the targets (``_containing_rows``, ``_graded_rows``).
+    ``kernel`` supplies the kernel from target points to its Gauss grid
+    (``far``), times ``far_scale`` once summed, and its ``value`` at other
+    quadrature nodes, its density there (``grid`` (n_el, q, w) times
+    weights, and ``graded``, the frames and the density of a graded group's
+    nodes, in windows of w values), the output column ``cols[e, j]`` of
+    slot j of element e's window among ``n_cols``, and the rule on the
+    element containing the target.  Far elements take the grid, in blocks
+    of targets whose near (target, element) entries are zeroed by index;
+    the other near elements take composite rules graded toward the target.
+    Each rule runs in one loop whatever the form of the targets
+    (``_containing_rows``, ``_graded_rows``).
     Returns an (n_targets, n_cols) array.
 
     With ``local`` the targets are the nodes (e, local[j]) of every element
@@ -838,7 +869,8 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None,
     m = len(params)
     if kernel.keyed:
         # per target: the keyed neighbour across each end and whether it is near
-        nb_rows, near_rows = _keyed_near(curve, row, targets[2])
+        neighbours = _sample_neighbours(curve)
+        nb_rows, near_rows = _keyed_near(curve, neighbours, row, targets[2])
         nb = nb_rows.repeat(row.shape[1], axis=0)
         keyed_near = near_rows.transpose(0, 2, 1).reshape(m, 2)
     else:
@@ -863,16 +895,18 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None,
         near[k, nb[s0 + k, side]] = keyed_near[s0 + k, side]
         ni, ne = np.nonzero(near)
         near_pairs.append((s0 + ni, ne))
-        K = kernel.value(x_pts[sl], kernel.grid_frames).reshape(-1, n_el, q)
-        K[near] = 0.0
+        K = kernel.far(x_pts[sl]).reshape(-1, n_el, q)
+        K[ni, ne] = 0.0
         if w == 1:
             # multiply and sum per row: a matrix-vector product would
             # round a target's row by its position in the block
-            out[sl, 0] = (K.reshape(len(K), -1) * kernel.grid.ravel()).sum(axis=1)
+            K *= kernel.grid[..., 0]
+            out[sl, 0] = K.reshape(len(K), -1).sum(axis=1)
         else:
             win = np.einsum("cer,erw->cew", K, kernel.grid)
             for j in range(w):  # slot j of distinct elements: distinct columns
                 out[sl, kernel.cols[:, j]] += win[:, :, j]
+    out *= kernel.far_scale  # the far sums alone, before any near part
 
     pair_i, pair_e = (np.concatenate(p) for p in zip(*near_pairs))
     keep = (pair_e != inside[pair_i]) & (pair_e[:, None] != nb[pair_i]).all(axis=1)
@@ -888,7 +922,8 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None,
     # the keyed blocks, each with the row of its targets and the element of
     # its windows, own blocks first, then the keyed ends in order; then the
     # other near pairs' rows, which ran in the same graded groups
-    blocks, rows = _sample_blocks(curve, q, targets, (pair_e, toward, d, px), memo, what)
+    blocks, rows = _sample_blocks(curve, q, targets, neighbours, (pair_e, toward, d, px),
+                                  memo, what)
     k, side = np.nonzero(nb_rows >= 0)
     to = np.concatenate([np.arange(len(row)), k])
     f = np.concatenate([row[:, 0] >> 1, nb_rows[k, side]])

@@ -25,7 +25,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "gauss_legendre",
@@ -152,6 +151,10 @@ def _gauss_log_impl(n: int) -> tuple[np.ndarray, np.ndarray]:
         nodes = alpha.copy()
         weights = beta.copy()
     else:
+        # imported here, so that only a program that builds a rule loads
+        # scipy, once per order since the rules are cached
+        from scipy.linalg import eigh_tridiagonal
+
         vals, vecs = eigh_tridiagonal(alpha, np.sqrt(beta[1:]))
         nodes = vals
         weights = beta[0] * vecs[0, :] ** 2

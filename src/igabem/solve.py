@@ -19,7 +19,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +42,9 @@ def solve_linear(A: np.ndarray, b: np.ndarray):
     not actual solve instability.  The estimate refers to the equilibrated
     matrix.
     """
+    # imported here, so that only a program that solves loads scipy
+    from scipy.linalg import lapack, lu_factor, lu_solve
+
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     d = np.abs(np.diagonal(A))

@@ -8,6 +8,9 @@ there sits on a ``# noqa: F401`` line, and must be one that
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,14 @@ def test_every_import_is_used(path):
     assert unused == waived, f"{path.name} imports unused {sorted(unused - waived)}"
     untraced = waived - _traced_names().get(path.stem, set())
     assert not untraced, f"{path.name} waives {sorted(untraced)}, which no tracer wraps"
+
+
+def test_experiments_and_cli_load_no_scipy():
+    # scipy loads where a rule is built or a system solved, so importing the
+    # runner and the command line (``igabem rates``, ``--help``) skips it
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, igabem.experiments, igabem.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"

@@ -30,9 +30,9 @@ from igabem.operators import (
     galerkin_rhs,
     single_layer_values,
 )
-from igabem.splines import KnotVector, rational_basis
+from igabem.splines import KnotVector, nearer_end, rational_basis
 
-from helpers import circle, parity_curves
+from helpers import circle, parity_curves, slit_single_layer
 
 TOTAL_SLIT_ENERGY = (3.0 - 2.0 * np.log(2.0)) / np.pi
 
@@ -619,9 +619,11 @@ def test_memo_keys_cover_every_input(change, monkeypatch):
 
 def test_grid_is_built_once_per_curve_and_order():
     curve = pacman()
-    points, wbasis = operators._grid(curve, 16)
+    points, wbasis, xy = operators._grid(curve, 16)
     assert operators._grid(curve, 16)[0] is points
-    assert not points.flags.writeable and not wbasis.flags.writeable
+    assert not any(a.flags.writeable for a in (points, wbasis, xy))
+    # the far field's x and y rows: contiguous copies of the points
+    assert xy.flags.c_contiguous and np.array_equal(xy, points.reshape(-1, 2).T)
     assert operators._grid(curve, 12)[0].shape == (curve.knots.n_elements, 12, 2)
     refined = curve.refined([0.5])
     assert operators._grid(refined, 16)[0].shape[0] == curve.knots.n_elements + 1
@@ -709,6 +711,28 @@ def test_element_local_targets_keep_unkeyed_neighbours():
         single_layer_values(curve, np.ones(4), params.ravel(), local=u)
 
 
+@pytest.mark.parametrize("name", ["slit", "pacman"])
+def test_targets_on_the_far_grid_nodes(name):
+    # targets at the grid's own Gauss nodes sit at r = 0 from a node of
+    # their own element: the far field, which forms log r^2 without a floor,
+    # takes log 0 there and zeroes it as near, with no RuntimeWarning (an
+    # error in this suite)
+    if name == "slit":
+        curve = _uniform_slit(5)
+    else:
+        curve = list(_random_steps(pacman(), 3, seed=4))[-1]
+    u, params = _samples(curve, 16)
+    frames, _ = curve.at_nodes(np.arange(curve.knots.n_elements)[:, None],
+                               *nearer_end(u), absolute=True)
+    assert np.array_equal(frames[..., 0, :], operators._grid(curve, 16)[0])
+    c = np.random.default_rng(8).standard_normal(curve.knots.dim)
+    got = single_layer_values(curve, c, params, local=u)
+    assert np.isfinite(got).all()
+    if name == "slit":
+        want = slit_single_layer(curve, c, params.ravel()).reshape(params.shape)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("name", list(MEMO_CURVES))
 def test_sample_blocks_do_not_depend_on_the_batch(name):
     # each distinct key is computed on its first element and gathered for
@@ -716,17 +740,18 @@ def test_sample_blocks_do_not_depend_on_the_batch(name):
     curve = list(_random_steps(MEMO_CURVES[name](), 4, seed=3))[-1]
     targets = operators._local_targets(curve, quadrature.gauss_unit(6)[0])
     e = np.arange(curve.knots.n_elements)
-    ends = np.flatnonzero(operators._sample_neighbours(curve).ravel() >= 0)
-    own, touch, _ = operators._sample_near_blocks(curve, 16, targets, e, ends)
+    nb = operators._sample_neighbours(curve)
+    ends = np.flatnonzero(nb.ravel() >= 0)
+    own, touch, _ = operators._sample_near_blocks(curve, 16, targets, nb, e, ends)
     assert np.abs(touch).max() > 0.0
     rng = np.random.default_rng(5)
     for _ in range(4):
         ie = rng.choice(len(e), rng.integers(1, len(e) + 1))
         it = rng.choice(len(ends), rng.integers(1, len(ends) + 1))
-        o, t, _ = operators._sample_near_blocks(curve, 16, targets, e[ie], ends[it])
+        o, t, _ = operators._sample_near_blocks(curve, 16, targets, nb, e[ie], ends[it])
         assert np.array_equal(o, own[ie]) and np.array_equal(t, touch[it])
     for i, j in ((0, 0), (len(e) - 1, len(ends) - 1)):  # batches of one
-        o, t, _ = operators._sample_near_blocks(curve, 16, targets, e[[i]], ends[[j]])
+        o, t, _ = operators._sample_near_blocks(curve, 16, targets, nb, e[[i]], ends[[j]])
         assert np.array_equal(o[0], own[i]) and np.array_equal(t[0], touch[j])
 
 
@@ -736,7 +761,8 @@ def test_sample_blocks_on_uniform_slit():
     for steps in (3, 6):
         curve = _uniform_slit(steps)
         targets = operators._local_targets(curve, quadrature.gauss_unit(6)[0])
-        own, ends = operators._sample_keys(curve, 16, targets)
+        own, ends = operators._sample_keys(curve, 16, targets,
+                                           operators._sample_neighbours(curve))
         assert len(set(own)) == 1
         assert len(set(ends) - {None}) == 2
 
@@ -746,8 +772,9 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
     curve = list(_random_steps(pacman(), 3, seed=2))[-1]
     order, u = 16, quadrature.gauss_unit(6)[0]
     targets = operators._local_targets(curve, u)
-    own0, ends0 = operators._sample_keys(curve, order, targets)
-    blocks0, _ = operators._sample_blocks(curve, order, targets)
+    nb = operators._sample_neighbours(curve)  # every change below keeps the knots
+    own0, ends0 = operators._sample_keys(curve, order, targets, nb)
+    blocks0, _ = operators._sample_blocks(curve, order, targets, nb)
     changed = set()
     if change == "q_int":
         u = quadrature.gauss_unit(7)[0]
@@ -764,8 +791,7 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
         curve = Curve(curve.knots, controls, weights)
     every = change in ("q_int", "order")
     targets = operators._local_targets(curve, u)
-    own1, ends1 = operators._sample_keys(curve, order, targets)
-    nb = operators._sample_neighbours(curve)
+    own1, ends1 = operators._sample_keys(curve, order, targets, nb)
     for e in range(curve.knots.n_elements):
         # a key changes exactly when its elements changed
         assert (own1[e] != own0[e]) == (every or e in changed), e
@@ -778,17 +804,17 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
     computed = []
     near_blocks = operators._sample_near_blocks
 
-    def spy(curve, order, targets, e, ends, pairs=None):
+    def spy(curve, order, targets, neighbours, e, ends, pairs=None):
         computed.append((len(e), len(ends)))
-        return near_blocks(curve, order, targets, e, ends, pairs)
+        return near_blocks(curve, order, targets, neighbours, e, ends, pairs)
 
     monkeypatch.setattr(operators, "_sample_near_blocks", spy)
-    blocks, _ = operators._sample_blocks(curve, order, targets)
+    blocks, _ = operators._sample_blocks(curve, order, targets, nb)
     # each distinct key once, and the gathered stack equals a fresh
     # evaluation of every element, then of every keyed end in order
     assert computed == [(len(set(own1)), len(set(ends1) - {None}))]
     keyed = np.flatnonzero(nb.ravel() >= 0)
-    fresh_own, fresh_touch, _ = near_blocks(curve, order, targets,
+    fresh_own, fresh_touch, _ = near_blocks(curve, order, targets, nb,
                                             np.arange(len(own1)), keyed)
     own = blocks[:len(own1)]
     assert np.array_equal(own, fresh_own)
@@ -808,7 +834,8 @@ def test_sample_memo_carried_across_adaptive_steps(name):
         got = single_layer_values(curve, c, params, local=u, memo=memo)
         assert np.array_equal(got, single_layer_values(curve, c, params, local=u))
         # the memo holds this mesh's distinct keys and nothing else
-        own, ends = operators._sample_keys(curve, 16, operators._local_targets(curve, u))
+        own, ends = operators._sample_keys(curve, 16, operators._local_targets(curve, u),
+                                           operators._sample_neighbours(curve))
         assert set(memo) == set(own) | set(ends) - {None}
 
 
@@ -832,7 +859,8 @@ def test_collocation_memo_carried_across_adaptive_steps(name):
         B = collocation_matrix(curve, memo=memo)
         assert np.array_equal(B, collocation_matrix(curve))
         targets = operators._param_targets(curve, curve.knots.collocation_points())
-        own, ends = operators._sample_keys(curve, 16, targets)
+        own, ends = operators._sample_keys(curve, 16, targets,
+                                           operators._sample_neighbours(curve))
         assert set(memo) == set(own) | set(ends) - {None}
         meshes += 1
     assert meshes >= 6
@@ -852,7 +880,8 @@ def test_keyed_near_decision_matches_parameter_mask(name):
         params = np.concatenate([kv.collocation_points(), kv.breakpoints[:-1],
                                  rng.uniform(kv.a, kv.b, 100)])
         row, _, offset = operators._param_targets(curve, params)
-        nb, near = operators._keyed_near(curve, row, offset)
+        nb, near = operators._keyed_near(curve, operators._sample_neighbours(curve),
+                                         row, offset)
         hs = kv.widths[nb]
         tie = np.abs(np.abs(offset[..., 0]) / hs - operators.NEAR_FACTOR) < 1e-12
         keyed = (nb >= 0) & ~tie

@@ -112,19 +112,17 @@ class ResidualData:
 
 
 def sample_residual(curve: Curve, coeffs: np.ndarray, f_of_params,
-                    order: int = DEFAULT_ORDER, memo: dict | None = None) -> ResidualData:
+                    order: int = DEFAULT_ORDER) -> ResidualData:
     """Sample r = f - V phi_h on every element's interior Gauss grid of
     max(p + 2, 6) points.  f takes the grid's parameters; V phi_h takes its
-    nodes as element-local targets, (element, Gauss coordinate).  ``memo``
-    carries V phi_h's near blocks from one mesh of a refinement to the next
-    (``single_layer_values``); the samples are the same bits without it."""
+    nodes as element-local targets, (element, Gauss coordinate), with near
+    blocks from the curve's lineage store (``single_layer_values``)."""
     q_int = max(curve.degree + 2, 6)
     xg, _ = gauss_unit(q_int)
     return ResidualData.from_function(
         curve,
         lambda ts: np.asarray(f_of_params(ts)) - single_layer_values(
-            curve, coeffs, ts.reshape(-1, q_int), order=order, local=xg,
-            memo=memo).ravel(),
+            curve, coeffs, ts.reshape(-1, q_int), order=order, local=xg).ravel(),
         q_int,
     )
 

@@ -343,7 +343,11 @@ def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
     if path is not None and data is not None:
         data[problem.name] = {"energy": energy, "degree": degree,
                               "relative_gap": gap}
-        _write_json_atomic(path, data)
+        try:
+            _write_json_atomic(path, data)
+        except OSError as exc:
+            logger.warning("could not store the reference energy of %s in %s: %s",
+                           problem.name, path, exc)
     return energy
 
 
@@ -410,24 +414,18 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
     state = initial_state(problem.make_curve())
     f = problem.rhs_factory(state.curve, order)
     rows: list[dict] = []
-    # the singular Galerkin blocks, the residual samples' near blocks and
-    # the collocation rows' near blocks, carried across steps; one dict
-    # each, since each call leaves its memo holding its own keys alone
-    blocks: dict = {}
-    near: dict = {}
-    colloc: dict = {}
 
     for it in range(MAX_ITERATIONS):
         t0 = time.perf_counter()
         curve = state.curve
         kv = curve.knots
-        A = galerkin_matrix(curve, order, memo=blocks)
+        A = galerkin_matrix(curve, order)
         b = galerkin_rhs(curve, f, order)
         if method == "galerkin":
             c, _ = solve_linear(A, b)
             err_sq = energy_error_galerkin(energy_ref, c, b)
         else:
-            B = collocation_matrix(curve, order, memo=colloc)
+            B = collocation_matrix(curve, order)
             c, _ = solve_linear(B, f(kv.collocation_points()))
             err_sq = energy_error_collocation(energy_ref, c, A, b)
         if not np.all(np.isfinite(c)):
@@ -439,7 +437,7 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
                            "at N=%d, stopping", kv.dim)
             break
 
-        res = sample_residual(curve, c, f, order, memo=near)
+        res = sample_residual(curve, c, f, order)
         eta_sq = faermann_indicators(res)
         mu_sq = residual_indicators(res)
         eta = float(np.sqrt(eta_sq.sum()))

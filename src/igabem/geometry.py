@@ -164,6 +164,13 @@ class Curve:
         neither do they."""
         return {}
 
+    @cached_property
+    def _blocks(self) -> dict:
+        """Singular and near-field blocks by content key, filled by
+        ``operators._stored`` and shared with every curve ``refined`` from
+        this one: a key holds all its block's inputs."""
+        return {}
+
     # -- evaluation ----------------------------------------------------------
 
     def displacement(self, row, tau, nd: int = 0) -> np.ndarray:
@@ -325,10 +332,12 @@ class Curve:
     # -- refinement --------------------------------------------------------------
 
     def refined(self, new_knots) -> "Curve":
-        """Insert knots (repeats raise multiplicities); geometry is unchanged."""
+        """Insert knots (repeats raise multiplicities); geometry and ``_blocks`` carry over."""
         kv, hom = insert_knot(self.knots, self._hom, new_knots)
         w = hom[:, 2]
-        return Curve(kv, hom[:, :2] / w[:, None], w)
+        curve = Curve(kv, hom[:, :2] / w[:, None], w)
+        curve.__dict__["_blocks"] = self._blocks
+        return curve
 
 
 def _divide(c, a):

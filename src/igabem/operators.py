@@ -17,12 +17,7 @@ take parameters.  Element pairs are integrated in two regimes:
   degree, the element widths and each element's frame and basis tables at
   its two ends, so it is looked up by the bytes of those inputs
   (``_singular_keys``).  Elements with equal inputs share one block: on
-  the straight slit every element of a width does.  A ``memo`` dict
-  carries the blocks from one mesh to the next: an element that survives a
-  refinement keeps its tables, and one whose tables Boehm insertion
-  changed gets a new key, also at degree 2 and up where a moved knot
-  changes the basis window.  Each call computes the missing keys once and
-  leaves the memo holding the current mesh's keys alone.
+  the straight slit every element of a width does.
 * separated pair: tensor Gauss at an order chosen per pair.  Each element
   gets a ball (centre the midpoint of its end points, radius reaching its
   Gauss points), and the gap between two balls relative to the larger
@@ -69,14 +64,20 @@ exactly those pairs.  Own and end keys share one table; each distinct key
 is computed once, and the blocks are scattered into the windows' columns
 or contracted with the coefficients (``_sample_blocks``): on the uniform
 slit one own block and two neighbour blocks serve every element's samples.
-A ``memo`` dict carries these blocks from one mesh to the next under the
-singular blocks' contract, so a refinement step computes only the keys of
-the elements it changed and of their neighbours; over an adaptive slit
-collocation run about 80% of the collocation rows' keys recur from the
-step before.  Neighbours that do not touch, and those whose rule grades
-away from the shared node (a closed curve of few elements), keep the rules
-by parameter and run at every call, as does every near rule of the double
-layer, which reads g at absolute points.
+Neighbours that do not touch, and those whose rule grades away from the
+shared node (a closed curve of few elements), keep the rules by parameter
+and run at every call, as does every near rule of the double layer, which
+reads g at absolute points.
+
+Singular and near blocks live in one store per refinement lineage,
+``Curve._blocks``, shared by a curve and every curve ``refined`` from it
+(``_stored``).  A key holds all of its block's inputs and starts with its
+rule's name (``identical``, ``touching``, ``own``, ``end``), so the
+Galerkin matrix, the collocation rows and the residual samples share the
+store, and a block has the same bits warm or fresh.  Boehm insertion
+changes the tables of the elements it splits or whose basis window it
+moves, so a step computes only their keys and their neighbours'.  Nothing
+is evicted; a new ``make_curve()`` starts a new store.
 
 The Dirichlet data evaluates (K + 1/2) g on one curve, call after call.
 The double-layer kernel of one g and order is therefore kept on the curve
@@ -297,67 +298,60 @@ def _element_rows(curve: Curve) -> list:
 
 def _singular_keys(curve: Curve, order: int) -> list:
     """The content key of every identical pair, then of every touching row
-    of ``KnotVector.patches`` in (es, et) order: the order, the degree, and
-    each element's ``_element_rows`` entry, the inputs ``_duffy_blocks``
-    reads."""
+    of ``KnotVector.patches`` in (es, et) order: the rule's name, the
+    order, the degree, and each element's ``_element_rows`` entry, the
+    inputs ``_duffy_blocks`` reads."""
     kv = curve.knots
     own = _element_rows(curve)
     et, es = kv.patches[kv.touching].T
-    return ([(order, curve.degree, k) for k in own]
-            + [(order, curve.degree, own[s], own[t]) for s, t in zip(es, et)])
+    return ([("identical", order, curve.degree, k) for k in own]
+            + [("touching", order, curve.degree, own[s], own[t]) for s, t in zip(es, et)])
 
 
-def _distinct(keys: list):
-    """The index of each distinct key's first occurrence, in order of first
-    occurrence, and each key's position among them."""
-    first: dict = {}
-    slot = np.array([first.setdefault(k, len(first)) for k in keys], dtype=int)
-    return np.unique(slot, return_index=True)[1], slot
-
-
-def _remember(memo: dict, keys: list, first, new, computed, what: str) -> np.ndarray:
-    """Store copies of the ``computed`` blocks of the keys at ``new`` in
-    ``memo``, so that no stored block keeps its whole batch alive, and
-    leave it holding the keys at ``first`` alone.  Returns their blocks,
-    stacked in that order, and logs how many were computed and reused."""
-    memo.update(zip([keys[i] for i in new], (b.copy() for b in computed)))
-    blocks = {keys[i]: memo[keys[i]] for i in first}
-    memo.clear()
-    memo.update(blocks)
+def _stored(curve: Curve, keys: list, compute, what: str) -> np.ndarray:
+    """The blocks of ``keys``, stacked in their order, from the lineage's
+    store ``curve._blocks``.  ``compute(new)`` returns the blocks of the
+    distinct keys missing there, given the positions ``new`` of their first
+    occurrences in ``keys``; the store keeps copies, so that none keeps its
+    batch alive, and evicts nothing.  Logs the traffic as ``what``."""
+    store = curve._blocks
+    index: dict = {}
+    slot = np.array([index.setdefault(k, len(index)) for k in keys], dtype=int)
+    first = np.unique(slot, return_index=True)[1]
+    new = np.array([i for i in first if keys[i] not in store], dtype=int)
+    store.update(zip([keys[i] for i in new], (b.copy() for b in compute(new))))
     logger.debug("%s blocks: %d computed, %d reused", what, len(new), len(first) - len(new))
-    return np.stack(list(blocks.values()))
+    return np.stack([store[k] for k in index])[slot]
 
 
-def _singular_pairs(curve: Curve, order: int, memo: dict | None = None):
+def _singular_pairs(curve: Curve, order: int):
     """Element matrices of every identical and touching pair of elements.
 
     Blocks are looked up by content key (``_singular_keys``): pairs with
     bit-identical inputs have bit-identical blocks, so each key missing from
-    ``memo`` is computed once, in one batch per regime, and ``memo`` is left
-    holding the blocks of this mesh's keys alone (``_remember``).  Returns
-    (s elements, t elements, blocks); the blocks pair the s basis window
-    against the t window and enter the matrix with their transposes.
+    the store is computed once, in one batch per regime (``_stored``).
+    Returns (s elements, t elements, blocks); the blocks pair the s basis
+    window against the t window and enter the matrix with their transposes.
     """
     kv = curve.knots
     e = np.arange(kv.n_elements)
     et, es = kv.patches[kv.touching].T
-    keys = _singular_keys(curve, order)
-    first, slot = _distinct(keys)
-    memo = {} if memo is None else memo
-    new = np.array([i for i in first if keys[i] not in memo], dtype=int)
-    touch = new[new >= len(e)] - len(e)
-    B, M = _duffy_blocks(curve, order, new[new < len(e)], et[touch], es[touch])
-    blocks = _remember(memo, keys, first, new, (*B, *M), "singular")
-    return np.concatenate([e, es]), np.concatenate([e, et]), blocks[slot]
+
+    def compute(new):
+        touch = new[new >= len(e)] - len(e)
+        B, M = _duffy_blocks(curve, order, new[new < len(e)], et[touch], es[touch])
+        return (*B, *M)
+
+    blocks = _stored(curve, _singular_keys(curve, order), compute, "singular")
+    return np.concatenate([e, es]), np.concatenate([e, et]), blocks
 
 
-def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER,
-                    memo: dict | None = None) -> np.ndarray:
+def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Symmetric Galerkin matrix of the single-layer operator.
 
-    ``memo`` carries the identical and touching blocks from one call to the
-    next (``_singular_pairs``); an adaptive run passes one dict on every
-    step, and the matrix is the same bits with or without it.
+    The identical and touching blocks come from the curve's lineage store
+    (``_singular_pairs``), so an adaptive step computes only those of the
+    elements it changed; the matrix is the same bits as on a fresh curve.
     """
     kv = curve.knots
     n_el = kv.n_elements
@@ -404,7 +398,7 @@ def galerkin_matrix(curve: Curve, order: int = DEFAULT_ORDER,
             K = _log_dist(a[..., 0] - b[..., 0], a[..., 1] - b[..., 1])
             add(ce, cf, np.matmul(wm[ce].transpose(0, 2, 1),
                                   np.matmul(K, wm[cf])))
-    add(*_singular_pairs(curve, order, memo))
+    add(*_singular_pairs(curve, order))
     return (A + A.T) / (-_TWO_PI)
 
 
@@ -734,25 +728,27 @@ def _keyed_near(curve: Curve, neighbours: np.ndarray, row: np.ndarray,
     return nb, near & (nb >= 0)[..., None]
 
 
-def _sample_keys(curve: Curve, order: int, targets, neighbours: np.ndarray):
+def _sample_keys(curve: Curve, order: int, targets, nb: np.ndarray):
     """The content keys of the near blocks of the target rows ``targets``
-    (``_local_targets``, ``_param_targets``): per row, the order, the bytes
-    of its targets' nearer ends and offsets from them, and its element's
-    ``_element_rows`` entry, whose length gives the degree; per row end
-    2 k + side, the order, the side, the bytes of the targets' offsets from
-    that end, the element's entry and the neighbour's, or None where
-    ``neighbours`` (``_sample_neighbours``) has none."""
+    (``_local_targets``, ``_param_targets``): per row, ``"own"``, the
+    order, the bytes of its targets' nearer ends and offsets from them, and
+    its element's ``_element_rows`` entry, whose length gives the degree;
+    per row end 2 k + side, ``"end"``, the order, the side, the bytes of
+    the targets' offsets from that end, the element's entry and the
+    neighbour's, or None where the row's keyed neighbours ``nb``
+    (``_keyed_near``) have none."""
     row, tau, offset = targets
     rows = _element_rows(curve)
     e = (row[:, 0] >> 1).tolist()
-    nb = neighbours[e].tolist()
-    return ([(order, r.tobytes(), t.tobytes(), rows[k]) for k, r, t in zip(e, row & 1, tau)],
-            [(order, side, offset[k, side].tobytes(), rows[e[k]], rows[f]) if f >= 0 else None
-             for k, pair in enumerate(nb) for side, f in enumerate(pair)])
+    return ([("own", order, r.tobytes(), t.tobytes(), rows[k])
+             for k, r, t in zip(e, row & 1, tau)],
+            [("end", order, side, offset[k, side].tobytes(), rows[e[k]], rows[f])
+             if f >= 0 else None
+             for k, pair in enumerate(nb.tolist()) for side, f in enumerate(pair)])
 
 
-def _sample_near_blocks(curve: Curve, order: int, targets, neighbours: np.ndarray,
-                        own: np.ndarray, ends: np.ndarray, pairs=None):
+def _sample_near_blocks(curve: Curve, order: int, targets, nb: np.ndarray,
+                        near: np.ndarray, own: np.ndarray, ends: np.ndarray, pairs=None):
     """Near blocks of the target rows ``targets`` (m targets each), against
     raw basis windows times speed (one column per basis function).
 
@@ -761,13 +757,13 @@ def _sample_near_blocks(curve: Curve, order: int, targets, neighbours: np.ndarra
     ``ends``, takes the rule on the neighbour across that end of the
     element, graded toward the shared node (``_graded_rows``), with the
     targets' distance and displacement from the node read from the
-    element's tables at their offset (``_keyed_near`` of ``neighbours``,
-    ``_sample_neighbours``), and zero rows
-    for far targets.  Each reads only its keys' inputs (``_sample_keys``),
-    so a block's bits do not depend on its batch.  Further graded ``pairs``
-    (element, end, distance, displacement) share the end blocks' groups.
-    Returns the own blocks, (len(own), m, p + 1), the end blocks,
-    (len(ends), m, p + 1), and the rows of ``pairs``.
+    element's tables at their offset, and zero rows for the targets that
+    the rows' keyed neighbours ``nb`` and their ``near`` decision
+    (``_keyed_near``) call far.  Each reads only its keys' inputs
+    (``_sample_keys``), so a block's bits do not depend on its batch.
+    Further graded ``pairs`` (element, end, distance, displacement) share
+    the end blocks' groups.  Returns the own blocks, (len(own), m, p + 1),
+    the end blocks, (len(ends), m, p + 1), and the rows of ``pairs``.
     """
     row, tau, offset = targets
     shape = (row.shape[1], curve.degree + 1)
@@ -776,7 +772,6 @@ def _sample_near_blocks(curve: Curve, order: int, targets, neighbours: np.ndarra
     for idx, r in _containing_rows(raw, row[own].ravel(), tau[own].ravel()):
         own_rows[idx] += r
 
-    nb, near = _keyed_near(curve, neighbours, row, offset)
     k, side = ends >> 1, ends & 1
     pk, pj = np.nonzero(near[k, side])
     k, side = k[pk], side[pk]
@@ -793,32 +788,33 @@ def _sample_near_blocks(curve: Curve, order: int, targets, neighbours: np.ndarra
     return own_rows.reshape((len(own),) + shape), touch, rows[len(pk):]
 
 
-def _sample_blocks(curve: Curve, order: int, targets, neighbours: np.ndarray,
-                   pairs=None, memo: dict | None = None, what: str = "sample"):
+def _sample_blocks(curve: Curve, order: int, targets, nb: np.ndarray, near: np.ndarray,
+                   pairs=None, what: str = "sample"):
     """Every near block of the target rows ``targets``, and the rows of
-    further graded ``pairs`` (``_sample_near_blocks``), with the keyed
-    ``neighbours`` of ``_sample_neighbours``.  Each distinct key
-    (``_sample_keys``) missing from ``memo`` is computed once, on its first
-    row or row end, in one batch with ``pairs``, and ``memo`` is left
-    holding the blocks of these targets' keys alone (``_remember``, which
-    logs the traffic as ``what``).  An own key and an end key differ in
-    length, so one table serves both.  Returns one stack, (n + n_keyed, m,
-    p + 1): every row's own block, then the block of each row end
-    2 k + side with a keyed neighbour, in order of 2 k + side; and the rows
-    of ``pairs``."""
+    further graded ``pairs`` (``_sample_near_blocks``), with the rows'
+    keyed neighbours ``nb`` and their ``near`` decision (``_keyed_near``).
+    Each distinct key (``_sample_keys``) missing from the store is computed
+    once, on its first row or row end, in one batch with ``pairs``
+    (``_stored``, which logs the traffic as ``what``).  Returns one stack,
+    (n + n_keyed, m, p + 1): every row's own block, then the block of each
+    row end 2 k + side with a keyed neighbour, in order of 2 k + side; and
+    the rows of ``pairs``."""
     n = len(targets[0])
-    own_keys, end_keys = _sample_keys(curve, order, targets, neighbours)
+    own_keys, end_keys = _sample_keys(curve, order, targets, nb)
     keyed = np.flatnonzero([k is not None for k in end_keys])
-    keys = own_keys + [end_keys[k] for k in keyed]
-    first, slot = _distinct(keys)
-    memo = {} if memo is None else memo
-    new = np.array([i for i in first if keys[i] not in memo], dtype=int)
-    own, ends, rows = _sample_near_blocks(curve, order, targets, neighbours,
-                                          new[new < n], keyed[new[new >= n] - n], pairs)
-    return _remember(memo, keys, first, new, (*own, *ends), what)[slot], rows
+    rows = []
+
+    def compute(new):
+        own, ends, r = _sample_near_blocks(curve, order, targets, nb, near, new[new < n],
+                                           keyed[new[new >= n] - n], pairs)
+        rows.append(r)
+        return (*own, *ends)
+
+    blocks = _stored(curve, own_keys + [end_keys[k] for k in keyed], compute, what)
+    return blocks, rows[0]
 
 
-def _potential(curve: Curve, kernel, params, local=None, memo=None,
+def _potential(curve: Curve, kernel, params, local=None,
                what: str = "sample") -> np.ndarray:
     """Integrals of ``kernel`` against its density at the target parameters.
 
@@ -839,10 +835,9 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None,
     e, element by element, and ``params`` holds their parameters; without,
     they are the parameters, one row each.  A ``keyed`` kernel, the single
     layer, takes each target row's own element and its keyed neighbours
-    from the blocks of their keys, one table of them (``_sample_blocks``),
-    carried across calls in ``memo`` and logged as ``what``; the far field
-    skips exactly the keyed pairs that the table of near neighbours calls
-    near (``_keyed_near``).  Its other near pairs keep their rules by
+    from the blocks of their keys (``_sample_blocks``), logged as
+    ``what``; the far field skips exactly the keyed pairs that the table of
+    near neighbours calls near (``_keyed_near``).  Its other near pairs keep their rules by
     parameter and run in the same graded groups as the neighbour blocks.
     All are integrated against raw basis windows, then scattered into the
     columns or contracted with the coefficients, per target in the order
@@ -869,8 +864,7 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None,
     m = len(params)
     if kernel.keyed:
         # per target: the keyed neighbour across each end and whether it is near
-        neighbours = _sample_neighbours(curve)
-        nb_rows, near_rows = _keyed_near(curve, neighbours, row, targets[2])
+        nb_rows, near_rows = _keyed_near(curve, _sample_neighbours(curve), row, targets[2])
         nb = nb_rows.repeat(row.shape[1], axis=0)
         keyed_near = near_rows.transpose(0, 2, 1).reshape(m, 2)
     else:
@@ -922,8 +916,8 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None,
     # the keyed blocks, each with the row of its targets and the element of
     # its windows, own blocks first, then the keyed ends in order; then the
     # other near pairs' rows, which ran in the same graded groups
-    blocks, rows = _sample_blocks(curve, q, targets, neighbours, (pair_e, toward, d, px),
-                                  memo, what)
+    blocks, rows = _sample_blocks(curve, q, targets, nb_rows, near_rows,
+                                  (pair_e, toward, d, px), what)
     k, side = np.nonzero(nb_rows >= 0)
     to = np.concatenate([np.arange(len(row)), k])
     f = np.concatenate([row[:, 0] >> 1, nb_rows[k, side]])
@@ -939,14 +933,12 @@ def _potential(curve: Curve, kernel, params, local=None, memo=None,
     return out
 
 
-def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER,
-                       memo: dict | None = None) -> np.ndarray:
+def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Square collocation system: row i evaluates V at collocation point i.
 
     Each point's own element and touching neighbours take content-keyed
-    blocks (``_potential``); ``memo`` carries them from one call to the
-    next, as on the meshes of an adaptive run, and the matrix is the same
-    bits with or without it.
+    blocks (``_potential``) from the curve's lineage store; the matrix is
+    the same bits as on a fresh curve.
 
     Raises ValueError when a collocation point falls on a geometric corner:
     the jump factor of the boundary identity depends on the interior angle
@@ -964,13 +956,12 @@ def collocation_matrix(curve: Curve, order: int = DEFAULT_ORDER,
                 "the jump factor depends on the interior angle; refine or "
                 "reparametrize so collocation points avoid corners"
             )
-    return _potential(curve, _SingleLayer(curve, order), pts, memo=memo,
+    return _potential(curve, _SingleLayer(curve, order), pts,
                       what="collocation") / (-_TWO_PI)
 
 
 def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
-                        order: int = DEFAULT_ORDER, local=None,
-                        memo: dict | None = None) -> np.ndarray:
+                        order: int = DEFAULT_ORDER, local=None) -> np.ndarray:
     """Evaluate V phi_h on the curve at the given parameters.
 
     phi_h = sum coeffs[q] R_q, contracted on the quadrature grids, so no
@@ -979,20 +970,20 @@ def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
     (``_sample_blocks``), and contracted with the coefficients after.
     With ``local``, local coordinates shared by every element, the targets
     are the nodes (e, local[j]) and ``params`` their parameters, shape
-    (n_el, len(local)); the values come back in that shape.  A ``memo``
-    dict carries the near blocks to the next call, on the next mesh of a
-    refinement; the values are the same bits with or without it.
+    (n_el, len(local)); the values come back in that shape.  The near
+    blocks come from the curve's lineage store (``_stored``), so the next
+    mesh of a refinement computes only those of the elements it changed;
+    the values are the same bits as on a fresh curve.
     """
     kernel = _SingleLayer(curve, order, np.asarray(coeffs, dtype=float))
     if local is None:
-        return _potential(curve, kernel, params, memo=memo,
-                          what="single-layer")[:, 0] / (-_TWO_PI)
+        return _potential(curve, kernel, params, what="single-layer")[:, 0] / (-_TWO_PI)
     local = np.asarray(local, dtype=float)
     shape = (curve.knots.n_elements, len(local))
     if np.shape(params) != shape:
         raise ValueError(f"params of targets at shared local coordinates must "
                          f"have shape {shape}, got {np.shape(params)}")
-    return (_potential(curve, kernel, params, local, memo)[:, 0]
+    return (_potential(curve, kernel, params, local)[:, 0]
             / (-_TWO_PI)).reshape(shape)
 
 

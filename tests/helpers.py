@@ -1,5 +1,6 @@
-"""Test-only constructions: a dense B-spline evaluation, an exact circle,
-the parity meshes and the slit's single layer in closed form.
+"""Test-only constructions: a dense B-spline evaluation, a curve with an
+empty block store, an exact circle, the parity meshes and the slit's single
+layer in closed form.
 
 The program evaluates bases through element tables and runs on the slit,
 the square and the pacman; the tests also compare against every basis
@@ -41,6 +42,12 @@ def bspline_dense(knots, degree, ts, nd=0, side="right"):
     for k in range(nd + 1):
         out[rows[keep], k, cols[keep]] = ders[:, k, :][keep]
     return out
+
+
+def fresh(curve: Curve) -> Curve:
+    """The same curve with an empty block store (``Curve._blocks``), the
+    start of a new refinement lineage."""
+    return Curve(curve.knots, curve.controls, curve.weights)
 
 
 def circle(radius: float = 1.0) -> Curve:

@@ -25,7 +25,7 @@ from igabem.experiments import (
     write_knots_csv,
     write_run_csv,
 )
-from igabem.geometry import pacman, slit, square
+from igabem.geometry import Curve, pacman, slit, square
 from igabem.operators import (
     collocation_matrix,
     dirichlet_rhs,
@@ -38,6 +38,8 @@ from igabem.solve import (
     fit_rate,
     solve_linear,
 )
+
+from helpers import fresh
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,46 +140,66 @@ def test_square_collocation_is_rejected():
 
 
 def test_run_carries_one_block_memo(monkeypatch):
-    # the run owns the memos, not MeshState: one for the singular blocks,
-    # one for the residual samples' near blocks and one for the collocation
-    # rows' near blocks, each passed on every step, and every step
-    # assembles and samples the bits of a call without them
-    memos, sample_memos, colloc_memos = [], [], []
+    # every mesh of a run is refined from the last, so the singular blocks,
+    # the residual samples' near blocks and the collocation rows' near
+    # blocks share the one store of the run's curves; every step assembles
+    # and samples the bits of a fresh curve, and each run has its own store
+    stores = {"galerkin": [], "sample": [], "collocation": []}
 
-    def spy(curve, order, memo=None):
-        memos.append(memo)
-        A = galerkin_matrix(curve, order, memo=memo)
-        assert np.array_equal(A, galerkin_matrix(curve, order))
+    def spy(curve, order):
+        stores["galerkin"].append(curve._blocks)
+        A = galerkin_matrix(curve, order)
+        assert np.array_equal(A, galerkin_matrix(fresh(curve), order))
         return A
 
-    def sample_spy(curve, coeffs, f, order, memo=None):
-        sample_memos.append(memo)
-        res = sample_residual(curve, coeffs, f, order, memo=memo)
-        assert np.array_equal(res.values, sample_residual(curve, coeffs, f, order).values)
+    def sample_spy(curve, coeffs, f, order):
+        stores["sample"].append(curve._blocks)
+        res = sample_residual(curve, coeffs, f, order)
+        want = sample_residual(fresh(curve), coeffs, f, order)
+        assert np.array_equal(res.values, want.values)
         return res
 
-    def colloc_spy(curve, order, memo=None):
-        colloc_memos.append(memo)
-        B = collocation_matrix(curve, order, memo=memo)
-        assert np.array_equal(B, collocation_matrix(curve, order))
+    def colloc_spy(curve, order):
+        stores["collocation"].append(curve._blocks)
+        B = collocation_matrix(curve, order)
+        assert np.array_equal(B, collocation_matrix(fresh(curve), order))
         return B
 
     monkeypatch.setattr(experiments, "galerkin_matrix", spy)
     monkeypatch.setattr(experiments, "sample_residual", sample_spy)
     monkeypatch.setattr(experiments, "collocation_matrix", colloc_spy)
-    rows = []
+    runs = []
     for problem, method in (("square", "galerkin"), ("slit", "collocation")):
-        del memos[:], sample_memos[:]
+        for seen in stores.values():
+            seen.clear()
         record = run_adaptive(problem, method=method, max_dofs=20, energy_cache=None)
-        for ms in (memos, sample_memos):
-            assert len(ms) == len(record.rows) > 2
-            assert all(m is ms[0] for m in ms) and isinstance(ms[0], dict)
-        assert sample_memos[0] is not memos[0]
-        rows.append(len(record.rows))
-    assert len(colloc_memos) == rows[1]
-    assert all(m is colloc_memos[0] for m in colloc_memos)
-    assert isinstance(colloc_memos[0], dict)
-    assert colloc_memos[0] is not memos[0] and colloc_memos[0] is not sample_memos[0]
+        used = [seen for seen in stores.values() if seen]
+        assert len(used) == (3 if method == "collocation" else 2)
+        for seen in used:
+            assert len(seen) == len(record.rows) > 2
+            assert all(m is used[0][0] for m in seen)
+        store = used[0][0]
+        assert store is record.final_state.curve._blocks
+        # the keys of every caller, each named after its rule
+        assert {k[0] for k in store} == {"identical", "touching", "own", "end"}
+        runs.append(store)
+    assert runs[0] is not runs[1]
+
+
+def test_runs_share_no_store(caplog):
+    # each run starts from a new make_curve(), so a second run of the same
+    # row computes and reuses exactly what the first did, step by step
+    caplog.set_level(logging.DEBUG, logger="igabem.operators")
+    traffic = []
+    for _ in range(2):
+        caplog.clear()
+        run_adaptive("slit", method="collocation", estimator="eta", max_dofs=40,
+                     energy_cache=None)
+        traffic.append([r.getMessage() for r in caplog.records
+                        if " blocks: " in r.getMessage()])
+    assert traffic[0] == traffic[1]
+    reused = [int(m.split(", ")[1].split()[0]) for m in traffic[0]]
+    assert len(reused) > 10 and max(reused) > 0
 
 
 def test_run_logs_block_traffic(caplog):
@@ -309,7 +331,7 @@ def test_reference_energy_leaves_unreadable_cache_alone(tmp_path, caplog, text, 
     assert cache.read_text(encoding="utf-8") == text
 
 
-def test_reference_energy_writes_cache_atomically(tmp_path, monkeypatch):
+def test_reference_energy_writes_cache_atomically(tmp_path, monkeypatch, caplog):
     cache = tmp_path / "ref.json"
     before = json.dumps({"other": {"energy": 2.0, "degree": 1}})
     cache.write_text(before, encoding="utf-8")
@@ -318,9 +340,13 @@ def test_reference_energy_writes_cache_atomically(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr("igabem.experiments.os.replace", failing_replace)
-    with pytest.raises(OSError, match="disk full"):
-        reference_energy(_toy_slit(), cache=cache)
-    # the old file is intact and no temporary file is left behind
+    with caplog.at_level("WARNING", logger="igabem"):
+        val = reference_energy(_toy_slit(), cache=cache)
+    # the energy is returned and the failed write reported, the old file
+    # is intact and no temporary file is left behind
+    assert abs(val - np.pi / 4.0) <= 1e-14
+    assert f"could not store the reference energy of toy-slit in {cache}" in caplog.text
+    assert "disk full" in caplog.text
     assert cache.read_text(encoding="utf-8") == before
     assert [p.name for p in tmp_path.iterdir()] == ["ref.json"]
     monkeypatch.undo()
@@ -328,6 +354,18 @@ def test_reference_energy_writes_cache_atomically(tmp_path, monkeypatch):
     data = json.loads(cache.read_text(encoding="utf-8"))
     assert set(data) == {"other", "toy-slit"}
     assert [p.name for p in tmp_path.iterdir()] == ["ref.json"]
+
+
+def test_reference_energy_survives_a_missing_cache_directory(tmp_path, monkeypatch,
+                                                             caplog):
+    # the pairing is not lost when its cache cannot be written
+    monkeypatch.setattr(experiments, "_pairing", lambda *args: 0.75)
+    cache = tmp_path / "missing" / "ref.json"
+    with caplog.at_level("WARNING", logger="igabem"):
+        assert reference_energy(_toy_slit(), cache=cache) == 0.75
+    logged = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(logged) == 1 and str(cache) in logged[0]
+    assert list(tmp_path.iterdir()) == []  # no directory, no .tmp file
 
 
 def test_shipped_reference_sidecar_is_readable():
@@ -377,6 +415,40 @@ def test_perfbench_tracer_finds_every_traced_name(monkeypatch):
     single = spans[names.index("operators.single_layer_values")]
     assert spans[single[1]][0] == "estimators.sample_residual"
     assert single[4] == curve.knots.n_elements * 6
+
+
+def test_perfbench_tracer_restores_names_and_counts_pairs(monkeypatch):
+    # perfbench/run.py --trace 1 through its own tracer, loaded from its file
+    # without touching it: a short slit run, then every wrapped name is the
+    # original again and each Galerkin span counts its element pairs
+    import importlib.util
+    import sys
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from igabem import estimators, operators
+
+    owners = {"experiments": experiments, "estimators": estimators,
+              "operators": operators}
+    wrapped = [(owners[key], attr) for key, targets in tracing._MODULE_TARGETS.items()
+               for attr, _, _ in targets]
+    wrapped += [(Curve, attr) for attr, _ in tracing._CURVE_METHODS]
+    originals = [getattr(owner, attr) for owner, attr in wrapped]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        record = run_adaptive("slit", max_dofs=12, energy_cache=None)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is f for (owner, attr), f in zip(wrapped, originals))
+    spans = tracer.take()
+    pairs = [span[4] for span in spans if span[0] == "operators.galerkin_matrix"]
+    n = record.column("n_elements")
+    assert pairs == (n * (n + 1) // 2).tolist()
+    assert tracing.summarize(spans)["operators.galerkin_matrix.pairs"] == sum(pairs)
 
 
 def test_traces_at_geometry_landmarks():

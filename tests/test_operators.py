@@ -32,7 +32,7 @@ from igabem.operators import (
 )
 from igabem.splines import KnotVector, nearer_end, rational_basis
 
-from helpers import circle, parity_curves, slit_single_layer
+from helpers import circle, fresh, parity_curves, slit_single_layer
 
 TOTAL_SLIT_ENERGY = (3.0 - 2.0 * np.log(2.0)) / np.pi
 
@@ -557,31 +557,39 @@ def test_duffy_blocks_do_not_depend_on_the_batch(name):
 
 @pytest.mark.parametrize("name", ["slit", "square", "pacman"])
 def test_memo_carried_across_adaptive_steps(name):
-    memo = {}
-    for curve in _random_steps(MEMO_CURVES[name](), 8, seed=11):
-        A = galerkin_matrix(curve, memo=memo)
-        assert np.array_equal(A, galerkin_matrix(curve))
-        # the memo holds this mesh's distinct keys and nothing else
-        assert set(memo) == set(operators._singular_keys(curve, 16))
+    # the refined curves share one store: on it each step's matrix is the
+    # bits of a fresh curve's, and it keeps every key of the current mesh,
+    # which a fresh curve's store holds alone
+    steps = list(_random_steps(MEMO_CURVES[name](), 8, seed=11))
+    for curve in steps:
+        assert curve._blocks is steps[0]._blocks
+        A = galerkin_matrix(curve)
+        clean = fresh(curve)
+        assert np.array_equal(A, galerkin_matrix(clean))
+        keys = set(operators._singular_keys(curve, 16))
+        assert keys <= set(curve._blocks)
+        assert set(clean._blocks) == keys
 
 
 def test_memo_carried_across_uniform_steps():
     # every element of a width has the same tables on the straight slit:
-    # one identical and one touching block per step
+    # one identical and one touching block per step, and no width recurs,
+    # so each step adds its two keys to the store and evicts none
     state = initial_state(slit())
-    memo = {}
-    for _ in range(8):
+    for step in range(8):
         state = uniform_refine(state)
-        A = galerkin_matrix(state.curve, memo=memo)
-        assert np.array_equal(A, galerkin_matrix(state.curve))
-        assert len(memo) == 2
+        A = galerkin_matrix(state.curve)
+        clean = fresh(state.curve)
+        assert np.array_equal(A, galerkin_matrix(clean))
+        assert len(clean._blocks) == 2
+        assert len(state.curve._blocks) == 2 * (step + 1)
 
 
 @pytest.mark.parametrize("change", ["control", "weight", "order"])
 def test_memo_keys_cover_every_input(change, monkeypatch):
     curve = list(_random_steps(pacman(), 3, seed=2))[-1]
-    warm = {}
-    galerkin_matrix(curve, memo=warm)
+    galerkin_matrix(curve)
+    warm = dict(curve._blocks)
     order, changed = 16, set()
     if change == "order":
         order = 12
@@ -594,7 +602,7 @@ def test_memo_keys_cover_every_input(change, monkeypatch):
         first = curve.knots.element_table[0]
         changed = set(np.flatnonzero((first <= 3) & (3 <= first + curve.degree)).tolist())
         curve = Curve(curve.knots, controls, weights)
-    fresh = galerkin_matrix(curve, order)
+    want = galerkin_matrix(fresh(curve), order)
     computed = []
     duffy = operators._duffy_blocks
 
@@ -603,8 +611,9 @@ def test_memo_keys_cover_every_input(change, monkeypatch):
         return duffy(curve, order, e, et, es)
 
     monkeypatch.setattr(operators, "_duffy_blocks", spy)
-    memo = dict(warm)
-    assert np.array_equal(galerkin_matrix(curve, order, memo=memo), fresh)
+    curve = fresh(curve)  # a new lineage, its store filled from the warm one
+    curve._blocks.update(warm)
+    assert np.array_equal(galerkin_matrix(curve, order), want)
     keys = operators._singular_keys(curve, order)
     missing = set(keys) - set(warm)
     assert computed == [len(missing)]
@@ -614,7 +623,7 @@ def test_memo_keys_cover_every_input(change, monkeypatch):
         pair = {i} if i < n_el else {int(et[i - n_el]), int(es[i - n_el])}
         # a key is recomputed exactly when its elements changed
         assert (k in missing) == (change == "order" or bool(pair & changed)), i
-    assert set(memo) == set(keys)
+    assert set(curve._blocks) == set(warm) | set(keys)
 
 
 def test_grid_is_built_once_per_curve_and_order():
@@ -646,10 +655,10 @@ def test_memo_key_sees_a_basis_window_change():
     cols = slice(4, 6)  # the two ends of element 2
     assert np.array_equal(before._frame_table[:, cols], after._frame_table[:, cols])
     assert not np.array_equal(before._basis_table[:, cols], after._basis_table[:, cols])
-    memo = {}
-    galerkin_matrix(before, memo=memo)
-    warm = set(memo)
-    assert np.array_equal(galerkin_matrix(after, memo=memo), galerkin_matrix(after))
+    galerkin_matrix(before)
+    warm = set(before._blocks)
+    after._blocks.update(before._blocks)
+    assert np.array_equal(galerkin_matrix(after), galerkin_matrix(fresh(after)))
     assert operators._singular_keys(after, 16)[2] not in warm
 
 
@@ -684,6 +693,18 @@ def _samples(curve, q):
     u, _ = quadrature.gauss_unit(q)
     kv = curve.knots
     return u, kv.elements[:, :1] + kv.widths[:, None] * u
+
+
+def _keyed(curve, targets):
+    """The target rows' keyed neighbours and near decision, as ``_potential``
+    passes them on."""
+    return operators._keyed_near(curve, operators._sample_neighbours(curve),
+                                 targets[0], targets[2])
+
+
+def _near_keys(curve, targets):
+    own, ends = operators._sample_keys(curve, 16, targets, _keyed(curve, targets)[0])
+    return set(own) | set(ends) - {None}
 
 
 @pytest.mark.parametrize("k", range(len(SAMPLE_CURVES)))
@@ -740,18 +761,20 @@ def test_sample_blocks_do_not_depend_on_the_batch(name):
     curve = list(_random_steps(MEMO_CURVES[name](), 4, seed=3))[-1]
     targets = operators._local_targets(curve, quadrature.gauss_unit(6)[0])
     e = np.arange(curve.knots.n_elements)
-    nb = operators._sample_neighbours(curve)
+    nb, near = _keyed(curve, targets)
     ends = np.flatnonzero(nb.ravel() >= 0)
-    own, touch, _ = operators._sample_near_blocks(curve, 16, targets, nb, e, ends)
+    own, touch, _ = operators._sample_near_blocks(curve, 16, targets, nb, near, e, ends)
     assert np.abs(touch).max() > 0.0
     rng = np.random.default_rng(5)
     for _ in range(4):
         ie = rng.choice(len(e), rng.integers(1, len(e) + 1))
         it = rng.choice(len(ends), rng.integers(1, len(ends) + 1))
-        o, t, _ = operators._sample_near_blocks(curve, 16, targets, nb, e[ie], ends[it])
+        o, t, _ = operators._sample_near_blocks(curve, 16, targets, nb, near, e[ie],
+                                                ends[it])
         assert np.array_equal(o, own[ie]) and np.array_equal(t, touch[it])
     for i, j in ((0, 0), (len(e) - 1, len(ends) - 1)):  # batches of one
-        o, t, _ = operators._sample_near_blocks(curve, 16, targets, nb, e[[i]], ends[[j]])
+        o, t, _ = operators._sample_near_blocks(curve, 16, targets, nb, near, e[[i]],
+                                                ends[[j]])
         assert np.array_equal(o[0], own[i]) and np.array_equal(t[0], touch[j])
 
 
@@ -761,8 +784,7 @@ def test_sample_blocks_on_uniform_slit():
     for steps in (3, 6):
         curve = _uniform_slit(steps)
         targets = operators._local_targets(curve, quadrature.gauss_unit(6)[0])
-        own, ends = operators._sample_keys(curve, 16, targets,
-                                           operators._sample_neighbours(curve))
+        own, ends = operators._sample_keys(curve, 16, targets, _keyed(curve, targets)[0])
         assert len(set(own)) == 1
         assert len(set(ends) - {None}) == 2
 
@@ -772,9 +794,9 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
     curve = list(_random_steps(pacman(), 3, seed=2))[-1]
     order, u = 16, quadrature.gauss_unit(6)[0]
     targets = operators._local_targets(curve, u)
-    nb = operators._sample_neighbours(curve)  # every change below keeps the knots
+    nb, near = _keyed(curve, targets)  # every change below keeps the knots
     own0, ends0 = operators._sample_keys(curve, order, targets, nb)
-    blocks0, _ = operators._sample_blocks(curve, order, targets, nb)
+    blocks0, _ = operators._sample_blocks(curve, order, targets, nb, near)
     changed = set()
     if change == "q_int":
         u = quadrature.gauss_unit(7)[0]
@@ -791,6 +813,7 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
         curve = Curve(curve.knots, controls, weights)
     every = change in ("q_int", "order")
     targets = operators._local_targets(curve, u)
+    near = _keyed(curve, targets)[1]
     own1, ends1 = operators._sample_keys(curve, order, targets, nb)
     for e in range(curve.knots.n_elements):
         # a key changes exactly when its elements changed
@@ -804,17 +827,17 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
     computed = []
     near_blocks = operators._sample_near_blocks
 
-    def spy(curve, order, targets, neighbours, e, ends, pairs=None):
+    def spy(curve, order, targets, nb, near, e, ends, pairs=None):
         computed.append((len(e), len(ends)))
-        return near_blocks(curve, order, targets, neighbours, e, ends, pairs)
+        return near_blocks(curve, order, targets, nb, near, e, ends, pairs)
 
     monkeypatch.setattr(operators, "_sample_near_blocks", spy)
-    blocks, _ = operators._sample_blocks(curve, order, targets, nb)
+    blocks, _ = operators._sample_blocks(curve, order, targets, nb, near)
     # each distinct key once, and the gathered stack equals a fresh
     # evaluation of every element, then of every keyed end in order
     assert computed == [(len(set(own1)), len(set(ends1) - {None}))]
     keyed = np.flatnonzero(nb.ravel() >= 0)
-    fresh_own, fresh_touch, _ = near_blocks(curve, order, targets, nb,
+    fresh_own, fresh_touch, _ = near_blocks(curve, order, targets, nb, near,
                                             np.arange(len(own1)), keyed)
     own = blocks[:len(own1)]
     assert np.array_equal(own, fresh_own)
@@ -826,17 +849,20 @@ def test_sample_keys_cover_every_input(change, monkeypatch):
 
 @pytest.mark.parametrize("name", ["slit", "square", "pacman"])
 def test_sample_memo_carried_across_adaptive_steps(name):
-    memo = {}
+    # on the lineage's store each step's values are the bits of a fresh
+    # curve's, and the store keeps every key of the current mesh, which a
+    # fresh curve's store holds alone
     rng = np.random.default_rng(13)
-    for curve in _random_steps(MEMO_CURVES[name](), 8, seed=11):
+    steps = list(_random_steps(MEMO_CURVES[name](), 8, seed=11))
+    for curve in steps:
         u, params = _samples(curve, 6)
         c = rng.standard_normal(curve.knots.dim)
-        got = single_layer_values(curve, c, params, local=u, memo=memo)
-        assert np.array_equal(got, single_layer_values(curve, c, params, local=u))
-        # the memo holds this mesh's distinct keys and nothing else
-        own, ends = operators._sample_keys(curve, 16, operators._local_targets(curve, u),
-                                           operators._sample_neighbours(curve))
-        assert set(memo) == set(own) | set(ends) - {None}
+        got = single_layer_values(curve, c, params, local=u)
+        clean = fresh(curve)
+        assert np.array_equal(got, single_layer_values(clean, c, params, local=u))
+        keys = _near_keys(curve, operators._local_targets(curve, u))
+        assert keys <= set(steps[0]._blocks)
+        assert set(clean._blocks) == keys
 
 
 def _collocation_steps(name, steps, seed):
@@ -852,17 +878,21 @@ def _collocation_steps(name, steps, seed):
 @pytest.mark.parametrize("name", ["slit", "pacman", "circle"])
 def test_collocation_memo_carried_across_adaptive_steps(name):
     # the collocation rows' own and neighbour blocks are keyed by content:
-    # with a memo carried from mesh to mesh the matrix is the bits of a call
-    # without it, and the memo holds this mesh's distinct keys alone
-    memo, meshes = {}, 0
+    # on the store carried from mesh to mesh the matrix is the bits of a
+    # fresh curve's, and the store keeps every key of the current mesh,
+    # which a fresh curve's store holds alone
+    stores, meshes = set(), 0
     for curve in _collocation_steps(name, 8, seed=11):
-        B = collocation_matrix(curve, memo=memo)
-        assert np.array_equal(B, collocation_matrix(curve))
-        targets = operators._param_targets(curve, curve.knots.collocation_points())
-        own, ends = operators._sample_keys(curve, 16, targets,
-                                           operators._sample_neighbours(curve))
-        assert set(memo) == set(own) | set(ends) - {None}
+        stores.add(id(curve._blocks))
+        B = collocation_matrix(curve)
+        clean = fresh(curve)
+        assert np.array_equal(B, collocation_matrix(clean))
+        keys = _near_keys(curve, operators._param_targets(
+            curve, curve.knots.collocation_points()))
+        assert keys <= set(curve._blocks)
+        assert set(clean._blocks) == keys
         meshes += 1
+    assert len(stores) == 1
     assert meshes >= 6
 
 

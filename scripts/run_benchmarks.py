@@ -3,7 +3,8 @@
 One CSV per run (iteration history) plus one knot histogram per adaptive
 run, all into --outdir.  The matrix covers, per problem, a uniform baseline
 and the adaptive variants; the slit problem runs all four method/estimator
-combinations.  Expect a few minutes per large run.
+combinations.  Expect a few minutes per large run.  Prints one line per
+run, then the matrix's total wall time.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ def main(argv=None) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    start = time.perf_counter()
     for tag, (problem, method, estimator, uniform, max_dofs) in MATRIX.items():
         if args.quick:
             max_dofs = min(max_dofs, 120)
@@ -53,6 +55,7 @@ def main(argv=None) -> int:
         write_run_csv(outdir / f"{tag}.csv", record)
         if not uniform:
             write_knots_csv(outdir / f"{tag}_knots.csv", record.final_state.curve)
+    print("total wall time %.1fs" % (time.perf_counter() - start))
     print("wrote CSVs to", outdir)
     return 0
 

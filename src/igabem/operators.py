@@ -82,9 +82,11 @@ is evicted; a new ``make_curve()`` starts a new store.
 The Dirichlet data evaluates (K + 1/2) g on one curve, call after call.
 The double-layer kernel of one g and order is therefore kept on the curve
 with its Gauss grids, and serves every call there: its grid and g on it
-are formed once, and so are the node frames and g values of each
-(element, levels, end) of a graded group, all that such a group reads
-apart from its targets.  Single-layer kernels form their groups anew.
+are formed once, and so is one table per (element, end) of the node
+frames and g values at the nodes of every grading level toward that end
+(``quadrature.graded_union``).  A graded group of any level gathers from
+it all that it reads apart from its targets, with the bits of forming
+them at its own nodes.  Single-layer kernels form their groups anew.
 
 The log kernel of separated Galerkin pairs and of the pointwise single
 layer's graded rules is 1/2 log(dx^2 + dy^2), formed in place
@@ -113,7 +115,7 @@ import logging
 import numpy as np
 
 from .geometry import Curve
-from .quadrature import gauss_log, gauss_unit, graded_unit, separated_order
+from .quadrature import gauss_log, gauss_unit, graded_union, graded_unit, separated_order
 from .splines import nearer_end
 from .splines import rational_basis  # noqa: F401  (wrapped here by perfbench/tracing.py)
 
@@ -121,6 +123,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_ORDER = 16
 NEAR_FACTOR = 0.75  # parameter-distance/size ratio below which grading kicks in
+GRADE_MIN_LEVELS = 2
 GRADE_MAX_LEVELS = 48
 _TWO_PI = 2.0 * np.pi
 # far-field kernel entries evaluated per block of element pairs or of
@@ -202,7 +205,7 @@ def _grid(curve: Curve, order: int):
 def _grade_levels(h: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Grading levels toward a target at distance d from elements of size h."""
     lv = np.ceil(np.log2(h / np.maximum(d, 1e-300))) + 2
-    return np.clip(lv, 2, GRADE_MAX_LEVELS).astype(int)
+    return np.clip(lv, GRADE_MIN_LEVELS, GRADE_MAX_LEVELS).astype(int)
 
 
 # --------------------------------------------------------------------------
@@ -604,9 +607,19 @@ class _DoubleLayer:
 
     The kernel carries the speed.  Far elements use a Gauss grid of its own.
     One kernel serves every call on its curve with the same g and order
-    (``double_layer_values``), so it keeps the node frames and g values of
-    each (element, levels, end) of a graded group in ``tables``, and counts
-    the lookups it served from them in ``reused``.
+    (``double_layer_values``), so it keeps in ``tables`` one table per
+    (element, end) that a graded group met: the node frames and g values
+    at every node of the gradings GRADE_MIN_LEVELS to GRADE_MAX_LEVELS
+    toward that end (``quadrature.graded_union``, 1,520 nodes at order 16),
+    from which a group of any level gathers its own; it counts the lookups
+    served from them in ``reused``.  A table costs its full node set
+    whatever level first needs it.  The program evaluates the data on the
+    geometry mesh of 4 or 5 elements, where at most 10 tables serve a run;
+    a call with many targets on a fine mesh, whose groups each meet few
+    levels, forms more nodes than its groups read.  On the pacman refined
+    to 160 elements, 3,000 random targets take 0.25 s against 0.19 s with
+    tables per (element, levels, end), and a 41 MB tracemalloc peak
+    against 9 MB (2-core VM, one BLAS thread).
     """
 
     n_cols = 1
@@ -635,26 +648,39 @@ class _DoubleLayer:
     @staticmethod
     def value(px, frames):
         """d . rot gamma'(t) / |d|^2, the normal derivative times the speed,
-        with d = px less the point row of ``frames``; 0 where d = 0."""
+        with d = px less the point row of ``frames``; 0 where d = 0.  Formed
+        in place, with the operations and rounding of (dx t_y - dy t_x) /
+        (dx^2 + dy^2 + 1e-300)."""
         dx = px[:, None, 0] - frames[..., 0, 0]
         dy = px[:, None, 1] - frames[..., 0, 1]
         d1 = frames[..., 1, :]
-        return (dx * d1[..., 1] - dy * d1[..., 0]) / (dx * dx + dy * dy + 1e-300)
+        den = dx * dx
+        dx *= d1[..., 1]
+        t = dy * d1[..., 0]
+        dy *= dy
+        den += dy
+        den += 1e-300
+        dx -= t
+        dx /= den
+        return dx
 
     def graded(self, e, levels, end, s):
-        """Frames and g of elements e at unit offsets s from their end
-        ``end``, the nodes of a graded group of ``levels``; the elements not
-        in ``tables`` are formed in one batch and kept."""
-        new = [k for k in e.tolist() if (k, levels, end) not in self.tables]
+        """Frames and g of elements e at the nodes s (unit offsets from their
+        end ``end``) of a graded group of ``levels``, gathered from the
+        (element, end) tables; the elements without one have theirs formed
+        in one batch and kept."""
+        nodes, index = graded_union(self.order, GRADE_MIN_LEVELS, GRADE_MAX_LEVELS)
+        new = [k for k in e.tolist() if (k, end) not in self.tables]
         if new:
             en = np.array(new)[:, None]
-            frames = self.curve.at_nodes(en, s, end)[0]
+            frames = self.curve.at_nodes(en, -nodes if end else nodes, end)[0]
             pts = frames[..., 0, :] + self.curve.end_points[2 * en + end]
             g = np.asarray(self.g_of_points(pts.reshape(-1, 2))).reshape(pts.shape[:-1] + (1,))
-            self.tables.update(((k, levels, end), t) for k, t in zip(new, zip(frames, g)))
+            self.tables.update(((k, end), t) for k, t in zip(new, zip(frames, g)))
         self.reused += len(e) - len(new)
-        frames, g = zip(*(self.tables[k, levels, end] for k in e.tolist()))
-        return np.stack(frames), np.stack(g)
+        pick = index[levels - GRADE_MIN_LEVELS]
+        tables = [self.tables[k, end] for k in e.tolist()]
+        return np.stack([f[pick] for f, _ in tables]), np.stack([g[pick] for _, g in tables])
 
     def containing(self, row, tau):
         """The kernel is smooth inside the element containing the target, so

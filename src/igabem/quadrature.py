@@ -14,7 +14,8 @@ Three families are provided, and one order rule:
   the Golub-Welsch eigenvalue step.
 * ``graded_unit``: composite Gauss rules on dyadically graded partitions of
   [0, 1], used near integrable endpoint singularities; the nodes are
-  distances from the end the panels accumulate at.
+  distances from the end the panels accumulate at.  ``graded_union`` gives
+  the nodes of a range of gradings as one set, with each one's indices.
 * ``separated_order``: the least Gauss order in ``SEPARATED_ORDERS`` whose
   error bound meets ``SEPARATED_TOL`` for an integrand singular at a real
   point beyond the ends of [-1, 1].
@@ -31,6 +32,7 @@ __all__ = [
     "gauss_unit",
     "gauss_log",
     "graded_unit",
+    "graded_union",
     "separated_order",
 ]
 
@@ -201,6 +203,25 @@ def graded_unit(n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
     return _graded_unit_impl(int(n), int(levels))
+
+
+@lru_cache(maxsize=None)
+def graded_union(n: int, lowest: int, levels: int) -> tuple[np.ndarray, tuple]:
+    """Every node of ``graded_unit(n, L)`` for lowest <= L <= levels as one
+    set: the inner panel [0, 2^-L] of each level, then the outer panels
+    [2^-k, 2^-(k-1)], k = levels, ..., 1.  An outer panel's ends and width
+    are powers of two, so it has the same nodes at every level that has
+    it.  Returns the nodes and, per L, read-only indices into them (entry
+    L - lowest) that give ``graded_unit(n, L)``'s nodes in order, bit for
+    bit.
+    """
+    inner = [graded_unit(n, L)[0][:n] for L in range(lowest, levels + 1)]
+    x = np.concatenate(inner + [graded_unit(n, levels)[0][n:]])
+    index = tuple(np.r_[i * n:(i + 1) * n, len(x) - L * n:len(x)]
+                  for i, L in enumerate(range(lowest, levels + 1)))
+    for a in (x, *index):
+        a.flags.writeable = False
+    return x, index
 
 
 def separated_order(a, cap: int) -> np.ndarray:

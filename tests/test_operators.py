@@ -948,6 +948,54 @@ def test_double_layer_tables_kept_on_the_curve(make, trace, caplog):
         "double-layer tables: 0 computed"]
 
 
+@pytest.mark.parametrize("make, trace", [(pacman, pacman_trace), (square, square_trace)],
+                         ids=["pacman", "square"])
+def test_double_layer_tables_hold_every_graded_group(make, trace):
+    # a graded group's frames and g, gathered from its (element, end)
+    # table, are those of at_nodes and g at the group's own nodes bit for
+    # bit; targets 1e-9 to 1e-14 from every corner, which meet the deepest
+    # levels, need at most one table per element end
+    curve = make()
+    kernel = operators._DoubleLayer(curve, 16, trace)
+    e = np.arange(curve.knots.n_elements)
+    for end in (0, 1):
+        for levels in (2, 3, 17, 48):
+            xs = quadrature.graded_unit(16, levels)[0]
+            s = -xs if end else xs
+            frames, g = kernel.graded(e, levels, end, s)
+            want = curve.at_nodes(e[:, None], s, end)[0]
+            pts = want[..., 0, :] + curve.end_points[2 * e[:, None] + end]
+            assert frames.tobytes() == want.tobytes()
+            assert g.tobytes() == np.asarray(trace(pts.reshape(-1, 2))).reshape(g.shape).tobytes()
+    assert len(kernel.tables) == 2 * len(e)
+    curve = make()
+    corners = curve.corner_params()
+    offsets = 10.0 ** -np.arange(9, 15)[:, None]
+    double_layer_values(curve, trace, np.concatenate(
+        [corners, ((corners + offsets) % 1.0).ravel(), ((corners - offsets) % 1.0).ravel()]))
+    tables = curve._grids[trace, 16].tables
+    assert 0 < len(tables) <= 2 * curve.knots.n_elements
+
+
+def test_double_layer_value_in_place():
+    # the in-place kernel has the bits of the plain formula, target by node
+    # as in the graded groups and target by grid as in the far field, and
+    # is 0 without a warning where a target sits on a node
+    rng = np.random.default_rng(29)
+    for shape in ((7, 30), (30,)):
+        px = rng.normal(size=(7, 2))
+        frames = rng.normal(size=shape + (2, 2))
+        frames[..., 5, 0, :] = px[2]
+        dx = px[:, None, 0] - frames[..., 0, 0]
+        dy = px[:, None, 1] - frames[..., 0, 1]
+        want = (dx * frames[..., 1, 1] - dy * frames[..., 1, 0]) / (dx * dx + dy * dy + 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = operators._DoubleLayer.value(px, frames)
+        assert got.tobytes() == want.tobytes()
+        assert got[2, 5] == 0.0
+
+
 def test_double_layer_tables_follow_data_and_order():
     # a second g, or a second order, on a curve whose tables are warm is
     # never served the first one's tables

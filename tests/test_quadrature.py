@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from igabem.operators import GRADE_MAX_LEVELS, GRADE_MIN_LEVELS
 from igabem.quadrature import (
     gauss_legendre,
     gauss_log,
     gauss_unit,
+    graded_union,
     graded_unit,
     separated_order,
 )
@@ -122,6 +124,18 @@ def test_graded_unit_resolves_log_endpoint():
     # limited only by the untouched tail below 2^-levels
     x, w = graded_unit(12, levels=30)
     assert w @ np.log(1.0 / x) == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_graded_union_indexes_every_level(n):
+    # one inner panel per level and the outer panels of the deepest level,
+    # which hold every shallower level's outer panels bit for bit
+    nodes, index = graded_union(n, GRADE_MIN_LEVELS, GRADE_MAX_LEVELS)
+    assert len(nodes) == n * (2 * GRADE_MAX_LEVELS - GRADE_MIN_LEVELS + 1)
+    assert len(index) == GRADE_MAX_LEVELS - GRADE_MIN_LEVELS + 1
+    for levels in range(GRADE_MIN_LEVELS, GRADE_MAX_LEVELS + 1):
+        x = nodes[index[levels - GRADE_MIN_LEVELS]]
+        assert x.tobytes() == graded_unit(n, levels)[0].tobytes(), levels
 
 
 # ------------------------------------------------------- separated-pair order

@@ -252,8 +252,9 @@ PAIRING_CHECK_RULE = (32, 112)
 PAIRING_GAP_WARN = 1e-12  # relative gap between the two rules that is logged
 
 
-def _pairing(problem: Problem, n: int, levels: int, order: int) -> float:
-    """<f, phi> = <V phi, phi>, the squared energy norm of the exact density.
+def _pairing(problem: Problem, n: int, levels: int) -> float:
+    """<f, phi> = <V phi, phi>, the squared energy norm of the exact density,
+    with f taken at quadrature order ``DEFAULT_ORDER``.
 
     Quadrature on the geometry mesh ``problem.make_curve()``: each element
     is split at its midpoint and each half is measured from its own element
@@ -279,19 +280,20 @@ def _pairing(problem: Problem, n: int, levels: int, order: int) -> float:
                       np.outer(half, ws).ravel()))
     row, tau, w = (np.concatenate(parts) for parts in zip(*rules))
     d1 = curve.displacement(row, tau, 1)[:, 1]
-    f = problem.rhs_factory(curve, order)
+    f = problem.rhs_factory(curve, DEFAULT_ORDER)
     fv = f(kv.wrap(kv.breakpoint_array[(row + 1) >> 1] + tau))
     phi = problem.density_exact(curve, row, tau)
     return float(np.sum(w * fv * phi * np.hypot(d1[:, 0], d1[:, 1])))
 
 
-def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
-                     order: int = DEFAULT_ORDER) -> float:
+def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE) -> float:
     """Squared energy norm of the exact density, exact or from the pairing.
 
     Known values short-circuit.  Otherwise the cache file is consulted, and
-    on a miss the energy is the pairing <f, phi> of the data (at quadrature
-    order ``order``) with the exact density, at ``PAIRING_RULE``.  It is
+    on a miss the energy is the pairing <f, phi> of the data with the exact
+    density, at ``PAIRING_RULE``.  The data takes quadrature order
+    ``DEFAULT_ORDER``, the order of every shipped entry, whatever order a
+    run solves at, so one entry serves every run of the problem.  It is
     stored under the problem name with its ``degree`` and the
     ``relative_gap`` to the pairing at ``PAIRING_CHECK_RULE``; a gap above
     ``PAIRING_GAP_WARN`` is logged.  A cached entry that is not an object,
@@ -333,7 +335,7 @@ def reference_energy(problem, cache: str | Path | None = REF_ENERGY_CACHE,
                        problem.name, why)
 
     logger.info("computing reference energy for %s", problem.name)
-    energy, check = (_pairing(problem, *rule, order)
+    energy, check = (_pairing(problem, *rule)
                      for rule in (PAIRING_RULE, PAIRING_CHECK_RULE))
     gap = abs(energy - check) / energy
     if gap > PAIRING_GAP_WARN:
@@ -410,7 +412,7 @@ def run_adaptive(problem, method: str = "galerkin", estimator: str = "mu",
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
 
-    energy_ref = reference_energy(problem, cache=energy_cache, order=order)
+    energy_ref = reference_energy(problem, cache=energy_cache)
     state = initial_state(problem.make_curve())
     f = problem.rhs_factory(state.curve, order)
     rows: list[dict] = []

@@ -160,7 +160,7 @@ class Curve:
     def _grids(self) -> dict:
         """Gauss grids by quadrature order, filled by ``operators._grids``,
         and double-layer kernels by data and order, filled by
-        ``operators.double_layer_values``; the curve never changes, so
+        ``operators.dirichlet_rhs``; the curve never changes, so
         neither do they."""
         return {}
 
@@ -362,25 +362,24 @@ def slit() -> Curve:
     return Curve(kv, controls, np.ones(2))
 
 
-def square(side: float = 0.5) -> Curve:
-    """Boundary of [0, side]^2, counterclockwise from the origin."""
+def square() -> Curve:
+    """Boundary of [0, 1/2]^2, counterclockwise from the origin."""
     kv = KnotVector(1, (0.0, 0.25, 0.5, 0.75, 1.0), (2, 1, 1, 1, 2), periodic=True)
-    s = float(side)
-    controls = np.array([[0, 0], [s, 0], [s, s], [0, s], [0, 0]], dtype=float)
+    controls = np.array([[0, 0], [0.5, 0], [0.5, 0.5], [0, 0.5], [0, 0]], dtype=float)
     return Curve(kv, controls, np.ones(5))
 
 
-def pacman(radius: float = 0.1, opening: float = 0.25 * np.pi) -> Curve:
-    """Circular sector with a reentrant corner at the origin.
+def pacman() -> Curve:
+    """Circular sector of radius 0.1 with a reentrant corner at the origin.
 
-    The sector spans the angle ``2 pi - opening`` symmetrically about the
-    positive x axis; the parametrization runs counterclockwise, starting and
-    closing at the reentrant corner, with the two straight edges on the first
-    and last sixth of the parameter interval and the circular part split into
-    three equal rational arcs.
+    The sector spans the angle 7/4 pi (an opening of pi/4) symmetrically
+    about the positive x axis; the parametrization runs counterclockwise,
+    starting and closing at the reentrant corner, with the two straight
+    edges on the first and last sixth of the parameter interval and the
+    circular part split into three equal rational arcs.
     """
-    r = float(radius)
-    half = np.pi - 0.5 * opening  # edge angle magnitude (7/8 pi by default)
+    r = 0.1
+    half = 0.875 * np.pi  # edge angle magnitude
     angles = np.linspace(-half, half, 4)  # arc junctions, three equal arcs
     delta = 0.5 * (angles[1] - angles[0])
     wa = np.cos(delta)

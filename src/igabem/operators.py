@@ -79,14 +79,14 @@ changes the tables of the elements it splits or whose basis window it
 moves, so a step computes only their keys and their neighbours'.  Nothing
 is evicted; a new ``make_curve()`` starts a new store.
 
-The Dirichlet data evaluates (K + 1/2) g on one curve, call after call.
-The double-layer kernel of one g and order is therefore kept on the curve
-with its Gauss grids, and serves every call there: its grid and g on it
-are formed once, and so is one table per (element, end) of the node
-frames and g values at the nodes of every grading level toward that end
-(``quadrature.graded_union``).  A graded group of any level gathers from
-it all that it reads apart from its targets, with the bits of forming
-them at its own nodes.  Single-layer kernels form their groups anew.
+The Dirichlet data (``dirichlet_rhs``) evaluates (K + 1/2) g on one curve,
+call after call.  The double-layer kernel of one g and order is therefore
+kept on the curve with its Gauss grids, and serves every call there: its
+grid and g on it are formed once, and so is one table per (element, end) of
+the node frames and g values at the nodes of every grading level toward that
+end (``quadrature.graded_union``).  A graded group of any level gathers from
+it all that it reads apart from its targets, with the bits of forming them
+at its own nodes.  Single-layer kernels form their groups anew.
 
 The log kernel of separated Galerkin pairs and of the pointwise single
 layer's graded rules is 1/2 log(dx^2 + dy^2), formed in place
@@ -136,7 +136,6 @@ __all__ = [
     "galerkin_rhs",
     "collocation_matrix",
     "single_layer_values",
-    "double_layer_values",
     "dirichlet_rhs",
 ]
 
@@ -607,7 +606,7 @@ class _DoubleLayer:
 
     The kernel carries the speed.  Far elements use a Gauss grid of its own.
     One kernel serves every call on its curve with the same g and order
-    (``double_layer_values``), so it keeps in ``tables`` one table per
+    (``dirichlet_rhs``), so it keeps in ``tables`` one table per
     (element, end) that a graded group met: the node frames and g values
     at every node of the gradings GRADE_MIN_LEVELS to GRADE_MAX_LEVELS
     toward that end (``quadrature.graded_union``, 1,520 nodes at order 16),
@@ -863,13 +862,14 @@ def _potential(curve: Curve, kernel, params, local=None,
     layer, takes each target row's own element and its keyed neighbours
     from the blocks of their keys (``_sample_blocks``), logged as
     ``what``; the far field skips exactly the keyed pairs that the table of
-    near neighbours calls near (``_keyed_near``).  Its other near pairs keep their rules by
-    parameter and run in the same graded groups as the neighbour blocks.
+    near neighbours calls near (``_keyed_near``).  Its other near pairs keep
+    their rules by parameter and run in the same graded groups as the
+    neighbour blocks.
     All are integrated against raw basis windows, then scattered into the
     columns or contracted with the coefficients, per target in the order
     own, side 0, side 1, after the far field and before the other pairs.
     The double layer reads g at absolute points, so it keeps every near
-    rule by parameter.
+    rule by parameter: its table of near neighbours is all -1.
     """
     kv = curve.knots
     n_el, q, w = kernel.grid.shape
@@ -888,14 +888,12 @@ def _potential(curve: Curve, kernel, params, local=None,
     row, tau, _ = targets
     inside = row.ravel() >> 1
     m = len(params)
-    if kernel.keyed:
-        # per target: the keyed neighbour across each end and whether it is near
-        nb_rows, near_rows = _keyed_near(curve, _sample_neighbours(curve), row, targets[2])
-        nb = nb_rows.repeat(row.shape[1], axis=0)
-        keyed_near = near_rows.transpose(0, 2, 1).reshape(m, 2)
-    else:
-        nb = np.full((m, 2), -1)  # no keyed neighbours
-        keyed_near = nb >= 0
+    # per target: the keyed neighbour across each end and whether it is
+    # near; the double layer has none, all -1
+    neighbours = _sample_neighbours(curve) if kernel.keyed else np.full((n_el, 2), -1)
+    nb_rows, near_rows = _keyed_near(curve, neighbours, row, targets[2])
+    nb = nb_rows.repeat(row.shape[1], axis=0)
+    keyed_near = near_rows.transpose(0, 2, 1).reshape(m, 2)
     out = np.zeros((m, kernel.n_cols))
     hs = kv.widths
     mids = kv.elements.mean(axis=1)
@@ -909,7 +907,7 @@ def _potential(curve: Curve, kernel, params, local=None,
     for s0 in range(0, m, step):
         sl = slice(s0, min(s0 + step, m))
         gap = np.abs(curve.param_delta(params[sl, None], mids))
-        near = np.maximum(gap - 0.5 * hs, 0.0) < NEAR_FACTOR * hs
+        near = gap - 0.5 * hs < NEAR_FACTOR * hs
         near[np.arange(len(near)), inside[sl]] = True
         k, side = np.nonzero(nb[sl] >= 0)  # a target's two keyed neighbours differ
         near[k, nb[s0 + k, side]] = keyed_near[s0 + k, side]
@@ -1013,21 +1011,23 @@ def single_layer_values(curve: Curve, coeffs: np.ndarray, params: np.ndarray,
             / (-_TWO_PI)).reshape(shape)
 
 
-def double_layer_values(curve: Curve, g_of_points, params: np.ndarray,
-                        order: int = DEFAULT_ORDER) -> np.ndarray:
-    """Evaluate the double-layer potential K g on the curve at parameters.
+def dirichlet_rhs(curve: Curve, g_of_points, params,
+                  order: int = DEFAULT_ORDER) -> np.ndarray:
+    """(K + 1/2) g at the given parameters, K the double-layer operator.
 
-    ``g_of_points`` maps an (m, 2) array of boundary points to values.  The
-    kernel is bounded along smooth arcs and grows like 1/distance across
-    corners, so near elements get graded composite rules.  A target may sit
-    on a corner only if g decays there fast enough to keep the integrand
-    bounded (as it does for data vanishing along straight edges).
+    ``g_of_points``, the Dirichlet trace data, maps an (m, 2) array of
+    boundary points to values.  The kernel is bounded along smooth arcs and
+    grows like 1/distance across corners, so near elements get graded
+    composite rules.  A target may sit on a corner only if g decays there
+    fast enough to keep the integrand bounded (as it does for data
+    vanishing along straight edges).
 
     The kernel of g at this order is kept on the curve, so a later call
     with the same g (the same object, taken to be a fixed function) and
     order reads its Gauss grid and the frames and g values of every graded
     group met before; the values are the same bits as on a fresh curve.
     """
+    params = np.atleast_1d(np.asarray(params, dtype=float))
     kernel = curve._grids.get((g_of_points, order))
     if kernel is None:
         kernel = curve._grids[g_of_points, order] = _DoubleLayer(curve, order, g_of_points)
@@ -1035,14 +1035,4 @@ def double_layer_values(curve: Curve, g_of_points, params: np.ndarray,
     values = _potential(curve, kernel, params)[:, 0] / _TWO_PI
     logger.debug("double-layer tables: %d computed, %d reused",
                  len(kernel.tables) - n, kernel.reused - reused)
-    return values
-
-
-def dirichlet_rhs(curve: Curve, g_of_points, params,
-                  order: int = DEFAULT_ORDER) -> np.ndarray:
-    """(K + 1/2) g at the given parameters, for Dirichlet trace data g."""
-    params = np.atleast_1d(np.asarray(params, dtype=float))
-    pts = curve.point(params)
-    return double_layer_values(curve, g_of_points, params, order) + 0.5 * np.asarray(
-        g_of_points(pts)
-    )
+    return values + 0.5 * np.asarray(g_of_points(curve.point(params)))

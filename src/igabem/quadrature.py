@@ -2,8 +2,9 @@
 
 Everything in here is plain numerics on the reference intervals [-1, 1] and
 [0, 1].  Rules are returned as ``(nodes, weights)`` pairs of read-only arrays
-and are cached per order (and grading), so repeated requests are cheap and
-bitwise reproducible.
+and are cached per order (and grading) and argument type, so repeated
+requests are cheap and bitwise reproducible.  Orders are integers: a float
+raises, even where the equal integer order is cached.
 
 Three families are provided, and one order rule:
 
@@ -57,8 +58,10 @@ def _legendre_with_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.nda
     return p, dp
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre_impl(n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None, typed=True)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule on [-1, 1]: read-only nodes, ascending,
+    and weights, summing to 2."""
     if n < 1:
         raise ValueError(f"rule order must be >= 1, got {n}")
     k = np.arange(n, dtype=float)
@@ -81,19 +84,9 @@ def _gauss_legendre_impl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule on [-1, 1].
-
-    Returns
-    -------
-    nodes, weights : ndarray
-        Read-only arrays of length n, nodes ascending, weights summing to 2.
-    """
-    return _gauss_legendre_impl(int(n))
-
-
-@lru_cache(maxsize=None)
-def _gauss_unit_impl(n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=None, typed=True)
+def gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule mapped to [0, 1] (weights sum to 1)."""
     x, w = gauss_legendre(n)
     xu = 0.5 * (x + 1.0)
     wu = 0.5 * w
@@ -102,13 +95,14 @@ def _gauss_unit_impl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return xu, wu
 
 
-def gauss_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule mapped to [0, 1] (weights sum to 1)."""
-    return _gauss_unit_impl(int(n))
+@lru_cache(maxsize=None, typed=True)
+def gauss_log(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for integrals of the form ∫_0^1 f(x) log(1/x) dx.
 
-
-@lru_cache(maxsize=None)
-def _gauss_log_impl(n: int) -> tuple[np.ndarray, np.ndarray]:
+    The rule is exact for polynomial f up to degree 2n - 1 and has positive
+    weights summing to 1.  Apply it to plain f; the log factor is built into
+    the weights.
+    """
     if n < 1:
         raise ValueError(f"rule order must be >= 1, got {n}")
     nmom = 2 * n
@@ -165,18 +159,18 @@ def _gauss_log_impl(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_log(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule for integrals of the form ∫_0^1 f(x) log(1/x) dx.
+@lru_cache(maxsize=None, typed=True)
+def graded_unit(n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite n-point Gauss rule on [0, 1], dyadically graded toward 0.
 
-    The rule is exact for polynomial f up to degree 2n - 1 and has positive
-    weights summing to 1.  Apply it to plain f; the log factor is built into
-    the weights.
+    The interval is split at 2^-levels, ..., 1/4, 1/2 (so ``levels + 1``
+    panels) with the panels accumulating geometrically at 0.  Suitable for
+    integrands with an integrable singularity at an endpoint, e.g. log or
+    weak algebraic blow-up: the nodes are distances from that endpoint, and
+    a rule graded toward 1 is ``1 - x[::-1]`` with weights ``w[::-1]``.
     """
-    return _gauss_log_impl(int(n))
-
-
-@lru_cache(maxsize=None)
-def _graded_unit_impl(n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     edges = np.concatenate(([0.0], 0.5 ** np.arange(levels, -1, -1, dtype=float)))
     xs, ws = gauss_unit(n)
     parts_x = []
@@ -189,20 +183,6 @@ def _graded_unit_impl(n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
-
-
-def graded_unit(n: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite n-point Gauss rule on [0, 1], dyadically graded toward 0.
-
-    The interval is split at 2^-levels, ..., 1/4, 1/2 (so ``levels + 1``
-    panels) with the panels accumulating geometrically at 0.  Suitable for
-    integrands with an integrable singularity at an endpoint, e.g. log or
-    weak algebraic blow-up: the nodes are distances from that endpoint, and
-    a rule graded toward 1 is ``1 - x[::-1]`` with weights ``w[::-1]``.
-    """
-    if levels < 0:
-        raise ValueError(f"levels must be >= 0, got {levels}")
-    return _graded_unit_impl(int(n), int(levels))
 
 
 @lru_cache(maxsize=None)

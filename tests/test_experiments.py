@@ -513,10 +513,29 @@ def test_exact_density_next_to_tips_and_corner():
 def pairings():
     """The program's reference pairing of each problem at its rule and the
     next rule up."""
-    return {name: [experiments._pairing(PROBLEMS[name], *rule, 16)
+    return {name: [experiments._pairing(PROBLEMS[name], *rule)
                    for rule in (experiments.PAIRING_RULE,
                                 experiments.PAIRING_CHECK_RULE)]
             for name in PROBLEMS}
+
+
+def test_reference_energy_does_not_depend_on_the_run_order(tmp_path, monkeypatch,
+                                                          pairings):
+    # the pairing takes the data at the default order whatever order a run
+    # solves at, so a run at order 4 on a fresh cache stores, and runs on,
+    # the same entry that every later run reads; at order 4 the pairing
+    # would read 81.07238148870958, 2.9e-7 away
+    cache = tmp_path / "ref.json"
+    record = run_adaptive("square", max_dofs=5, order=4, energy_cache=cache)
+    stored = json.loads(cache.read_text(encoding="utf-8"))["square"]["energy"]
+    assert stored == pairings["square"][0]
+    assert record.energy_ref == stored
+
+    def no_pairing(*args, **kwargs):
+        raise AssertionError("reference energy recomputed on a cache hit")
+
+    monkeypatch.setattr(experiments, "_pairing", no_pairing)
+    assert reference_energy("square", cache=cache) == stored
 
 
 def _meets(value, reference, rel):

@@ -16,6 +16,51 @@ from igabem.splines import KnotVector, bspline_derivatives, rational_basis
 from helpers import circle
 
 
+# the knots, control rows and weights of each built-in geometry, as its
+# constructor has always made them; every float is its shortest repr, so
+# compared by float.hex they pin every bit.  ref_energies.json is keyed by
+# problem name alone, so a constructor that moved one would leave its
+# entry stale.
+BUILT_IN = {
+    "slit": ((1, (0.0, 1.0), (2, 2), False),
+             [[-1.0, 0.0], [1.0, 0.0]], [1.0, 1.0]),
+    "square": ((1, (0.0, 0.25, 0.5, 0.75, 1.0), (2, 1, 1, 1, 2), True),
+               [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5], [0.0, 0.0]],
+               [1.0] * 5),
+    "pacman": ((2, (0.0, 0.16666666666666666, 0.3888888888888889, 0.6111111111111112,
+                    0.8333333333333334, 1.0), (3, 2, 2, 2, 2, 3), True),
+               [[0.0, 0.0],
+                [-0.04619397662556434, -0.019134171618254495],
+                [-0.09238795325112868, -0.03826834323650899],
+                [-0.04251567736871405, -0.15867066805824703],
+                [0.060876142900872066, -0.07933533402912352],
+                [0.16426796317045816, -1.8237407492011988e-17],
+                [0.06087614290087208, 0.07933533402912352],
+                [-0.04251567736871401, 0.15867066805824703],
+                [-0.09238795325112868, 0.03826834323650899],
+                [-0.04619397662556434, 0.019134171618254495],
+                [0.0, 0.0]],
+               [1.0, 1.0, 1.0, 0.6087614290087207, 1.0, 0.6087614290087207, 1.0,
+                0.6087614290087207, 1.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("make", [slit, square, pacman], ids=lambda m: m.__name__)
+def test_built_in_geometries_keep_their_bits(make):
+    (degree, breakpoints, mults, periodic), controls, weights = BUILT_IN[make.__name__]
+    c = make()
+    kv = c.knots
+    assert (kv.degree, kv.multiplicities, kv.periodic) == (degree, mults, periodic)
+
+    def bits(xs):
+        return [float.hex(float(x)) for x in np.ravel(xs)]
+
+    assert bits(kv.breakpoints) == bits(breakpoints)
+    assert c.controls.shape == (len(controls), 2)
+    assert bits(c.controls) == bits(controls)
+    assert bits(c.weights) == bits(weights)
+
+
 def test_slit_basic():
     c = slit()
     np.testing.assert_allclose(c.point([0.0, 0.25, 1.0]), [[-1, 0], [-0.5, 0], [1, 0]], atol=1e-15)

@@ -1,9 +1,14 @@
-"""Import lint: no module of the package imports a name that it never uses.
+"""Import and surface lint: no module of the package imports a name that
+it never uses, and no public name is there for the tests alone.
 
-No linter is assumed installed, so the test walks each module's syntax
+No linter is assumed installed, so the tests walk each module's syntax
 tree.  A name imported only so that the benchmark's tracer can wrap it
 there sits on a ``# noqa: F401`` line, and must be one that
-``perfbench/tracing.py`` wraps in that module.
+``perfbench/tracing.py`` wraps in that module.  Every name in a module's
+``__all__`` must be read by the program: by ``src/igabem``, ``scripts/`` or
+``perfbench/`` outside its own tests, where an import line or an
+``__all__`` entry does not count.  ``UNREAD_PUBLIC`` lists the exceptions,
+each with its reason.
 """
 
 import ast
@@ -17,6 +22,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "igabem").glob("*.py"))
+
+# public names that no program path reads yet, and why each stays
+UNREAD_PUBLIC = {
+    "kappa": "a precondition of the reliability analysis, for the run trace "
+             "of ROADMAP item 5",
+    "level_gaps_ok": "a precondition of the reliability analysis, for the run "
+                     "trace of ROADMAP item 5",
+    "partition_quality": "the Faermann partition check, for the run trace of "
+                         "ROADMAP item 5",
+    "PartitionCheck": "what partition_quality returns",
+    "aitken": "perfbench/tracing.py wraps experiments.aitken by name",
+}
 
 
 def _traced_names() -> dict:
@@ -59,3 +76,41 @@ def test_experiments_and_cli_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
     assert out.stdout.strip() == "[]"
+
+
+def _public_names() -> dict:
+    """Each name in a package module's ``__all__``, with its module."""
+    names = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                names.update((e.value, path.stem) for e in node.value.elts)
+    return names
+
+
+def _read_names() -> set:
+    """Every name the program reads: names and attributes in the syntax
+    trees of the package, the scripts and the benchmark, its tests aside.
+    Import lines bind names and ``__all__`` holds strings, so neither
+    counts."""
+    files = [*MODULES, *sorted((ROOT / "scripts").glob("*.py")),
+             *(p for p in sorted((ROOT / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_"))]
+    read = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_every_public_name_is_read_by_the_program():
+    public = _public_names()
+    unread = set(public) - _read_names() - set(UNREAD_PUBLIC)
+    assert not unread, ("public names that only tests read: "
+                        f"{sorted(f'{public[n]}.{n}' for n in unread)}")
+    stale = set(UNREAD_PUBLIC) - set(public)
+    assert not stale, f"UNREAD_PUBLIC names no public name {sorted(stale)}"

@@ -25,7 +25,6 @@ from igabem.geometry import Curve, pacman, slit, square
 from igabem.operators import (
     collocation_matrix,
     dirichlet_rhs,
-    double_layer_values,
     galerkin_matrix,
     galerkin_rhs,
     single_layer_values,
@@ -323,7 +322,7 @@ def test_potentials_do_not_depend_on_blocking(monkeypatch, targets_per_block):
     def potentials(curve, params, c):
         u, local_params = _samples(curve, 6)
         return (single_layer_values(curve, c, params), collocation_matrix(curve),
-                double_layer_values(curve, g, params),
+                dirichlet_rhs(curve, g, params),
                 single_layer_values(curve, c, local_params, local=u))
 
     for curve in (slit(), pacman(), _corner_graded(pacman()), circle(0.8)):
@@ -401,19 +400,21 @@ def gauss_nodes(curve, order):
 
 
 def test_double_layer_of_one_is_minus_half():
+    # K 1 = -1/2 on a closed curve, so (K + 1/2) 1 vanishes
     for curve in (circle(0.8), square(), pacman()):
         params = gauss_nodes(curve, 6)[::5]
-        vals = double_layer_values(curve, ones_of_points, params)
-        assert np.allclose(vals, -0.5, rtol=0, atol=1e-10), curve
+        vals = dirichlet_rhs(curve, ones_of_points, params)
+        assert np.allclose(vals, 0.0, rtol=0, atol=1e-10), curve
 
 
 def test_double_layer_vanishes_on_slit():
+    # K g = 0 on a straight segment, so (K + 1/2) g = g / 2
     curve = slit()
     params = np.array([0.1, 0.45, 0.8])
-    vals = double_layer_values(curve, ones_of_points, params)
-    assert np.allclose(vals, 0.0, atol=1e-14)
-    linear = double_layer_values(curve, lambda pts: pts[:, 0], params)
-    assert np.allclose(linear, 0.0, atol=1e-14)
+    vals = dirichlet_rhs(curve, ones_of_points, params)
+    assert np.allclose(vals, 0.5, atol=1e-14)
+    linear = dirichlet_rhs(curve, lambda pts: pts[:, 0], params)
+    assert np.allclose(linear, 0.5 * curve.point(params)[:, 0], atol=1e-14)
 
 
 def test_double_layer_circle_projects_to_mean():
@@ -421,8 +422,6 @@ def test_double_layer_circle_projects_to_mean():
     R = 0.8
     curve = circle(R)
     params = np.array([0.03, 0.31, 0.55, 0.77])
-    gx = double_layer_values(curve, lambda pts: pts[:, 0], params)
-    assert np.allclose(gx, 0.0, atol=1e-12)
     f = dirichlet_rhs(curve, lambda pts: pts[:, 0], params)
     assert np.allclose(f, 0.5 * curve.point(params)[:, 0], rtol=0, atol=1e-12)
 
@@ -431,13 +430,14 @@ def test_double_layer_exact_near_nodes_of_own_element():
     # targets 1e-7 to 1e-4 from the Gauss nodes of their own element, where
     # the divided difference of two rounded curve points loses about
     # eps |gamma| / delta^2 (3.8e-6 here when the kernel was formed that way);
-    # on a circle the kernel is constant, so K x vanishes
+    # on a circle the kernel is constant, so K x vanishes and (K + 1/2) x
+    # is x / 2
     curve = circle(0.8)
     nodes = gauss_nodes(curve, 16)
     offsets = np.array([-1e-4, -1e-6, -1e-7, 1e-7, 1e-6, 1e-4])
     params = (nodes[::5][:, None] + offsets[None, :]).ravel()
-    vals = double_layer_values(curve, lambda pts: pts[:, 0], params)
-    np.testing.assert_allclose(vals, 0.0, rtol=0.0, atol=1e-13)
+    vals = dirichlet_rhs(curve, lambda pts: pts[:, 0], params)
+    np.testing.assert_allclose(vals, 0.5 * curve.point(params)[:, 0], rtol=0.0, atol=1e-13)
 
 
 def test_dirichlet_rhs_matches_normal_derivative_on_pacman():
@@ -491,15 +491,16 @@ def test_double_layer_near_corners_keeps_angle_mass():
     # -1/2 holds only if gamma(x) - gamma(t) keeps its digits there.  On a
     # circle the kernel is constant, so K x vanishes.  Differences of two
     # rounded curve points missed by up to 2.3e-5 on the square and 1.7e-4
-    # on the pacman, and read K x = 3.4e-9 on the circle.
+    # on the pacman, and read K x = 3.4e-9 on the circle.  (K + 1/2) 1 is
+    # K 1 + 1/2 without rounding, as K 1 lies within a factor 2 of -1/2.
     offsets = np.array([s * 10.0 ** -k for k in range(6, 15) for s in (-1, 1)])
     for curve in (square(), pacman(), circle(0.8)):
         kv = curve.knots
         params = kv.wrap((kv.nodes[:, None] + offsets).ravel())
-        vals = double_layer_values(curve, ones_of_points, params)
-        np.testing.assert_allclose(vals, -0.5, rtol=0, atol=1e-14, err_msg=str(kv))
-    linear = double_layer_values(curve, lambda pts: pts[:, 0], params)
-    np.testing.assert_allclose(linear, 0.0, rtol=0, atol=1e-14)
+        vals = dirichlet_rhs(curve, ones_of_points, params)
+        np.testing.assert_allclose(vals, 0.0, rtol=0, atol=1e-14, err_msg=str(kv))
+    linear = dirichlet_rhs(curve, lambda pts: pts[:, 0], params)
+    np.testing.assert_allclose(linear, 0.5 * curve.point(params)[:, 0], rtol=0, atol=1e-14)
 
 
 def test_galerkin_rhs_mass_of_one():
@@ -939,11 +940,11 @@ def test_double_layer_tables_kept_on_the_curve(make, trace, caplog):
     ts = _dirichlet_targets(curve, rng)
     calls = [ts[:30], rng.permutation(ts), ts[10:][::-1], rng.choice(ts, 25)]
     for call in calls:
-        for fn in (double_layer_values, dirichlet_rhs):
-            np.testing.assert_array_equal(fn(curve, trace, call), fn(make(), trace, call))
+        np.testing.assert_array_equal(dirichlet_rhs(curve, trace, call),
+                                      dirichlet_rhs(make(), trace, call))
     # every graded group of this call was met before: no table is computed
     caplog.set_level(logging.DEBUG, logger="igabem.operators")
-    double_layer_values(curve, trace, calls[1])
+    dirichlet_rhs(curve, trace, calls[1])
     assert [r.getMessage().split(",")[0] for r in caplog.records] == [
         "double-layer tables: 0 computed"]
 
@@ -971,7 +972,7 @@ def test_double_layer_tables_hold_every_graded_group(make, trace):
     curve = make()
     corners = curve.corner_params()
     offsets = 10.0 ** -np.arange(9, 15)[:, None]
-    double_layer_values(curve, trace, np.concatenate(
+    dirichlet_rhs(curve, trace, np.concatenate(
         [corners, ((corners + offsets) % 1.0).ravel(), ((corners - offsets) % 1.0).ravel()]))
     tables = curve._grids[trace, 16].tables
     assert 0 < len(tables) <= 2 * curve.knots.n_elements
@@ -1001,11 +1002,11 @@ def test_double_layer_tables_follow_data_and_order():
     # never served the first one's tables
     curve, rng = pacman(), np.random.default_rng(19)
     ts = _dirichlet_targets(curve, rng)
-    double_layer_values(curve, pacman_trace, ts)
+    dirichlet_rhs(curve, pacman_trace, ts)
 
     def shifted(pts):
         return 2.0 * pacman_trace(pts) + 1.0
 
     for g, order in ((shifted, 16), (pacman_trace, 12)):
-        np.testing.assert_array_equal(double_layer_values(curve, g, ts, order),
-                                      double_layer_values(pacman(), g, ts, order))
+        np.testing.assert_array_equal(dirichlet_rhs(curve, g, ts, order),
+                                      dirichlet_rhs(pacman(), g, ts, order))

@@ -160,10 +160,30 @@ def test_separated_order_meets_log_reference():
         assert abs(w @ np.log(a - x) - exact) <= 1e-15 * abs(exact), a
 
 
+@pytest.mark.parametrize("kind", [np.int32, np.int64], ids=lambda k: k.__name__)
+@pytest.mark.parametrize("fn, args", [(gauss_legendre, (12,)), (gauss_unit, (12,)),
+                                      (gauss_log, (12,)), (graded_unit, (12, 5))],
+                         ids=["legendre", "unit", "log", "graded"])
+def test_numpy_integer_orders_read_the_bytes_of_int_orders(fn, args, kind):
+    # the caches are kept per argument type, so a numpy integer order or
+    # level has a rule of its own; it must be the Python int's, byte for
+    # byte, and as read-only
+    for got, want in zip(fn(*map(kind, args)), fn(*args)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
 def test_invalid_arguments_raise():
-    with pytest.raises(ValueError):
-        gauss_legendre(0)
-    with pytest.raises(ValueError):
-        gauss_log(0)
-    with pytest.raises(ValueError):
-        graded_unit(4, levels=-1)
+    for fn in (gauss_legendre, gauss_unit, gauss_log,
+               lambda n: graded_unit(n, 3)):
+        for n in (0, -1, np.int64(0)):
+            with pytest.raises(ValueError):
+                fn(n)
+        # an order is an integer: a float raises, even where the equal
+        # integer order is cached
+        fn(12)
+        with pytest.raises(TypeError):
+            fn(12.0)
+    for levels in (-1, np.int64(-1)):
+        with pytest.raises(ValueError):
+            graded_unit(4, levels=levels)
